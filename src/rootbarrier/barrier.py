@@ -20,6 +20,8 @@ from .obstacle import ObstacleSolution
 
 __all__ = ["Barrier", "extract_barrier", "from_function", "hit_time", "save_barrier", "load_barrier"]
 
+_SCAN_CELLS = 1 << 16    # grid cells per block of the contact scan
+
 
 @dataclass(frozen=True)
 class Barrier:
@@ -89,14 +91,19 @@ def extract_barrier(
     10 * lcp_tol; outside the support of the target law R is set to 0.
     """
     x = sol.price_x
-    gap = sol.v - sol.psi[None, :]
     if contact_tol is None:
         contact_tol = 10.0 * sol.cfg.lcp_tol
     tol_i = contact_tol * np.maximum(1.0, np.abs(sol.psi))
-    contact = gap <= tol_i[None, :]
-    any_contact = contact.any(axis=0)
-    first = contact.argmax(axis=0)
-    R = np.where(any_contact, sol.t[np.minimum(first, len(sol.t) - 1)], np.inf)
+    # scan in row blocks: the contact matrix of the whole surface is never built
+    first = np.full(len(x), -1)
+    rows = max(1, _SCAN_CELLS // len(x))
+    for j0 in range(0, len(sol.t), rows):
+        contact = (sol.v[j0:j0 + rows] - sol.psi) <= tol_i
+        new = (first < 0) & contact.any(axis=0)
+        first[new] = j0 + contact[:, new].argmax(axis=0)
+        if first.min() >= 0:
+            break
+    R = np.where(first >= 0, sol.t[first], np.inf)
 
     if support is None:
         support = sol.mu.support

@@ -42,6 +42,20 @@ def test_contact_indicator_monotone(gaussian_solution):
     assert np.all(np.diff(contact.astype(int), axis=0) >= 0)
 
 
+def test_extract_barrier_matches_full_matrix(gaussian_solution):
+    # the block scan must reproduce the whole-surface formula bit for bit;
+    # the two-atom solve adds never-stopping nodes (R = inf)
+    cfg = ob.SolverConfig(x_lo=-6, x_hi=6, nx=301, horizon=1.0, nt=200)
+    two_atom = ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0),
+                                    ms.atoms([-1.0, 1.0], [0.5, 0.5]), cfg))
+    for sol in (gaussian_solution, two_atom):
+        tol = 10 * sol.cfg.lcp_tol * np.maximum(1.0, np.abs(sol.psi))
+        contact = (sol.v - sol.psi[None, :]) <= tol[None, :]
+        R = np.where(contact.any(axis=0), sol.t[contact.argmax(axis=0)], np.inf)
+        b = br.extract_barrier(sol, support=(-np.inf, np.inf))
+        assert np.array_equal(b.R, R)
+
+
 def test_value_at_conventions():
     b = br.Barrier(x=np.array([0.0, 1.0, 2.0]), R=np.array([3.0, 1.0, 2.0]), horizon=4.0)
     # nodes exact

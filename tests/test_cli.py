@@ -60,6 +60,18 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
+def test_solver_error_exit_code(tmp_path, capsys):
+    nu = tmp_path / "nu.json"
+    mu = tmp_path / "mu.json"
+    ms.save_measure(ms.point_mass(0.0), str(nu))
+    ms.save_measure(ms.normal(0.0, 1.0), str(mu))
+    rc = run(["--out-dir", str(tmp_path / "out"), "solve-barrier",
+              "--nu", str(nu), "--mu", str(mu), "--nx", "41", "--nt", "5",
+              "--lcp-tol", "1e-20"])
+    assert rc == 4
+    assert "residual" in capsys.readouterr().err
+
+
 def test_verify_embed_round_trip(tmp_path, measure_files):
     nu, mu = measure_files
     out = tmp_path / "out"

@@ -53,6 +53,35 @@ def test_complementarity_residual_reported(gaussian_solution):
     res = gaussian_solution.residuals
     assert res.shape == gaussian_solution.v.shape
     assert np.max(np.abs(res)) <= gaussian_solution.cfg.lcp_tol
+    assert gaussian_solution.max_residual == np.max(np.abs(res))
+
+
+def test_active_set_stops_at_round_off():
+    # outside the support of a many-atom empirical law the obstacle is
+    # linear and stays in contact; there round-off alone flips nodes in and
+    # out of the active set, so a solve that waits for the set to repeat
+    # runs to its cap of nx solves per step.  The round-off stop keeps the
+    # warm-started iteration near one solve per step, as on a two-atom target.
+    emp = ms.empirical(np.random.default_rng(1).normal(size=100_000), recenter_to=0.0)
+    cases = [
+        (ob.brownian(), ms.point_mass(0.0), emp,
+         ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=401, horizon=1.0, nt=100)),
+        (ob.geometric_brownian(), ms.point_mass(1.0), ms.atoms([0.7, 1.4], [4 / 7, 3 / 7]),
+         ob.SolverConfig(x_lo=0.3, x_hi=3.0, nx=201, horizon=1.0, nt=400)),
+    ]
+    for diff, nu, mu, cfg in cases:
+        sol = ob.solve(ob.assemble(diff, nu, mu, cfg))
+        assert sol.max_residual <= 1e-3 * cfg.lcp_tol
+        assert sol.iterations <= 2 * cfg.nt
+
+
+def test_unreachable_tolerance_raises_with_node():
+    # a tolerance below round-off cannot be met: the error names the worst node
+    cfg = ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=41, horizon=1.0, nt=5, lcp_tol=1e-20)
+    with pytest.raises(ob.SolverError, match="residual") as err:
+        ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg))
+    assert abs(err.value.residual) > cfg.lcp_tol
+    assert 0 < err.value.node < 40
 
 
 def test_target_equals_start_gives_obstacle():
@@ -149,6 +178,7 @@ def test_solution_dump(tmp_path, gaussian_solution):
     import json
     meta = json.loads((tmp_path / "sol_meta.json").read_text())
     assert meta["residual_summary"]["max_abs"] <= 1e-8
+    assert meta["residual_summary"]["lcp_iterations"] == gaussian_solution.iterations
     data = np.genfromtxt(tmp_path / "sol_v.csv", delimiter=",", skip_header=1)
     assert data.shape == (len(gaussian_solution.t), len(gaussian_solution.x) + 1)
 
