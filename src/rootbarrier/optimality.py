@@ -423,35 +423,26 @@ def verify_pathwise(hf: HedgeFunctions, tol: float = 1e-6) -> dict:
     }
 
 
-def _ladder_snapshots(diff, nu, barrier, ladder, n, dt, seed):
-    """States, stopped states and stopped clocks at the ladder times."""
-    horizon = float(max(ladder))
-    n_steps = int(round(horizon / dt))
-    x = np.asarray(nu.sample(n, sim.step_rng(seed, 0)), dtype=float)
-    tau = np.full(n, np.inf)
-    val = x.copy()
-    stopped0 = barrier.value_at(x) <= 0.0
-    tau[stopped0] = 0.0
-    snaps = {}
-    targets = {int(round(tv / dt)): tv for tv in ladder}
-    sqdt = math.sqrt(dt)
-    for k in range(1, n_steps + 1):
-        z = sim.step_rng(seed, k).standard_normal(n)
-        if diff.geometric:
-            x = x * np.exp(sqdt * z - 0.5 * dt)
-        else:
-            x = x + diff.sigma(x) * sqdt * z
-        t_k = k * dt
-        running = ~(tau <= t_k)
-        hit = running & (t_k >= barrier.value_at(x))
-        tau[hit] = t_k
-        val[hit] = x[hit]
-        if k in targets:
-            t_now = targets[k]
-            stopped_clock = np.minimum(tau, t_now)
-            stopped_state = np.where(tau <= t_now, val, x)
-            snaps[t_now] = (x.copy(), stopped_state, stopped_clock)
-    return snaps
+class _LadderSnapshots:
+    """Path observer: free states, stopped states and stopped clocks at the ladder times."""
+
+    def __init__(self, barrier: Barrier, ladder: list):
+        self.barrier, self.ladder, self.snaps = barrier, ladder, {}
+
+    def start(self, x0, n_steps, dt):
+        self.targets = {int(round(tv / dt)): tv for tv in self.ladder}
+        self.tau = np.where(self.barrier.value_at(x0) <= 0.0, 0.0, np.inf)
+        self.val = x0.copy()
+
+    def __call__(self, s) -> None:
+        x, t_k = s.x_new, s.k * s.dt
+        hit = ~(self.tau <= t_k) & (t_k >= self.barrier.value_at(x))
+        self.tau[hit] = t_k
+        self.val[hit] = x[hit]
+        if s.k in self.targets:
+            t_now = self.targets[s.k]
+            self.snaps[t_now] = (x.copy(), np.where(self.tau <= t_now, self.val, x),
+                                 np.minimum(self.tau, t_now))
 
 
 def verify_martingale(
@@ -471,10 +462,12 @@ def verify_martingale(
     """
     if ladder is None:
         ladder = [0.5, 1.0, 2.0, 4.0]
-    snaps = _ladder_snapshots(diff, nu, hf.barrier, ladder, n, dt, seed)
+    ladder_obs = _LadderSnapshots(hf.barrier, ladder)
+    sim._walk(n, dt, seed, lambda dt: int(round(float(max(ladder)) / dt)), lambda g: nu.sample(n, g),
+              sim._diffusion_move(diff), observers=[ladder_obs])
     stopped_means, stopped_ses, free_means, free_ses = [], [], [], []
     for tv in ladder:
-        x_t, x_stop, t_stop = snaps[tv]
+        x_t, x_stop, t_stop = ladder_obs.snaps[tv]
         # group paths by stopped clock so the surface lookup is per-time
         gs = np.empty(n)
         for uv in np.unique(np.round(t_stop, 12)):

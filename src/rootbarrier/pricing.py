@@ -339,80 +339,27 @@ def verify_subhedge(
     dt: float = 1e-3,
     allowance: Optional[float] = None,
 ) -> dict:
-    """Mark the subhedge along simulated paths of a price model.
+    """Mark the subhedge along the paths simulate_price_model draws.
 
-    The dynamic account accumulates delta * (increment of the discounted
-    price) with the delta read off dG/dx at the current accumulated
-    variance; the static account pays the piecewise-linear H at the
-    terminal discounted price.  The report gives the fraction of paths on
+    The dynamic account starts at G(s0, 0), s0 the model's start, and
+    accumulates delta * (increment of the discounted price) with the
+    delta read off dG/dx at the current accumulated variance; the static
+    account pays the piecewise-linear H at the terminal discounted price.  The report gives the fraction of paths on
     which portfolio <= payoff + allowance (the allowance covers the
     documented discrete-marking bias, which shrinks like sqrt(dt)) and,
     for the attaining time-change model, the tightness of the mean.
     """
     hf = report.hedge
-    s0 = report.market.spot
     bt = report.market.discount
-    g0 = float(hf.G_at(np.array([s0]), 0.0)[0])
+    g0 = float(hf.G_at(np.array([model.s0]), 0.0)[0])
     payoff = report.payoff
+    rv = sim._RealizedVariance()
+    account = _HedgeAccount(hf, rv)
+    batch = sim._price_batch(model, n, dt, seed, rv, before=(account,))
 
-    if model.kind in ("constant", "piecewise"):
-        n_steps = int(round(model.maturity / dt))
-        x = np.full(n, s0)
-        rv = np.zeros(n)
-        acct = np.zeros(n)
-        sqdt = math.sqrt(dt)
-        for k in range(1, n_steps + 1):
-            t_prev = (k - 1) * dt
-            sig = model.vol_at(np.array([t_prev]))[0]
-            r = model.rate_at(np.array([t_prev]))[0]
-            phi = _delta_lookup(hf, x, rv)
-            z = sim.step_rng(seed, k).standard_normal(n)
-            dln = sig * sqdt * z - 0.5 * sig * sig * dt
-            x_new = x * np.exp(dln)
-            acct += phi * (x_new - x)
-            rv += (dln + r * dt) ** 2
-            x = x_new
-    elif model.kind == "time-change-to-barrier":
-        bar = model.barrier if model.barrier is not None else report.barrier
-        s_max = bar.horizon
-        n_steps = int(math.ceil(s_max / dt))
-        x = np.full(n, s0)
-        rv = np.zeros(n)
-        acct = np.zeros(n)
-        spikes = model.spikes
-        cons = spikes is None
-        frozen = bar.value_at(x, conservative=cons) <= 0.0
-        sqdt = math.sqrt(dt)
-        for k in range(1, n_steps + 1):
-            if np.all(frozen):
-                break
-            live = ~frozen
-            li = np.flatnonzero(live)
-            phi = _delta_lookup(hf, x[li], rv[li])
-            g = sim.step_rng(seed, k)
-            z = g.standard_normal(len(li))
-            dln = sqdt * z - 0.5 * dt
-            x_old = x[li]
-            x_new = x_old * np.exp(dln)
-            rv[li] += dln * dln
-            t_k = k * dt
-            hit = t_k >= bar.value_at(x_new, exact_nodes=False, conservative=cons)
-            if spikes is not None:
-                u = g.random(len(li))
-                sp_hit, sp_which = sim.spike_crossings(
-                    x_old, x_new, t_k, dt, spikes[0], spikes[1], u)
-                # the spike is touched en route, before the endpoint region
-                x_new[sp_hit] = spikes[0][sp_which[sp_hit]]
-                hit = hit | sp_hit
-            acct[li] += phi * (x_new - x_old)
-            x[li] = x_new
-            frozen[li[hit]] = True
-    else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-
-    static_leg = _static_value(report, x)
-    portfolio = g0 + acct + static_leg          # terminal, undiscounted units
-    target = payoff.F(rv)
+    static_leg = _static_value(report, batch.stopped_values)
+    portfolio = g0 + account.values + static_leg    # terminal, undiscounted units
+    target = payoff.F(batch.realized_variance)
     if allowance is None:
         # discrete-marking bias allowance, calibrated at dt = 1e-3 and
         # shrinking with the step like the observed overshoot does
@@ -435,6 +382,24 @@ def verify_subhedge(
         "n": n,
         "dt": dt,
     }
+
+
+class _HedgeAccount:
+    """Path observer: gains of the dynamic hedge.
+
+    The delta of a step is read at the variance accrued before it, so the
+    account must see each step ahead of the variance observer rv.
+    """
+
+    def __init__(self, hf: HedgeFunctions, rv: sim._RealizedVariance):
+        self.hf, self.rv = hf, rv
+
+    def start(self, x0, n_steps, dt):
+        self.values = np.zeros(len(x0))
+
+    def __call__(self, s) -> None:
+        phi = _delta_lookup(self.hf, s.x_old, self.rv.values[s.ids])
+        self.values[s.ids] += phi * (s.x_new - s.x_old)
 
 
 def _delta_lookup(hf: HedgeFunctions, x: np.ndarray, rv: np.ndarray) -> np.ndarray:

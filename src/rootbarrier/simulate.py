@@ -1,10 +1,18 @@
 """Path simulation: stopped diffusions, price models, empirical diagnostics.
 
-Increments are drawn from counter-based generators keyed by (seed, step),
-so a batch is reproducible bit-for-bit under a fixed seed and independent
-of how paths are chunked across workers.  Paths are advanced in a single
-streaming pass (states are only retained on request), which keeps memory
-linear in the number of paths for million-path runs.
+Every batch is advanced by one stepping loop, `_walk`; the batches differ
+only in the pieces they hand it: a state update, a stopping rule and
+per-step observers.  Paths are advanced in a single streaming pass
+(states are only retained on request), which keeps memory linear in the
+number of paths for million-path runs.
+
+Step k draws from the counter-based generator step_rng(seed, k), one
+normal per running path in path order, so a draw belongs to a path's
+rank among the paths still running, not to the path.  Step 0 draws the
+start states or the competitor's intervals, in amounts that depend on n.
+A batch is therefore bit-identical for a fixed (seed, n), but a slice of
+its paths run on its own gets other draws; streams keyed so that a batch
+can be split are ROADMAP.md item 4.
 
 Stopping against a barrier is a check in time, t >= R(X_t), performed at
 every sample; no bridge correction is applied for crossings between
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -95,18 +103,10 @@ class PriceModel:
     spikes: Optional[tuple] = None      # (locations, arming times)
 
     def vol_at(self, t: np.ndarray) -> np.ndarray:
-        if isinstance(self.vol, tuple):
-            bp, vals = self.vol
-            idx = np.searchsorted(np.asarray(bp), t, side="right")
-            return np.asarray(vals)[np.minimum(idx, len(vals) - 1)]
-        return np.full_like(np.asarray(t, dtype=float), float(self.vol))
+        return _piecewise_at(self.vol, t)
 
     def rate_at(self, t: np.ndarray) -> np.ndarray:
-        if isinstance(self.rate, tuple):
-            bp, vals = self.rate
-            idx = np.searchsorted(np.asarray(bp), t, side="right")
-            return np.asarray(vals)[np.minimum(idx, len(vals) - 1)]
-        return np.full_like(np.asarray(t, dtype=float), float(self.rate))
+        return _piecewise_at(self.rate, t)
 
     def discount(self, t: float) -> float:
         """B_t = exp(int_0^t r)."""
@@ -120,6 +120,200 @@ class PriceModel:
             if b > a:
                 acc += float(self.rate_at(np.array([a]))[0]) * (b - a)
         return math.exp(acc)
+
+
+def _piecewise_at(spec: Union[float, tuple], t: np.ndarray) -> np.ndarray:
+    """A constant, or (breakpoints, values) right-continuous in time, at times t."""
+    if isinstance(spec, tuple):
+        bp, vals = spec
+        idx = np.searchsorted(np.asarray(bp), t, side="right")
+        return np.asarray(vals)[np.minimum(idx, len(vals) - 1)]
+    return np.full_like(np.asarray(t, dtype=float), float(spec))
+
+
+# -- the stepping kernel ----------------------------------------------------------
+
+@dataclass
+class _Step:
+    """One time step, as the stopping rule and the observers see it."""
+
+    k: int
+    dt: float
+    ids: np.ndarray                 # batch indices of the paths that took the step
+    x_old: np.ndarray
+    x_new: np.ndarray               # a stopping rule moves hit paths to their stop value
+    dlog: Optional[np.ndarray]      # log return of the price over a geometric step
+    g: np.random.Generator          # the step's generator, its normals already drawn
+
+
+class _WalkResult(NamedTuple):
+    stop_times: np.ndarray
+    stopped_values: np.ndarray
+    horizon_mass: float
+    steps: int                      # steps taken: fewer than n_steps once all paths stop
+    n_steps: int
+
+
+def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResult:
+    """Advance n paths by up to steps(dt) time steps: the one stepping loop.
+
+    n and dt are checked before any draw or allocation, so every entry
+    point rejects them with the same ValueError.  start(g) returns the
+    start states, drawn from the step-0 generator.  Step k draws one
+    standard normal per running path from step_rng(seed, k) and moves the
+    paths with move(x, z, k, dt), which returns the new states and, for a
+    geometric step, the log returns.  The stopping rule (None,
+    _TimeBarrier or _IntervalExit) names the paths running at time 0
+    through stop.start(x0, g0) and then marks which running paths stop;
+    they stop at (k - stop.lag) dt at their state after the step, and drop
+    out of later steps.  Observers are started with obs.start(x0, n_steps,
+    dt) and see every step after the stopping rule, in the order given.
+    Paths still running at the end keep the last step time as a sentinel
+    stopping time and make up the horizon mass.
+    """
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be a positive whole number of paths, got {n!r}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be a positive finite time step, got {dt!r}")
+    n_steps = steps(dt)
+    g0 = step_rng(seed, 0)
+    x0 = np.asarray(start(g0), dtype=float)
+    live = np.ones(n, dtype=bool) if stop is None else stop.start(x0, g0)
+    for obs in observers:
+        obs.start(x0, n_steps, dt)
+    tau = np.where(live, n_steps * dt, 0.0)
+    val = x0.copy()
+    ids = np.flatnonzero(live)
+    x = x0[ids]     # the hot loop works on compacted state, not full-size fancy indexing
+    k = 0
+    while k < n_steps and len(ids):
+        k += 1
+        g = step_rng(seed, k)
+        z = g.standard_normal(len(ids))
+        x_new, dlog = move(x, z, k, dt)
+        s = _Step(k, dt, ids, x, x_new, dlog, g)
+        hit = None if stop is None else stop(s)
+        for obs in observers:
+            obs(s)
+        if hit is not None and hit.any():
+            tau[ids[hit]] = (k - stop.lag) * dt
+            val[ids[hit]] = x_new[hit]
+            x_new, ids = x_new[~hit], ids[~hit]
+        x = x_new
+    val[ids] = x    # horizon sentinel paths keep their current state
+    return _WalkResult(tau, val, len(ids) / n if stop is not None else 0.0, k, n_steps)
+
+
+def _additive(sigma):
+    """Euler step of dX = sigma(X) dW, exact for constant sigma."""
+    return lambda x, z, k, dt: (x + sigma(x) * math.sqrt(dt) * z, None)
+
+
+def _geometric(vol=lambda t: 1.0, rate=None):
+    """Exact log-normal step at the volatility vol(t) of the step's start.
+
+    The log returns are those of the undiscounted price: the discounted
+    step plus rate(t) dt.
+    """
+    def move(x, z, k, dt):
+        t0 = (k - 1) * dt
+        sig = vol(t0)
+        dlog = sig * math.sqrt(dt) * z - 0.5 * sig * sig * dt
+        return x * np.exp(dlog), dlog if rate is None else dlog + rate(t0) * dt
+    return move
+
+
+def _diffusion_move(diff: DiffusionSpec):
+    return _geometric() if diff.geometric else _additive(diff.sigma)
+
+
+class _TimeBarrier:
+    """Stop at the first sample with t >= R(X_t).
+
+    With spikes (locations, arming times), also stop where the bridge
+    test sees an armed spike touched between samples, at the spike; the
+    barrier is then read at the larger of the bracketing nodes, leaving
+    narrow features to the spike test.
+    """
+
+    lag = 0
+
+    def __init__(self, barrier: Barrier, spikes: Optional[tuple] = None):
+        self.barrier, self.spikes = barrier, spikes
+
+    def start(self, x0, g0):
+        # starts already inside the barrier stop at once (closed, regular set)
+        return self.barrier.value_at(x0, conservative=self.spikes is None) > 0.0
+
+    def __call__(self, s: _Step) -> np.ndarray:
+        t = s.k * s.dt
+        hit = t >= self.barrier.value_at(s.x_new, exact_nodes=False, conservative=self.spikes is None)
+        if self.spikes is not None:
+            at, arm = self.spikes
+            sp_hit, which = spike_crossings(s.x_old, s.x_new, t, s.dt, at, arm, s.g.random(len(s.ids)))
+            # the spike is touched en route, before the endpoint region
+            s.x_new[sp_hit] = at[which[sp_hit]]
+            hit |= sp_hit
+        return hit
+
+
+class _IntervalExit:
+    """Stop Brownian paths on leaving their interval (lo, hi), drawn at step 0.
+
+    Crossings between samples are caught by the Brownian-bridge
+    probability and dated to the middle of the step.
+    """
+
+    lag = 0.5
+
+    def __init__(self, mu: Measure):
+        self.mu = mu
+
+    def start(self, x0, g0):
+        self.lo, self.hi = _hall_intervals(self.mu, len(x0), g0)
+        # paths with degenerate interval (atom at the mean) stop immediately
+        return ~((self.hi - self.lo) <= 0)
+
+    def __call__(self, s: _Step) -> np.ndarray:
+        u = s.g.random(len(s.ids))
+        x, x_new, dt = s.x_old, s.x_new, s.dt
+        up, dn = self.hi[s.ids], self.lo[s.ids]
+        crossed_up = x_new >= up
+        crossed_dn = x_new <= dn
+        inside = ~(crossed_up | crossed_dn)
+        # bridge probability of touching a level between consecutive samples
+        p_up = np.zeros(len(x))
+        p_dn = np.zeros(len(x))
+        p_up[inside] = np.exp(-2.0 * (up[inside] - x[inside]) * (up[inside] - x_new[inside]) / dt)
+        p_dn[inside] = np.exp(-2.0 * (x[inside] - dn[inside]) * (x_new[inside] - dn[inside]) / dt)
+        bridge_up = inside & (u < p_up)
+        bridge_dn = inside & ~bridge_up & (u < p_up + p_dn)
+        hit_up = crossed_up | bridge_up
+        hit = hit_up | crossed_dn | bridge_dn
+        x_new[hit] = np.where(hit_up[hit], up[hit], dn[hit])
+        return hit
+
+
+class _RealizedVariance:
+    """Observer: accumulated squared log returns of the price."""
+
+    def start(self, x0, n_steps, dt):
+        self.values = np.zeros(len(x0))
+
+    def __call__(self, s: _Step) -> None:
+        self.values[s.ids] += s.dlog ** 2
+
+
+class _StoredStates:
+    """Observer: every path's state at every step, held at its stop value."""
+
+    def start(self, x0, n_steps, dt):
+        self.states = np.empty((n_steps + 1, len(x0)))
+        self.states[0] = x0
+
+    def __call__(self, s: _Step) -> None:
+        self.states[s.k] = self.states[s.k - 1]
+        self.states[s.k, s.ids] = s.x_new
 
 
 # -- stopped diffusion ---------------------------------------------------------
@@ -141,66 +335,27 @@ def simulate_stopped(
     assigned the horizon as a sentinel stopping time and reported in
     horizon_mass (with a warning flag above 1%).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if horizon is None:
         horizon = barrier.horizon
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        n_steps = int(math.ceil(horizon / dt))
-    times = dt * np.arange(n_steps + 1)
 
-    x0 = np.asarray(nu.sample(n, step_rng(seed, 0)), dtype=float)
-    tau = np.full(n, times[-1])
-    val = x0.copy()
-    # starts already inside the barrier stop at once (closed, regular set)
-    alive0 = barrier.value_at(x0) > 0.0
-    tau[~alive0] = 0.0
+    def steps(dt):
+        k = int(round(horizon / dt))
+        # a horizon off the step grid gets one more step
+        return k if abs(k * dt - horizon) <= 1e-9 * max(1.0, horizon) else int(math.ceil(horizon / dt))
 
-    states = None
+    stored = _StoredStates()
+    w = _walk(n, dt, seed, steps, lambda g: nu.sample(n, g), _diffusion_move(diff),
+              _TimeBarrier(barrier), [stored] if store_paths else [])
     if store_paths:
-        states = np.empty((n_steps + 1, n))
-        states[0] = x0
-
-    # hot loop works on compacted state to avoid full-size fancy indexing
-    cur = x0[alive0].copy()
-    ids = np.flatnonzero(alive0)
-    geometric = diff.geometric
-    sqdt = math.sqrt(dt)
-    for k in range(1, n_steps + 1):
-        if len(ids) == 0:
-            if store_paths:
-                states[k:] = val[None, :]
-            break
-        z = step_rng(seed, k).standard_normal(len(ids))
-        if geometric:
-            cur = cur * np.exp(sqdt * z - 0.5 * dt)
-        else:
-            cur = cur + diff.sigma(cur) * sqdt * z
-        t_k = times[k]
-        hit = t_k >= barrier.value_at(cur, exact_nodes=False)
-        if hit.any():
-            hit_ids = ids[hit]
-            tau[hit_ids] = t_k
-            val[hit_ids] = cur[hit]
-            keep = ~hit
-            cur = cur[keep]
-            ids = ids[keep]
-        if store_paths:
-            snap = val.copy()
-            snap[ids] = cur
-            states[k] = snap
-
-    val[ids] = cur   # horizon sentinel paths keep their current state
-    horizon_mass = len(ids) / n
-    diag = {"horizon-warning": bool(horizon_mass > 0.01)}
+        # the walk ended early with every path stopped: later rows repeat the last
+        stored.states[w.steps + 1:] = stored.states[w.steps]
     return PathBatch(
-        n=n, dt=dt, horizon=float(times[-1]), seed=seed,
-        stop_times=tau, stopped_values=val,
-        horizon_mass=horizon_mass,
-        times=times if store_paths else None,
-        states=states,
-        diagnostics=diag,
+        n=n, dt=dt, horizon=float(w.n_steps * dt), seed=seed,
+        stop_times=w.stop_times, stopped_values=w.stopped_values,
+        horizon_mass=w.horizon_mass,
+        times=dt * np.arange(w.n_steps + 1) if store_paths else None,
+        states=stored.states if store_paths else None,
+        diagnostics={"horizon-warning": bool(w.horizon_mass > 0.01)},
     )
 
 
@@ -228,31 +383,42 @@ def simulate_price_model(
     are generated in the variance clock (quadratic variation is invariant
     under the time change, and the terminal value is the stopped value).
     """
+    return _price_batch(model, n, dt, seed, _RealizedVariance())
+
+
+def _price_batch(model: PriceModel, n: int, dt: float, seed: int,
+                 rv: _RealizedVariance, before: tuple = ()) -> PathBatch:
+    """simulate_price_model with its variance observer rv in the open.
+
+    The observers in `before` see each step ahead of rv, so they read the
+    variance accrued up to the start of the step.
+    """
     if model.kind in ("constant", "piecewise"):
-        n_steps = int(round(model.maturity / dt))
-        x = np.full(n, float(model.s0))
-        rv = np.zeros(n)
-        sqdt = math.sqrt(dt)
-        for k in range(1, n_steps + 1):
-            t_prev = (k - 1) * dt
-            sig = model.vol_at(np.array([t_prev]))[0]
-            r = model.rate_at(np.array([t_prev]))[0]
-            z = step_rng(seed, k).standard_normal(n)
-            dlnx = sig * sqdt * z - 0.5 * sig * sig * dt
-            x *= np.exp(dlnx)
-            rv += (dlnx + r * dt) ** 2
+        at = lambda path: lambda t: path(np.array([t]))[0]
+        steps = lambda dt: int(round(model.maturity / dt))
+        move, stop = _geometric(at(model.vol_at), at(model.rate_at)), None
+    elif model.kind == "time-change-to-barrier":
+        b = model.barrier
+        if b is None:
+            raise ValueError("time-change model needs a barrier")
+        steps = lambda dt: int(math.ceil(b.horizon / dt))
+        move, stop = _geometric(), _TimeBarrier(b, model.spikes)
+    else:
+        raise ValueError(f"unknown price model kind {model.kind!r}")
+    w = _walk(n, dt, seed, steps, lambda g: np.full(n, float(model.s0)), move, stop, (*before, rv))
+    if stop is None:
         return PathBatch(
             n=n, dt=dt, horizon=model.maturity, seed=seed,
             stop_times=np.full(n, model.maturity),
-            stopped_values=x, realized_variance=rv,
+            stopped_values=w.stopped_values, realized_variance=rv.values,
             diagnostics={"kind": model.kind},
         )
-    if model.kind == "time-change-to-barrier":
-        if model.barrier is None:
-            raise ValueError("time-change model needs a barrier")
-        batch = _simulate_time_change(model, n, dt, seed)
-        return batch
-    raise ValueError(f"unknown price model kind {model.kind!r}")
+    return PathBatch(
+        n=n, dt=dt, horizon=float(w.n_steps * dt), seed=seed,
+        stop_times=w.stop_times, stopped_values=w.stopped_values,
+        realized_variance=rv.values, horizon_mass=w.horizon_mass,
+        diagnostics={"kind": model.kind, "horizon-warning": bool(w.horizon_mass > 0.01)},
+    )
 
 
 def spike_crossings(x_old, x_new, t_k, dt, spike_x, spike_t, u):
@@ -291,53 +457,6 @@ def spike_crossings(x_old, x_new, t_k, dt, spike_x, spike_t, u):
     return hit, which
 
 
-def _simulate_time_change(model: PriceModel, n: int, dt: float, seed: int) -> PathBatch:
-    b = model.barrier
-    s_max = b.horizon
-    n_steps = int(math.ceil(s_max / dt))
-    x = np.full(n, float(model.s0))
-    rv = np.zeros(n)
-    tau = np.full(n, n_steps * dt)
-    val = x.copy()
-    spikes = model.spikes
-    cons = spikes is None
-    r0 = b.value_at(x, conservative=cons)
-    alive = r0 > 0.0
-    tau[~alive] = 0.0
-    idx = np.flatnonzero(alive)
-    sqdt = math.sqrt(dt)
-    for k in range(1, n_steps + 1):
-        if len(idx) == 0:
-            break
-        g = step_rng(seed, k)
-        z = g.standard_normal(len(idx))
-        x_old = x[idx]
-        x_new = x_old * np.exp(sqdt * z - 0.5 * dt)
-        rv[idx] += (sqdt * z - 0.5 * dt) ** 2
-        s_k = k * dt
-        hit = s_k >= b.value_at(x_new, exact_nodes=False, conservative=cons)
-        x[idx] = x_new
-        if spikes is not None:
-            u = g.random(len(idx))
-            sp_hit, sp_which = spike_crossings(
-                x_old, x_new, s_k, dt, spikes[0], spikes[1], u)
-            # the spike is touched en route, before the endpoint region
-            x[idx[sp_hit]] = spikes[0][sp_which[sp_hit]]
-            hit = hit | sp_hit
-        hit_idx = idx[hit]
-        tau[hit_idx] = s_k
-        val[hit_idx] = x[hit_idx]
-        idx = idx[~hit]
-    val[idx] = x[idx]
-    horizon_mass = len(idx) / n
-    return PathBatch(
-        n=n, dt=dt, horizon=float(n_steps * dt), seed=seed,
-        stop_times=tau, stopped_values=val, realized_variance=rv,
-        horizon_mass=horizon_mass,
-        diagnostics={"kind": model.kind, "horizon-warning": bool(horizon_mass > 0.01)},
-    )
-
-
 # -- competitor embedding --------------------------------------------------------
 
 def hall_competitor(mu: Measure, n: int, dt: float, seed: int) -> PathBatch:
@@ -350,51 +469,12 @@ def hall_competitor(mu: Measure, n: int, dt: float, seed: int) -> PathBatch:
     embedding and so serves as a competitor in optimality comparisons.
     Interval crossings between samples use a Brownian-bridge correction.
     """
-    m = mu.mean
-    rng = step_rng(seed, 0)
-    lo, hi = _hall_intervals(mu, n, rng)
-    # paths with degenerate interval (atom at the mean) stop immediately
-    stopped_now = (hi - lo) <= 0
-    x = np.full(n, m)
-    tau = np.zeros(n)
-    val = np.full(n, m)
-    idx = np.flatnonzero(~stopped_now)
-
-    sqdt = math.sqrt(dt)
-    k = 0
-    max_steps = int(5e7 // max(n, 1)) + 200000
-    while len(idx) and k < max_steps:
-        k += 1
-        g = step_rng(seed, k)
-        z = g.standard_normal(len(idx))
-        u = g.random(len(idx))
-        x_new = x[idx] + sqdt * z
-        up, dn = hi[idx], lo[idx]
-        crossed_up = x_new >= up
-        crossed_dn = x_new <= dn
-        inside = ~(crossed_up | crossed_dn)
-        # bridge probability of touching a level between consecutive samples
-        p_up = np.zeros(len(idx))
-        p_dn = np.zeros(len(idx))
-        p_up[inside] = np.exp(-2.0 * (up[inside] - x[idx][inside]) * (up[inside] - x_new[inside]) / dt)
-        p_dn[inside] = np.exp(-2.0 * (x[idx][inside] - dn[inside]) * (x_new[inside] - dn[inside]) / dt)
-        bridge_up = inside & (u < p_up)
-        bridge_dn = inside & ~bridge_up & (u < p_up + p_dn)
-        hit_up = crossed_up | bridge_up
-        hit_dn = crossed_dn | bridge_dn
-        hit = hit_up | hit_dn
-        hit_idx = idx[hit]
-        val[hit_idx] = np.where(hit_up[hit], up[hit], dn[hit])
-        tau[hit_idx] = (k - 0.5) * dt
-        x[idx] = x_new
-        idx = idx[~hit]
-    if len(idx):
-        val[idx] = x[idx]
-        tau[idx] = k * dt
+    w = _walk(n, dt, seed, lambda dt: int(5e7 // n) + 200000, lambda g: np.full(n, mu.mean),
+              _additive(lambda x: 1.0), _IntervalExit(mu))
     return PathBatch(
-        n=n, dt=dt, horizon=float(k * dt), seed=seed,
-        stop_times=tau, stopped_values=val,
-        horizon_mass=len(idx) / n,
+        n=n, dt=dt, horizon=float(w.steps * dt), seed=seed,
+        stop_times=w.stop_times, stopped_values=w.stopped_values,
+        horizon_mass=w.horizon_mass,
         diagnostics={"kind": "hall-interval-exit"},
     )
 
@@ -466,10 +546,9 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     """
     s = np.sort(np.asarray(samples, dtype=float))
     nn = len(s)
-    from .measures import Measure as _M
-    if isinstance(cdf, _M):
+    if isinstance(cdf, Measure):
         measure, target = cdf, cdf.cdf
-    elif isinstance(getattr(cdf, "__self__", None), _M):
+    elif isinstance(getattr(cdf, "__self__", None), Measure):
         measure, target = cdf.__self__, cdf
     else:
         measure, target = None, (cdf if callable(cdf) else cdf.cdf)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rootbarrier import barrier as br
 from rootbarrier import cli
 from rootbarrier import measures as ms
 
@@ -85,6 +86,16 @@ def test_verify_embed_round_trip(tmp_path, measure_files):
     report = json.loads((out / "embed_report.json").read_text())
     assert report["embeds"]
     assert report["ks-statistics"]["stopped-vs-target"] <= report["ks-statistics"]["critical-1pct"]
+
+
+def test_verify_embed_without_paths_exit_code(tmp_path, measure_files, capsys):
+    nu, mu = measure_files
+    bar = tmp_path / "barrier.csv"
+    br.save_barrier(br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([1.0, 1.0]), horizon=2.0), str(bar))
+    rc = run(["--out-dir", str(tmp_path / "out"), "verify-embed",
+              "--nu", nu, "--mu", mu, "--barrier", str(bar), "--n", "0"])
+    assert rc == 2
+    assert "n must be" in capsys.readouterr().err
 
 
 def test_price_bound_swap_consistency(tmp_path):

@@ -106,6 +106,29 @@ def test_attaining_model_terminal_law_dense(dense_call_report):
     assert np.mean(batch.realized_variance) == pytest.approx(sv, rel=2e-2)
 
 
+@pytest.mark.parametrize("kind", ["attaining", "piecewise"])
+def test_subhedge_marks_the_models_own_paths(two_atom_market, monkeypatch, kind):
+    # the static leg is paid on exactly the terminal states simulate_price_model returns
+    rep = pr.lower_bound(two_atom_market, opt.variance_call(0.05),
+                         pr.PricingConfig(nx=201, nt=400, nt_hedge=500))
+    model = rep.attaining_model() if kind == "attaining" else sim.PriceModel(
+        kind="piecewise", s0=1.0, maturity=1.0, vol=(np.array([0.5]), np.array([0.15, 0.3])))
+    seen = []
+    static_value = pr._static_value
+    monkeypatch.setattr(pr, "_static_value", lambda report, x: seen.append(x.copy()) or static_value(report, x))
+    pr.verify_subhedge(rep, model, n=400, seed=5, dt=1e-3)
+    batch = sim.simulate_price_model(model, n=400, dt=1e-3, seed=5)
+    assert len(seen) == 1 and np.array_equal(seen[0], batch.stopped_values)
+
+
+def test_time_change_model_needs_a_barrier(dense_call_report):
+    model = sim.PriceModel(kind="time-change-to-barrier", s0=1.0, maturity=1.0)
+    with pytest.raises(ValueError, match="time-change model needs a barrier"):
+        sim.simulate_price_model(model, n=10, dt=1e-2, seed=0)
+    with pytest.raises(ValueError, match="time-change model needs a barrier"):
+        pr.verify_subhedge(dense_call_report, model, n=10, dt=1e-2)
+
+
 def test_upper_bound_concave_constant_derivative(dense_market):
     # f == 1: the concave complement has zero payoff and zero upper bound
     L = pr.ConcavePayoff(L=lambda t: np.zeros_like(np.asarray(t, dtype=float)),

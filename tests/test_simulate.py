@@ -5,7 +5,9 @@ from scipy.stats import norm
 from rootbarrier import barrier as br
 from rootbarrier import measures as ms
 from rootbarrier import obstacle as ob
+from rootbarrier import optimality as opt
 from rootbarrier import parabola as pb
+from rootbarrier import pricing as pr
 from rootbarrier import simulate as sim
 
 N_PATHS = 50_000
@@ -25,13 +27,58 @@ def test_unit_barrier_embeds_standard_normal(unit_time_batch):
     assert ks <= sim.ks_critical_value(batch.n, 0.01)
 
 
-def test_seeded_determinism():
-    b = br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([1.0, 1.0]), horizon=2.0)
-    k = dict(n=2000, dt=1 / 200, seed=11)
-    b1 = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), b, **k)
-    b2 = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), b, **k)
+UNIT_BARRIER = br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([1.0, 1.0]), horizon=2.0)
+CONSTANT_VOL = sim.PriceModel(kind="constant", s0=1.0, maturity=1.0, vol=0.2, rate=0.0)
+
+
+def spiked_time_change():
+    """Time change to a barrier open between two spikes armed at time 0."""
+    x = np.exp(np.linspace(-0.5, 0.5, 101))
+    b = br.Barrier(x=x, R=np.where((x > 0.8) & (x < 1.25), np.inf, 0.0), horizon=1.0)
+    return sim.PriceModel(kind="time-change-to-barrier", s0=1.0, maturity=1.0, barrier=b,
+                          spikes=(np.array([0.8, 1.25]), np.array([0.0, 0.0])))
+
+
+SEEDED_BATCHES = {
+    "stopped": lambda: sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), UNIT_BARRIER,
+                                            n=2000, dt=1 / 200, seed=11),
+    "spiked-time-change": lambda: sim.simulate_price_model(spiked_time_change(), n=2000, dt=1e-3, seed=11),
+    "hall": lambda: sim.hall_competitor(ms.atoms([-1.0, 0.0, 2.0], [0.5, 0.25, 0.25]),
+                                        n=2000, dt=1e-3, seed=11),
+}
+
+
+@pytest.mark.parametrize("make", SEEDED_BATCHES.values(), ids=SEEDED_BATCHES.keys())
+def test_seeded_determinism(make):
+    b1, b2 = make(), make()
     assert np.array_equal(b1.stop_times, b2.stop_times)
     assert np.array_equal(b1.stopped_values, b2.stopped_values)
+    assert (b1.realized_variance is None) == (b2.realized_variance is None)
+    if b1.realized_variance is not None:
+        assert np.array_equal(b1.realized_variance, b2.realized_variance)
+
+
+PATH_ENTRY_POINTS = {
+    "simulate_stopped": lambda req, n, dt: sim.simulate_stopped(
+        ob.brownian(), ms.point_mass(0.0), UNIT_BARRIER, n=n, dt=dt, seed=1),
+    "simulate_price_model[constant]": lambda req, n, dt: sim.simulate_price_model(
+        CONSTANT_VOL, n=n, dt=dt, seed=1),
+    "simulate_price_model[time-change]": lambda req, n, dt: sim.simulate_price_model(
+        spiked_time_change(), n=n, dt=dt, seed=1),
+    "hall_competitor": lambda req, n, dt: sim.hall_competitor(ms.normal(0.0, 1.0), n=n, dt=dt, seed=1),
+    "verify_martingale": lambda req, n, dt: opt.verify_martingale(
+        req.getfixturevalue("parabola_hedge")[0], ob.brownian(), ms.point_mass(0.0), n=n, dt=dt),
+    "verify_subhedge": lambda req, n, dt: pr.verify_subhedge(
+        req.getfixturevalue("dense_call_report"), CONSTANT_VOL, n=n, dt=dt),
+}
+
+
+@pytest.mark.parametrize("entry", PATH_ENTRY_POINTS)
+@pytest.mark.parametrize("n, dt, name", [(10, 0.0, "dt"), (10, -1e-3, "dt"), (10, np.nan, "dt"),
+                                         (0, 1e-2, "n"), (-5, 1e-2, "n")])
+def test_bad_step_or_path_count_is_a_value_error(request, entry, n, dt, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        PATH_ENTRY_POINTS[entry](request, n, dt)
 
 
 def test_zero_barrier_stops_at_start():
