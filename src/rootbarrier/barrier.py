@@ -11,6 +11,7 @@ stopping time), and we report the minimal choice R = 0 there.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,9 +19,54 @@ import numpy as np
 
 from .obstacle import ObstacleSolution
 
-__all__ = ["Barrier", "extract_barrier", "from_function", "hit_time", "save_barrier", "load_barrier"]
+__all__ = ["Barrier", "GridIndex", "extract_barrier", "from_function", "hit_time",
+           "save_barrier", "load_barrier"]
 
 _SCAN_CELLS = 1 << 16    # grid cells per block of the contact scan
+_INDEX_BINS = 1 << 16    # cap on the bin table of a GridIndex
+
+
+class GridIndex:
+    """np.searchsorted(x, s, side="right") in O(1) per state, exactly.
+
+    A uniform bin table over [x[0], x[-1]] holds, per bin, the number of
+    nodes in lower bins; `passes` steps of idx += s >= x[idx] then count
+    the nodes of the state's own bin at or below it.  Nodes and states are
+    binned by the same float expression, which is monotone in s, so the
+    table never overcounts and the passes finish the count: the result is
+    exact for every float, nodes, +-inf and NaN (sorted last) included.
+    Bins are sized for at most two nodes each (bin width min x[i+2] - x[i]),
+    up to the cap of _INDEX_BINS entries; on a grid too uneven for the cap
+    `passes` grows.
+    """
+
+    def __init__(self, x: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        span = float(x[-1] - x[0])
+        if not np.isfinite(span):
+            raise ValueError("grid nodes must be finite")
+        bins = 1
+        if len(x) > 2:
+            bins = math.ceil(min(span / float(np.min(x[2:] - x[:-2])), _INDEX_BINS))
+        self.lo, self.scale, self.top = float(x[0]), bins / span if span > 0 else 1.0, bins + 1
+        counts = np.bincount(self._bin(x), minlength=bins + 2)
+        self.table = np.concatenate(([0], np.cumsum(counts[:-1])))
+        self.passes = int(counts.max())
+        self.x = np.append(x, np.nan)     # no state passes or equals the sentinel
+
+    def _bin(self, s: np.ndarray) -> np.ndarray:
+        # NaN and states past the grid land in the top bin, which no node shares
+        u = np.subtract(s, self.lo, out=np.empty_like(s))
+        u *= self.scale
+        np.maximum(u, 0.0, out=u)
+        return np.fmin(u, self.top, out=u).astype(np.intp)
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        s = np.asarray(states, dtype=float)
+        idx = self.table[self._bin(s)]
+        for _ in range(self.passes):
+            idx += s >= self.x[idx]
+        return idx
 
 
 @dataclass(frozen=True)
@@ -44,8 +90,10 @@ class Barrier:
             raise ValueError("barrier values must be nonnegative")
         if np.any(np.diff(self.x) <= 0):
             raise ValueError("barrier grid must be strictly increasing")
-        # cell-wise minima padded with the off-grid value 0, so a lookup is
-        # one searchsorted plus one gather (the hot path of every simulation)
+        object.__setattr__(self, "_index", GridIndex(self.x))
+        # cell-wise minima padded with the off-grid value 0 and indexed by
+        # the number of nodes at or below a state, so a lookup is one
+        # GridIndex call plus one gather (the hot path of every simulation)
         cells = np.minimum(self.R[:-1], self.R[1:])
         object.__setattr__(self, "_cell_floor", np.concatenate(([0.0], cells, [0.0])))
         ceil = np.maximum(self.R[:-1], self.R[1:])
@@ -62,13 +110,12 @@ class Barrier:
         an explicit crossing test rather than the cell floor.
         """
         s = np.asarray(states, dtype=float)
-        idx = np.searchsorted(self.x, s, side="right")
+        idx = self._index(s)
         out = (self._cell_floor if conservative else self._cell_ceil)[idx]
         if exact_nodes:
-            left = np.maximum(idx - 1, 0)
-            on_node = (idx > 0) & (s == self.x[left])
-            out = np.where(on_node, self.R[left], out)
-            out = np.where(s == self.x[-1], self.R[-1], out)
+            # left = -1 reads the index's NaN sentinel, which no state equals
+            left = idx - 1
+            out = np.where(s == self._index.x[left], self.R[left], out)
         return out
 
     def max_finite(self) -> float:

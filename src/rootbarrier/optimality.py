@@ -33,7 +33,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
 from . import simulate as sim
-from .barrier import Barrier
+from .barrier import Barrier, GridIndex
 from .measures import Measure
 from .obstacle import DiffusionSpec, GridFunction, SolverError
 
@@ -153,60 +153,58 @@ class HedgeFunctions:
     barrier: Barrier
     contact: np.ndarray      # bool (nt, nx)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_x_index", GridIndex(self.x))
+        object.__setattr__(self, "_t_index", GridIndex(self.t))
+
     @property
     def T_M(self) -> float:
         return float(self.t[-1])
 
-    def _column(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.x, values)
-        # linear continuation off the tabulated range
-        sl_lo = (values[1] - values[0]) / (self.x[1] - self.x[0])
-        sl_hi = (values[-1] - values[-2]) / (self.x[-1] - self.x[-2])
-        out = np.where(x < self.x[0], values[0] + sl_lo * (x - self.x[0]), out)
-        out = np.where(x > self.x[-1], values[-1] + sl_hi * (x - self.x[-1]), out)
-        return out
+    def _surface_at(self, surf: np.ndarray, x: np.ndarray, t=None) -> np.ndarray:
+        """Bilinear lookup of surf at (x, t) per point; a column in x when t is None.
 
-    def _surface_at(self, surf: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-        tt = min(max(float(t), 0.0), self.T_M)
-        j = np.searchsorted(self.t, tt)
-        j = min(max(j, 1), len(self.t) - 1)
-        t0, t1 = self.t[j - 1], self.t[j]
-        w = 0.0 if t1 == t0 else (tt - t0) / (t1 - t0)
-        row = (1.0 - w) * surf[j - 1] + w * surf[j]
-        return self._column(row, x)
+        t is clamped to [0, T_M] and may be one time per point.  Rows are
+        blended in t first and the blend is interpolated in x, with the
+        linear continuation of the end cells off the tabulated x range.
+        """
+        x = np.asarray(x, dtype=float)
+        i = self._x_index(x)
+        top = i == len(self.x)
+        c = np.clip(i - 1, 0, len(self.x) - 2)
+        if t is None:
+            lo, hi = surf[c], surf[c + 1]
+        else:
+            tt = np.minimum(np.maximum(t, 0.0), self.T_M)
+            j = np.clip(self._t_index(tt), 1, len(self.t) - 1)
+            w = (tt - self.t[j - 1]) / (self.t[j] - self.t[j - 1])
+            lo = (1.0 - w) * surf[j - 1, c] + w * surf[j, c]
+            hi = (1.0 - w) * surf[j - 1, c + 1] + w * surf[j, c + 1]
+        slope = (hi - lo) / (self.x[c + 1] - self.x[c])
+        # off the range the end cell's line continues; past the top it starts at the last node
+        return slope * (x - self.x[c + top]) + np.where(top, hi, lo)
 
     def H_at(self, x: np.ndarray) -> np.ndarray:
         # beyond the tabulated range the barrier is immediate and H = Z,
         # whose continuation is linear (M(.,0) = f(0) there)
-        return self._column(self.H, x)
+        return self._surface_at(self.H, x)
 
     def Z_at(self, x: np.ndarray) -> np.ndarray:
-        return self._column(self.Z, x)
+        return self._surface_at(self.Z, x)
 
-    def G_at(self, x: np.ndarray, t: float) -> np.ndarray:
+    def G_at(self, x: np.ndarray, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         g = self._surface_at(self.G, x, t)
-        if t > self.T_M:
-            # past the slab every point is absorbed: M = f, G grows by F
-            g = g + self._F(t) - self._F(self.T_M)
-        return g
+        # past the slab every point is absorbed: M = f, G grows by F
+        past = self.F_grid[-1] + self.payoff.F(t) - self.payoff.F(np.array([self.T_M]))[0]
+        return np.where(t > self.T_M, g + past - self.F_grid[-1], g)
 
-    def M_at(self, x: np.ndarray, t: float) -> np.ndarray:
-        if t > self.T_M:
-            return np.full_like(np.asarray(x, dtype=float), self._F_prime(t))
-        return self._surface_at(self.M, x, t)
+    def M_at(self, x: np.ndarray, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.where(t > self.T_M, self.payoff.f(t), self._surface_at(self.M, x, t))
 
-    def delta_at(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self._surface_at(self.delta, x, min(t, self.T_M))
-
-    def _F(self, t: float) -> float:
-        return float(np.interp(t, self.t, self.F_grid)) if t <= self.T_M else (
-            float(self.F_grid[-1]) + float(self.payoff.F(np.array([t]))[0])
-            - float(self.payoff.F(np.array([self.T_M]))[0])
-        )
-
-    def _F_prime(self, t: float) -> float:
-        return float(self.payoff.f(np.array([t]))[0])
+    def delta_at(self, x: np.ndarray, t) -> np.ndarray:
+        return self._surface_at(self.delta, x, t)
 
 
 # -- construction ---------------------------------------------------------------
@@ -468,11 +466,7 @@ def verify_martingale(
     stopped_means, stopped_ses, free_means, free_ses = [], [], [], []
     for tv in ladder:
         x_t, x_stop, t_stop = ladder_obs.snaps[tv]
-        # group paths by stopped clock so the surface lookup is per-time
-        gs = np.empty(n)
-        for uv in np.unique(np.round(t_stop, 12)):
-            mask = np.abs(t_stop - uv) <= 1e-12
-            gs[mask] = hf.G_at(x_stop[mask], float(uv))
+        gs = hf.G_at(x_stop, t_stop)
         g_free = hf.G_at(x_t, tv)
         stopped_means.append(float(np.mean(gs)))
         stopped_ses.append(float(np.std(gs) / math.sqrt(n)))
@@ -519,20 +513,8 @@ def optimality_gap(
         )
     f_root = payoff.F(root_batch.stop_times)
     f_comp = payoff.F(competitor_batch.stop_times)
-    gh = np.empty(competitor_batch.n)
-    taus = competitor_batch.stop_times
     vals = competitor_batch.stopped_values
-    uniq = np.unique(np.round(taus, 12))
-    if len(uniq) > 4000:
-        bins = np.quantile(taus, np.linspace(0, 1, 4001))
-        uniq = np.unique(bins)
-        ids = np.clip(np.searchsorted(uniq, taus), 0, len(uniq) - 1)
-        snapped = uniq[ids]
-    else:
-        snapped = taus
-    for uv in np.unique(snapped):
-        mask = snapped == uv
-        gh[mask] = hf.G_at(vals[mask], float(uv)) + hf.H_at(vals[mask])
+    gh = hf.G_at(vals, competitor_batch.stop_times) + hf.H_at(vals)
     e_root = float(np.mean(f_root))
     se_root = float(np.std(f_root) / math.sqrt(root_batch.n))
     e_comp = float(np.mean(f_comp))

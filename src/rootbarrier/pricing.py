@@ -347,7 +347,9 @@ def verify_subhedge(
     account pays the piecewise-linear H at the terminal discounted price.  The report gives the fraction of paths on
     which portfolio <= payoff + allowance (the allowance covers the
     documented discrete-marking bias, which shrinks like sqrt(dt)) and,
-    for the attaining time-change model, the tightness of the mean.
+    for the attaining time-change model, the tightness of the mean; `ks`
+    is the KS distance of the terminal discounted prices from the implied
+    law.
     """
     hf = report.hedge
     bt = report.market.discount
@@ -377,6 +379,7 @@ def verify_subhedge(
         "bound": report.lower_bound,
         "tightness_gap": gap,
         "tight": bool(abs(gap) <= 3.0 * se_port),
+        "ks": sim.ks_statistic(batch.stopped_values, report.implied_measure),
         "passed": bool(frac >= 0.99),
         "model": model.kind,
         "n": n,
@@ -398,21 +401,8 @@ class _HedgeAccount:
         self.values = np.zeros(len(x0))
 
     def __call__(self, s) -> None:
-        phi = _delta_lookup(self.hf, s.x_old, self.rv.values[s.ids])
+        phi = self.hf.delta_at(s.x_old, self.rv.values[s.ids])   # at each path's own variance
         self.values[s.ids] += phi * (s.x_new - s.x_old)
-
-
-def _delta_lookup(hf: HedgeFunctions, x: np.ndarray, rv: np.ndarray) -> np.ndarray:
-    out = np.empty(len(x))
-    # bucket the accumulated variances so each lookup is a surface row blend
-    order = np.argsort(rv)
-    edges = np.linspace(0, len(x), min(len(x), 64) + 1).astype(int)
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        sel = order[a:b]
-        out[sel] = hf.delta_at(x[sel], float(np.mean(rv[sel])))
-    return out
 
 
 def _static_value(report: HedgeReport, x_terminal: np.ndarray) -> np.ndarray:

@@ -204,6 +204,11 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     return _WalkResult(tau, val, len(ids) / n if stop is not None else 0.0, k, n_steps)
 
 
+def _divides(dt: float, horizon: float) -> bool:
+    """Whether whole steps of dt end at the horizon, to 1e-9 relative."""
+    return abs(round(horizon / dt) * dt - horizon) <= 1e-9 * max(1.0, horizon)
+
+
 def _additive(sigma):
     """Euler step of dX = sigma(X) dW, exact for constant sigma."""
     return lambda x, z, k, dt: (x + sigma(x) * math.sqrt(dt) * z, None)
@@ -338,10 +343,8 @@ def simulate_stopped(
     if horizon is None:
         horizon = barrier.horizon
 
-    def steps(dt):
-        k = int(round(horizon / dt))
-        # a horizon off the step grid gets one more step
-        return k if abs(k * dt - horizon) <= 1e-9 * max(1.0, horizon) else int(math.ceil(horizon / dt))
+    # a horizon off the step grid gets one more step
+    steps = lambda dt: int(round(horizon / dt)) if _divides(dt, horizon) else int(math.ceil(horizon / dt))
 
     stored = _StoredStates()
     w = _walk(n, dt, seed, steps, lambda g: nu.sample(n, g), _diffusion_move(diff),
@@ -395,7 +398,12 @@ def _price_batch(model: PriceModel, n: int, dt: float, seed: int,
     """
     if model.kind in ("constant", "piecewise"):
         at = lambda path: lambda t: path(np.array([t]))[0]
-        steps = lambda dt: int(round(model.maturity / dt))
+
+        def steps(dt):
+            if not _divides(dt, model.maturity):
+                raise ValueError(f"dt {dt!r} does not divide the maturity {model.maturity!r}")
+            return int(round(model.maturity / dt))
+
         move, stop = _geometric(at(model.vol_at), at(model.rate_at)), None
     elif model.kind == "time-change-to-barrier":
         b = model.barrier

@@ -68,6 +68,32 @@ def test_value_at_conventions():
     assert np.allclose(b.value_at(np.array([-1.0, 5.0])), [0.0, 0.0])
 
 
+GRIDS = {
+    "linspace": np.linspace(-2.5, 3.5, 601),
+    "snapped-geometric": np.exp(ob._snap_grid(np.log(0.5), np.log(2.0), 901,
+                                              np.log(np.linspace(0.6, 1.8, 301)))),
+    "two-node": np.array([-10.0, 10.0]),
+    "one-node": np.array([0.3]),
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_grid_index_matches_searchsorted(grid):
+    x = GRIDS[grid]
+    idx = br.GridIndex(x)
+    rng = np.random.default_rng(5)
+    states = np.concatenate((
+        x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+        [np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0, -0.0],
+        rng.uniform(x[0] - 1.0, x[-1] + 1.0, 20_000),
+        x[0] + (x[-1] - x[0]) * rng.random(20_000),
+    ))
+    assert np.array_equal(idx(states), np.searchsorted(x, states, side="right"))
+    assert len(idx.table) <= (1 << 16) + 2
+    b = br.Barrier(x=x, R=np.linspace(1.0, 2.0, len(x)), horizon=3.0)
+    assert np.array_equal(b._index(states), idx(states))
+
+
 def test_hit_time_constant_barrier():
     t = np.linspace(0, 2, 21)
     path = np.zeros(21)

@@ -6,6 +6,9 @@ import pytest
 from rootbarrier import barrier as br
 from rootbarrier import cli
 from rootbarrier import measures as ms
+from rootbarrier import optimality as opt
+from rootbarrier import pricing as pr
+from rootbarrier import simulate as sim
 
 
 @pytest.fixture()
@@ -108,6 +111,21 @@ def test_price_bound_swap_consistency(tmp_path):
     assert report["lower_bound"] == pytest.approx(report["diagnostics"]["swap_value"], rel=1e-4)
     assert (out / "gap_surface.csv").exists()
     assert (out / "barrier.csv").exists()
+
+
+def test_price_bound_check_reports_ks_of_the_subhedge_paths(tmp_path):
+    # the KS figure comes from verify_subhedge's own batch; it must equal the
+    # figure of a separate simulate_price_model run on the same arguments
+    out = tmp_path / "out"
+    rc = run(["--out-dir", str(out), "--quiet", "--seed", "4", "price-bound",
+              "--bs-vol", "0.2", "--payoff", "variance-call", "--strike", "0.02",
+              "--nx", "301", "--nt", "400", "--check", "--check-paths", "1000"])
+    assert rc == 0
+    report = json.loads((out / "bound_report.json").read_text())
+    rep = pr.lower_bound(pr.synthetic_lognormal_quotes(vol=0.2), opt.variance_call(0.02),
+                         pr.PricingConfig(nx=301, nt=400))
+    batch = sim.simulate_price_model(rep.attaining_model(), n=1000, dt=1e-4, seed=4)
+    assert report["diagnostics"]["ks"] == sim.ks_statistic(batch.stopped_values, rep.implied_measure)
 
 
 def test_price_bound_degenerate_quotes(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,3 +181,20 @@ def test_delta_handle_scaling(dense_call_report):
     d_report = dense_call_report.delta(x, 0.01)
     d_hedge = dense_call_report.hedge.delta_at(x, 0.01)
     assert np.allclose(d_report, d_hedge / dense_call_report.market.discount)
+
+
+def test_delta_read_at_each_paths_own_variance(dense_call_report):
+    # the hedge account reads delta at every path's own accrued variance,
+    # also past the tabulated slab T_M
+    hf = dense_call_report.hedge
+    rng = np.random.default_rng(2)
+    x_old = rng.uniform(hf.x[0] - 0.1, hf.x[-1] + 0.1, 400)
+    x_new = x_old * np.exp(0.01 * rng.standard_normal(400))
+    rv = sim._RealizedVariance()
+    rv.values = np.concatenate((rng.uniform(0.0, hf.T_M, 300), hf.T_M + rng.uniform(0.0, 0.05, 100)))
+    account = pr._HedgeAccount(hf, rv)
+    account.start(x_old, 1, 1e-3)
+    account(SimpleNamespace(x_old=x_old, x_new=x_new, ids=np.arange(400)))
+    for i in range(400):
+        phi = hf.delta_at(x_old[i:i + 1], rv.values[i])[0]
+        assert account.values[i] == phi * (x_new[i] - x_old[i])

@@ -172,6 +172,16 @@ def test_piecewise_vol_realized_variance():
     assert abs(np.mean(batch.realized_variance) - target) < 1e-3
 
 
+@pytest.mark.parametrize("dt, ok", [(0.3, False), (1e-4, True), (1e-3, True), (2e-3, True), (4e-4, True)])
+def test_fixed_maturity_step_must_divide_the_maturity(dt, ok):
+    if ok:
+        batch = sim.simulate_price_model(CONSTANT_VOL, n=10, dt=dt, seed=1)
+        assert batch.stop_times[0] == 1.0
+    else:
+        with pytest.raises(ValueError, match="does not divide the maturity"):
+            sim.simulate_price_model(CONSTANT_VOL, n=10, dt=dt, seed=1)
+
+
 def test_hall_competitor_embeds_standard_normal():
     mu = ms.normal(0.0, 1.0)
     batch = sim.hall_competitor(mu, n=N_PATHS, dt=1e-3, seed=11)
