@@ -22,7 +22,6 @@ from .obstacle import ObstacleSolution
 __all__ = ["Barrier", "GridIndex", "extract_barrier", "from_function", "hit_time",
            "save_barrier", "load_barrier"]
 
-_SCAN_CELLS = 1 << 16    # grid cells per block of the contact scan
 _INDEX_BINS = 1 << 16    # cap on the bin table of a GridIndex
 
 
@@ -82,7 +81,6 @@ class Barrier:
     x: np.ndarray
     R: np.ndarray
     horizon: float
-    contact_tol: float = 0.0
     origin_time_positive: bool = True
 
     def __post_init__(self):
@@ -118,39 +116,22 @@ class Barrier:
             out = np.where(s == self._index.x[left], self.R[left], out)
         return out
 
-    def max_finite(self) -> float:
-        finite = self.R[np.isfinite(self.R)]
-        return float(np.max(finite)) if len(finite) else 0.0
-
 
 def extract_barrier(
     sol: ObstacleSolution,
-    contact_tol: Optional[float] = None,
     support: Optional[tuple[float, float]] = None,
 ) -> Barrier:
     """Read the barrier off the contact set of an obstacle solution.
 
-    R(x_i) is the first grid time at which v(x_i, .) touches the obstacle
-    within contact_tol (scaled by the local size of the obstacle); +inf if
-    no contact occurs before the solver horizon.  Because v is
-    non-increasing in time the resulting contact indicator is monotone and
-    the extracted set is a genuine barrier.  Default contact_tol is
-    10 * lcp_tol; outside the support of the target law R is set to 0.
+    R(x_i) is the grid time of sol.contact_step[i], the first step at which
+    v(x_i, .) touches the obstacle (within obstacle.CONTACT_REL * lcp_tol,
+    scaled by the local size of the obstacle); +inf if no contact occurs
+    before the solver horizon.  Because v is non-increasing in time the
+    contact indicator is monotone and the extracted set is a genuine
+    barrier.  Outside the support of the target law R is set to 0.
     """
     x = sol.price_x
-    if contact_tol is None:
-        contact_tol = 10.0 * sol.cfg.lcp_tol
-    tol_i = contact_tol * np.maximum(1.0, np.abs(sol.psi))
-    # scan in row blocks: the contact matrix of the whole surface is never built
-    first = np.full(len(x), -1)
-    rows = max(1, _SCAN_CELLS // len(x))
-    for j0 in range(0, len(sol.t), rows):
-        contact = (sol.v[j0:j0 + rows] - sol.psi) <= tol_i
-        new = (first < 0) & contact.any(axis=0)
-        first[new] = j0 + contact[:, new].argmax(axis=0)
-        if first.min() >= 0:
-            break
-    R = np.where(first >= 0, sol.t[first], np.inf)
+    R = np.where(sol.contact_step >= 0, sol.t[sol.contact_step], np.inf)
 
     if support is None:
         support = sol.mu.support
@@ -165,7 +146,6 @@ def extract_barrier(
         x=x,
         R=R,
         horizon=float(sol.t[-1]),
-        contact_tol=float(contact_tol),
         origin_time_positive=bool(r_at_start > 0),
     )
 
@@ -206,7 +186,6 @@ def save_barrier(b: Barrier, csv_path: str, meta_path: Optional[str] = None) -> 
             fh.write(f"{xi:.12g},{'inf' if np.isinf(ri) else format(ri, '.12g')}\n")
     if meta_path:
         meta = {
-            "contact-tol": b.contact_tol,
             "grid": {"lo": float(b.x[0]), "hi": float(b.x[-1]), "n": len(b.x)},
             "horizon": b.horizon,
             "origin_time_positive": b.origin_time_positive,

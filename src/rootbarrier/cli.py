@@ -11,7 +11,8 @@ hedge-report    price-bound plus full hedge-function and portfolio dumps.
 demo-example    golden closed-form suite for the parabolic barrier.
 
 Flags mirror config-file keys one to one; when both are given the config
-file wins and a warning is printed.  Exit codes: 0 success, 2 input error,
+file wins and a warning is printed; a config key that matches no flag of
+the subcommand is an input error.  Exit codes: 0 success, 2 input error,
 3 market-data error, 4 solver non-convergence.
 """
 
@@ -50,8 +51,9 @@ def _apply_config(args, parser):
             cfg = json.load(fh)
         for key, val in cfg.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                continue
+            # command and func are set by the parser, not by a flag
+            if attr in ("command", "func") or not hasattr(args, attr):
+                raise ValueError(f"config key {key!r} matches no flag of {args.command}")
             current = getattr(args, attr)
             default = parser.get_default(attr)
             if current != default and current != val:
@@ -88,7 +90,7 @@ def cmd_solve_barrier(args) -> int:
     mu = _load_measure_arg(args.mu)
     diff = _diffusion(args.sigma)
     sol = solve(assemble(diff, nu, mu, _solver_config(args)))
-    bar = extract_barrier(sol, contact_tol=args.contact_tol)
+    bar = extract_barrier(sol)
     os.makedirs(args.out_dir, exist_ok=True)
     prefix = os.path.join(args.out_dir, "solution")
     save_solution(sol, prefix)
@@ -275,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--lam", type=float, default=1.0)
     sb.add_argument("--scheme", default="implicit-projected")
     sb.add_argument("--lcp-tol", type=float, default=1e-8)
-    sb.add_argument("--contact-tol", type=float, default=None)
     sb.set_defaults(func=cmd_solve_barrier)
 
     ve = sub.add_parser("verify-embed", parents=[common],

@@ -195,18 +195,6 @@ class Potential:
     grid: np.ndarray
     values: np.ndarray
     mean: float
-    asymptote_slope_left: float = 1.0
-    asymptote_slope_right: float = -1.0
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        # linear interpolation; linear tail continuation with slopes +-1
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.grid, self.values)
-        left = x < self.grid[0]
-        right = x > self.grid[-1]
-        out = np.where(left, self.values[0] + (x - self.grid[0]), out)
-        out = np.where(right, self.values[-1] - (x - self.grid[-1]), out)
-        return out
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ policy iteration in Reisinger & Witte 2012): one tridiagonal solve with the
 contact rows pinned to the obstacle per iteration, warm-started from the
 previous step's contact set, so most steps take a single solve and end at
 round-off.  Dirichlet rows pin the solution to the obstacle at the
-truncated edges.
+truncated edges.  The march records, per node, the first step at which v
+comes within CONTACT_REL * lcp_tol (relative) of the obstacle: that
+contact set carries the barrier, so the surface is never scanned again.
 
 For the geometric case sigma(x) = x the problem is solved in log-price
 coordinates, where the operator becomes -1/2 d2/dy2 + 1/2 d/dy with
@@ -53,6 +55,10 @@ __all__ = [
     "save_solution",
 ]
 
+# contact tolerance in units of lcp_tol: a node is in contact once
+# v - psi <= CONTACT_REL * lcp_tol * max(1, |psi|)
+CONTACT_REL = 10.0
+
 
 class SolverError(RuntimeError):
     """Solver failure; carries the worst residual and its node when known."""
@@ -75,7 +81,6 @@ class DiffusionSpec:
 
     sigma: Callable[[np.ndarray], np.ndarray]
     dsigma: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float = 1.0
     bounds: tuple[float, float] = (1e-8, 1e8)
     geometric: bool = False
 
@@ -94,7 +99,6 @@ def brownian() -> DiffusionSpec:
     return DiffusionSpec(
         sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         dsigma=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        lipschitz=0.0,
         bounds=(0.5, 2.0),
     )
 
@@ -103,7 +107,6 @@ def geometric_brownian() -> DiffusionSpec:
     return DiffusionSpec(
         sigma=lambda x: np.asarray(x, dtype=float),
         dsigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        lipschitz=1.0,
         geometric=True,
     )
 
@@ -161,7 +164,8 @@ class ObstacleSolution:
     t: np.ndarray
     v: np.ndarray            # (nt+1, nx)
     psi: np.ndarray
-    residuals: np.ndarray    # (nt+1, nx) complementarity residuals, float32
+    contact_step: np.ndarray  # (nx,) first step in contact with psi, -1 if none
+    max_residual: float       # worst complementarity residual over all steps
     cfg: SolverConfig
     diff: DiffusionSpec
     nu: Measure
@@ -171,12 +175,6 @@ class ObstacleSolution:
     @property
     def price_x(self) -> np.ndarray:
         return np.exp(self.x) if self.diff.geometric else self.x
-
-    @property
-    def max_residual(self) -> float:
-        # two reductions instead of a full-size np.abs temporary
-        res = self.residuals
-        return float(max(res.max(), -res.min()))
 
     def scheme_tolerance(self) -> float:
         """Nominal accuracy budget of the marching scheme (sup norm).
@@ -331,7 +329,7 @@ def _lcp_residual(lower, diag, upper, rhs, psi, v, scale):
 
 
 def _active_set_lcp(lower, diag, upper, rhs, psi, active, tol, scale):
-    """Primal-dual active-set solve; returns (v, active, solves, residual).
+    """Primal-dual active-set solve; returns (v, active, solves, worst residual).
 
     Each iteration pins the rows of `active` to psi, solves the tridiagonal
     system once, and moves to the set of active nodes whose multiplier
@@ -368,7 +366,7 @@ def _active_set_lcp(lower, diag, upper, rhs, psi, active, tol, scale):
             f"LCP iteration did not converge: residual {r[k]:.3e} at node {k}",
             residual=float(r[k]), node=k,
         )
-    return v, active, solves, r
+    return v, active, solves, float(worst)
 
 
 def solve(problem: DiscreteProblem) -> ObstacleSolution:
@@ -376,8 +374,10 @@ def solve(problem: DiscreteProblem) -> ObstacleSolution:
 
     Each step solves min(v - psi, M v - rhs) = 0 componentwise, to
     round-off as a rule and never worse than the configured relative
-    tolerance (else SolverError); the per-node residuals of every step are
-    retained so complementarity can be audited after the fact.
+    tolerance (else SolverError); max_residual is the worst residual over
+    all steps.  contact_step[i] is the first step j (step 0 included) with
+    v[j, i] - psi[i] <= CONTACT_REL * lcp_tol * max(1, |psi[i]|), or -1 if
+    node i never touches the obstacle before the horizon.
     """
     cfg = problem.cfg
     x, t, psi = problem.x, problem.t, problem.psi
@@ -394,10 +394,12 @@ def solve(problem: DiscreteProblem) -> ObstacleSolution:
     m_upper[0] = m_upper[-1] = 0.0
 
     v = np.empty((cfg.nt + 1, n))
-    # the per-node audit is kept in single precision: half the memory of the
-    # surface; each step is checked against lcp_tol in double precision
-    res = np.zeros((cfg.nt + 1, n), dtype=np.float32)
     v[0] = problem.v0
+    # first step at which each node is in contact with the obstacle, -1 if none
+    band = (CONTACT_REL * cfg.lcp_tol) * np.maximum(1.0, np.abs(psi))
+    first = np.where(problem.v0 - psi <= band, 0, -1)
+    open_ = first < 0
+    max_residual = 0.0
     cur = problem.v0.copy()
     scale = max(1.0, float(np.max(np.abs(problem.v0))))
     # warm start: the contact set of the initial data
@@ -414,13 +416,18 @@ def solve(problem: DiscreteProblem) -> ObstacleSolution:
             rhs = cur - dt * (1.0 - theta) * av
         rhs[0] = psi[0]
         rhs[-1] = psi[-1]
-        cur, active, solves, res[j] = _active_set_lcp(
+        cur, active, solves, worst = _active_set_lcp(
             m_lower, m_diag, m_upper, rhs, psi, active, cfg.lcp_tol, scale,
         )
         total_solves += solves
+        max_residual = max(max_residual, worst)
         v[j] = cur
+        hit = (cur - psi <= band) & open_
+        if hit.any():
+            first[hit] = j
+            open_ &= ~hit
     return ObstacleSolution(
-        x=x, t=t, v=v, psi=psi, residuals=res,
+        x=x, t=t, v=v, psi=psi, contact_step=first, max_residual=max_residual,
         cfg=cfg, diff=problem.diff, nu=problem.nu, mu=problem.mu,
         iterations=total_solves,
     )

@@ -151,7 +151,6 @@ class HedgeFunctions:
     base_point: float
     payoff: PayoffSpec
     barrier: Barrier
-    contact: np.ndarray      # bool (nt, nx)
 
     def __post_init__(self):
         object.__setattr__(self, "_x_index", GridIndex(self.x))
@@ -262,7 +261,6 @@ def compute_M(
     t = np.linspace(0.0, float(t_max), nt + 1)
     dt = t[1] - t[0]
     f_t = payoff.f(t)
-    contact = t[:, None] >= r[None, :]
 
     sig2 = x * x if diff.geometric else diff.sigma(x) ** 2
     a = 0.5 * sig2
@@ -272,7 +270,7 @@ def compute_M(
     M[-1] = f_t[-1]
     ab = np.zeros((3, n))
     for j in range(nt - 1, -1, -1):
-        pinned = contact[j]
+        pinned = t[j] >= r
         fv = f_t[j]
         # exact boundary abscissa where R crosses the level t_j, found by
         # linear interpolation of R inside each sign-change cell; placing
@@ -383,11 +381,9 @@ def compute_G_H(
     delta[:, 0] = sl[:, 0]
     delta[:, -1] = sl[:, -1]
 
-    r = barrier.value_at(x)
-    contact = t[:, None] >= r[None, :]
     return HedgeFunctions(
         x=x, t=t, M=M, Z=z, G=G, H=H, delta=delta, F_grid=F_grid,
-        base_point=base_point, payoff=payoff, barrier=barrier, contact=contact,
+        base_point=base_point, payoff=payoff, barrier=barrier,
     )
 
 
@@ -412,7 +408,8 @@ def verify_pathwise(hf: HedgeFunctions, tol: float = 1e-6) -> dict:
     """Grid check of G + H - F <= 0 and of equality on the contact set."""
     gap = hf.G + hf.H[None, :] - hf.F_grid[:, None]
     max_violation = float(np.max(gap))
-    contact_gap = float(np.max(np.abs(np.where(hf.contact, gap, 0.0))))
+    contact = hf.t[:, None] >= hf.barrier.value_at(hf.x)[None, :]
+    contact_gap = float(np.max(np.abs(np.where(contact, gap, 0.0))))
     return {
         "max_violation": max_violation,
         "max_contact_gap": contact_gap,

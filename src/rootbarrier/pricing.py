@@ -85,7 +85,6 @@ class PricingConfig:
     lam: float = 1.0
     lcp_tol: float = 1e-8
     domain_pad: float = 0.10             # log-space padding beyond the support
-    contact_tol: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -263,7 +262,7 @@ def lower_bound(
     )
     diff = geometric_brownian()
     sol = solve(assemble(diff, nu, mu, scfg))
-    bar = extract_barrier(sol, contact_tol=cfg.contact_tol, support=(lo, hi))
+    bar = extract_barrier(sol, support=(lo, hi))
 
     finite_r = bar.R[np.isfinite(bar.R)]
     r_max = float(finite_r.max()) if len(finite_r) else 0.0

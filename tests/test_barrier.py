@@ -43,14 +43,24 @@ def test_contact_indicator_monotone(gaussian_solution):
 
 
 def test_extract_barrier_matches_full_matrix(gaussian_solution):
-    # the block scan must reproduce the whole-surface formula bit for bit;
-    # the two-atom solve adds never-stopping nodes (R = inf)
+    # the contact steps recorded during the march must reproduce the
+    # whole-surface formula bit for bit; the two-atom solve adds
+    # never-stopping nodes (R = inf), the lognormal solve the geometric
+    # (log-price) grid and the Crank-Nicolson solve the second scheme
     cfg = ob.SolverConfig(x_lo=-6, x_hi=6, nx=301, horizon=1.0, nt=200)
     two_atom = ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0),
                                     ms.atoms([-1.0, 1.0], [0.5, 0.5]), cfg))
-    for sol in (gaussian_solution, two_atom):
+    cfg = ob.SolverConfig(x_lo=0.3, x_hi=3.0, nx=401, horizon=0.25, nt=400)
+    lognormal = ob.solve(ob.assemble(ob.geometric_brownian(), ms.point_mass(1.0),
+                                     ms.lognormal(-0.02, 0.04), cfg))
+    cfg = ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=401, horizon=2.0, nt=400,
+                          scheme="crank-nicolson-projected")
+    crank = ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg))
+    for sol in (gaussian_solution, two_atom, lognormal, crank):
         tol = 10 * sol.cfg.lcp_tol * np.maximum(1.0, np.abs(sol.psi))
         contact = (sol.v - sol.psi[None, :]) <= tol[None, :]
+        first = np.where(contact.any(axis=0), contact.argmax(axis=0), -1)
+        assert np.array_equal(sol.contact_step, first)
         R = np.where(contact.any(axis=0), sol.t[contact.argmax(axis=0)], np.inf)
         b = br.extract_barrier(sol, support=(-np.inf, np.inf))
         assert np.array_equal(b.R, R)
@@ -125,7 +135,7 @@ def test_hit_time_never_hits():
 
 def test_barrier_io_round_trip(tmp_path):
     b = br.Barrier(x=np.array([-1.0, 0.0, 1.0]),
-                   R=np.array([0.0, np.inf, 2.0]), horizon=3.0, contact_tol=1e-7)
+                   R=np.array([0.0, np.inf, 2.0]), horizon=3.0)
     csv = tmp_path / "b.csv"
     meta = tmp_path / "b.json"
     br.save_barrier(b, str(csv), str(meta))

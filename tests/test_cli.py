@@ -200,3 +200,18 @@ def test_config_file_wins_conflicts(tmp_path, measure_files, capsys):
     assert "overridden" in capsys.readouterr().err
     data = np.genfromtxt(out / "barrier.csv", delimiter=",", skip_header=1)
     assert len(data) == 301
+
+
+@pytest.mark.parametrize("key", ["nxx", "contact-tol", "func"])
+def test_unknown_config_key_is_an_input_error(tmp_path, measure_files, capsys, key):
+    # a key that matches no flag is refused, not dropped; known keys still
+    # win conflicts (test_config_file_wins_conflicts)
+    nu, mu = measure_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nx": 301, key: 1e-6}))
+    out = tmp_path / "out"
+    rc = run(["--config", str(cfg), "--out-dir", str(out), "--quiet", "solve-barrier",
+              "--nu", nu, "--mu", mu, "--nt", "200"])
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
