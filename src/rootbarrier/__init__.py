@@ -12,7 +12,7 @@ from .measures import (
     Measure, Potential, CallQuotes, EmbeddingReport,
     atoms, point_mass, normal, lognormal, tabulated_density, empirical,
     potential, check_embeddable, implied_measure_from_calls, call_prices,
-    truncate, load_measure, save_measure, load_quotes,
+    load_measure, save_measure, load_quotes,
     MeasureError, ArbitrageError,
 )
 from .obstacle import (
@@ -20,7 +20,7 @@ from .obstacle import (
     GridFunction, SolverError, brownian, geometric_brownian,
     assemble, solve, optimal_stopping_oracle, save_solution,
 )
-from .barrier import Barrier, extract_barrier, from_function, hit_time, save_barrier, load_barrier
+from .barrier import Barrier, extract_barrier, from_function, save_barrier, load_barrier
 from .simulate import (
     PathBatch, PriceModel, simulate_stopped, empirical_potential,
     simulate_price_model, hall_competitor, ks_statistic, ks_critical_value,

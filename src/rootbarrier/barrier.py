@@ -19,7 +19,7 @@ import numpy as np
 
 from .obstacle import ObstacleSolution
 
-__all__ = ["Barrier", "GridIndex", "extract_barrier", "from_function", "hit_time",
+__all__ = ["Barrier", "GridIndex", "extract_barrier", "from_function",
            "save_barrier", "load_barrier"]
 
 _INDEX_BINS = 1 << 16    # cap on the bin table of a GridIndex
@@ -157,25 +157,6 @@ def from_function(fn, x: np.ndarray, horizon: float) -> Barrier:
     R = np.where(R < 0, 0.0, R)
     return Barrier(x=x, R=R, horizon=float(horizon),
                    origin_time_positive=bool(np.interp(0.0, x, R) > 0))
-
-
-def hit_time(barrier: Barrier, times: np.ndarray, states: np.ndarray) -> int:
-    """Index of the first sample with t >= R(X_t), excluding the start.
-
-    The infimum defining the stopping time runs over t > 0, so index 0 is
-    never returned; if the path never enters the barrier the length of the
-    path is returned and the caller decides how to treat the horizon.
-    """
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    if len(times) != len(states):
-        raise ValueError("times and states must align")
-    r = barrier.value_at(states)
-    hits = times >= r
-    hits[0] = False
-    if not hits.any():
-        return len(times)
-    return int(np.argmax(hits))
 
 
 def save_barrier(b: Barrier, csv_path: str, meta_path: Optional[str] = None) -> None:

@@ -6,12 +6,16 @@ The start law nu can be embedded into the target law mu by a stopped
 diffusion exactly when U_nu >= U_mu everywhere (which forces equal means),
 so everything downstream keys off these two tabulated functions.
 
-Supported families: finite atom lists, tabulated densities (reduced to
-quadrature atoms on their grid), and the normal / lognormal families with
-closed-form potentials.  Market call quotes are ingested by reading the
-implied potential straight off the quoted curve: a piecewise-linear call
-curve in strike corresponds to a purely atomic implied law with atoms at
-the quoted strikes.
+Supported families: finite atom lists and the normal / lognormal families
+with closed-form potentials.  A discrete law is its table of atoms: the
+locations sorted ascending once, at construction, with the prefix sums of
+their masses and first moments held alongside.  Its potential is then
+piecewise linear with kinks at the atoms, and the cdf, E|Y - x| and the
+potential at any points are one `searchsorted` and a gather.  Tabulated
+densities are reduced to quadrature atoms on their grid.  Market call
+quotes are ingested by reading the implied potential straight off the
+quoted curve: a piecewise-linear call curve in strike corresponds to a
+purely atomic implied law with atoms at the quoted strikes.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,7 +46,6 @@ __all__ = [
     "check_embeddable",
     "implied_measure_from_calls",
     "call_prices",
-    "truncate",
     "load_measure",
     "save_measure",
     "load_quotes",
@@ -61,33 +64,54 @@ class ArbitrageError(ValueError):
 class Measure:
     """A probability law on the real line.
 
-    kind is one of ``atoms``, ``tabulated-density``, ``normal``,
-    ``lognormal``.  Atom and density data are stored as numpy arrays and
-    must not be mutated after construction; all operations treat the
-    measure as immutable.
+    kind is one of ``atoms``, ``normal``, ``lognormal``.  For ``atoms``
+    the invariant is: `locations` ascending (a stable sort at construction,
+    so tied atoms keep their input order), `weights` in the same order and
+    summing to 1, and the prefix sums `cum_weights[i]` and `cum_moments[i]`
+    holding the mass and the first moment of the first i atoms (so both
+    start at 0).  Arrays already in order are kept, not copied (`atoms`
+    copies its inputs); none may be mutated after construction, as all
+    operations treat the measure as immutable.
     """
 
     kind: str
-    locations: Optional[np.ndarray] = None   # atoms: positions
+    locations: Optional[np.ndarray] = None   # atoms: positions, ascending
     weights: Optional[np.ndarray] = None     # atoms: masses
     params: Optional[dict] = None            # normal / lognormal parameters
     support: tuple[float, float] = (-np.inf, np.inf)
+    cum_weights: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    cum_moments: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind in ("atoms", "tabulated-density"):
-            w = self.weights
+        if self.kind == "atoms":
+            locs = np.asarray(self.locations, dtype=float)
+            w = np.asarray(self.weights, dtype=float)
+            if locs.ndim != 1 or locs.shape != w.shape or locs.size == 0:
+                raise MeasureError(f"atoms need one mass per location, got "
+                                   f"{locs.shape} locations and {w.shape} masses")
+            if np.any(locs[1:] < locs[:-1]):
+                order = np.argsort(locs, kind="stable")
+                locs, w = locs[order], w[order]
+            if not np.all(np.isfinite(w)):
+                raise MeasureError("non-finite mass")
             total = float(np.sum(w))
             if abs(total - 1.0) > 1e-9:
                 raise MeasureError(f"total mass {total} != 1")
             if np.any(w < -MASS_TOL):
                 raise MeasureError("negative mass")
-            if not np.all(np.isfinite(self.locations)):
+            if not np.all(np.isfinite(locs)):
                 raise MeasureError("infinite first moment")
             if total != 1.0:
-                object.__setattr__(self, "weights", w / total)
-            lo = float(np.min(self.locations))
-            hi = float(np.max(self.locations))
-            object.__setattr__(self, "support", (lo, hi))
+                w = w / total
+            # prefix sums built in place, so that a large law (an empirical
+            # one of 6e5 paths) leaves no temporaries behind
+            cw, cs = np.zeros(len(w) + 1), np.zeros(len(w) + 1)
+            np.cumsum(w, out=cw[1:])
+            np.multiply(w, locs, out=cs[1:])
+            np.cumsum(cs[1:], out=cs[1:])
+            for name, value in (("locations", locs), ("weights", w), ("cum_weights", cw),
+                                ("cum_moments", cs), ("support", (float(locs[0]), float(locs[-1])))):
+                object.__setattr__(self, name, value)
         elif self.kind == "normal":
             if self.params["variance"] < 0:
                 raise MeasureError("negative variance")
@@ -103,7 +127,7 @@ class Measure:
 
     @property
     def mean(self) -> float:
-        if self.kind in ("atoms", "tabulated-density"):
+        if self.kind == "atoms":
             return float(np.dot(self.weights, self.locations))
         if self.kind == "normal":
             return float(self.params["mean"])
@@ -112,7 +136,7 @@ class Measure:
 
     @property
     def variance(self) -> float:
-        if self.kind in ("atoms", "tabulated-density"):
+        if self.kind == "atoms":
             m = self.mean
             return float(np.dot(self.weights, (self.locations - m) ** 2))
         if self.kind == "normal":
@@ -123,8 +147,13 @@ class Measure:
     def mean_abs_dev(self, x: np.ndarray) -> np.ndarray:
         """E|Y - x| for each grid point x (vectorized)."""
         x = np.asarray(x, dtype=float)
-        if self.kind in ("atoms", "tabulated-density"):
-            return _mean_abs_dev_atoms(self.locations, self.weights, x)
+        if self.kind == "atoms":
+            # E|Y - x| = x (2 W(x) - 1) - (2 S(x) - S), with W(x) and S(x)
+            # the mass and first moment of the atoms at or below x; written
+            # so that numpy reuses each temporary in place
+            cw, cs = self.cum_weights, self.cum_moments
+            idx = np.searchsorted(self.locations, x, side="right")
+            return x * (2.0 * cw[idx] - cw[-1]) - (2.0 * cs[idx] - cs[-1])
         if self.kind == "normal":
             m = self.params["mean"]
             s = math.sqrt(self.params["variance"])
@@ -152,13 +181,8 @@ class Measure:
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind in ("atoms", "tabulated-density"):
-            order = np.argsort(self.locations)
-            locs = self.locations[order]
-            cum = np.cumsum(self.weights[order])
-            idx = np.searchsorted(locs, x, side="right")
-            cum = np.concatenate(([0.0], cum))
-            return cum[idx]
+        if self.kind == "atoms":
+            return self.cum_weights[np.searchsorted(self.locations, x, side="right")]
         if self.kind == "normal":
             m = self.params["mean"]
             s = math.sqrt(self.params["variance"])
@@ -176,7 +200,7 @@ class Measure:
         return out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind in ("atoms", "tabulated-density"):
+        if self.kind == "atoms":
             idx = rng.choice(len(self.locations), size=n, p=self.weights / np.sum(self.weights))
             return self.locations[idx]
         if self.kind == "normal":
@@ -224,10 +248,9 @@ class CallQuotes:
 # -- constructors -----------------------------------------------------------
 
 def atoms(locations: Sequence[float], weights: Sequence[float]) -> Measure:
-    locs = np.asarray(locations, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    order = np.argsort(locs)
-    return Measure(kind="atoms", locations=locs[order], weights=w[order])
+    """Atoms at `locations` with masses `weights`; both are copied."""
+    return Measure(kind="atoms", locations=np.array(locations, dtype=float),
+                   weights=np.array(weights, dtype=float))
 
 
 def point_mass(x0: float) -> Measure:
@@ -255,6 +278,8 @@ def tabulated_density(x: Sequence[float], density: Sequence[float]) -> Measure:
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(density, dtype=float)
+    if x.ndim != 1 or x.shape != f.shape:
+        raise MeasureError("density table needs one value per grid point")
     if np.any(np.diff(x) <= 0):
         raise MeasureError("density grid must be strictly increasing")
     if np.any(f < 0):
@@ -268,7 +293,7 @@ def tabulated_density(x: Sequence[float], density: Sequence[float]) -> Measure:
         raise MeasureError(f"density integrates to {total}, not 1")
     w = w / total
     keep = w > 0
-    return Measure(kind="tabulated-density", locations=x[keep], weights=w[keep])
+    return atoms(x[keep], w[keep])
 
 
 def empirical(samples: np.ndarray, recenter_to: Optional[float] = None) -> Measure:
@@ -280,33 +305,19 @@ def empirical(samples: np.ndarray, recenter_to: Optional[float] = None) -> Measu
     """
     s = np.sort(np.asarray(samples, dtype=float))
     if recenter_to is not None:
-        s = s + (recenter_to - s.mean())
+        s += recenter_to - s.mean()
     w = np.full(s.shape, 1.0 / len(s))
     return Measure(kind="atoms", locations=s, weights=w)
 
 
 # -- potentials -------------------------------------------------------------
 
-def _mean_abs_dev_atoms(locs: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # sorted prefix sums: E|Y-x| = x(2W(x) - 1) + (S_total - 2S(x))
-    # where W(x), S(x) accumulate mass and first moment below x
-    order = np.argsort(locs)
-    ys = locs[order]
-    ws = w[order]
-    cw = np.concatenate(([0.0], np.cumsum(ws)))
-    cs = np.concatenate(([0.0], np.cumsum(ws * ys)))
-    idx = np.searchsorted(ys, x, side="right")
-    total_w = cw[-1]
-    total_s = cs[-1]
-    return x * (2.0 * cw[idx] - total_w) + (total_s - 2.0 * cs[idx])
-
-
 def potential(m: Measure, grid: np.ndarray) -> Potential:
     """Tabulate U_m(x) = -E|Y - x| on the given grid.
 
-    Exact summation for atomic measures, closed forms for the normal and
-    lognormal families; tabulated densities were already reduced to
-    quadrature atoms at construction.
+    Exact for atomic measures (prefix sums of the sorted atoms), closed
+    forms for the normal and lognormal families; tabulated densities were
+    already reduced to quadrature atoms at construction.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
@@ -315,29 +326,35 @@ def potential(m: Measure, grid: np.ndarray) -> Potential:
     return Potential(grid=grid, values=vals, mean=m.mean)
 
 
-def check_embeddable(
-    nu: Measure,
-    mu: Measure,
-    grid: Optional[np.ndarray] = None,
-    tol: float = EMBED_TOL,
-) -> EmbeddingReport:
+def check_embeddable(nu: Measure, mu: Measure) -> EmbeddingReport:
     """Ordered-potential test: nu can be embedded into mu iff U_nu >= U_mu.
 
-    The check grid contains every atom of both measures, so for atomic
-    inputs the pointwise comparison of the piecewise-linear potentials is
-    exact.  Equal means are checked as well (they are implied by the
-    ordering when it holds, and catch scaling mistakes when it does not).
+    For two atomic laws the potentials are compared at the union of their
+    atoms only, and the check is exact there: U_mu - U_nu is linear
+    between those kinks and constant beyond the outermost ones, where it
+    equals the signed mean gap (which the mean test below covers).  When
+    either law is analytic the comparison runs on 801 points spanning both
+    laws, padded by a tenth, plus every atom of an atomic partner.  The
+    tolerance is EMBED_TOL times the largest |U_mu| on that padded span.
+    Equal means are checked as well (they are implied by the ordering when
+    it holds, and catch scaling mistakes when it does not).
     """
-    if grid is None:
-        grid = _joint_grid(nu, mu)
-    u_nu = potential(nu, grid).values
-    u_mu = potential(mu, grid).values
-    diff = u_mu - u_nu
+    lo1, hi1 = _measure_range(nu)
+    lo2, hi2 = _measure_range(mu)
+    pad = 0.1 * max(max(hi1, hi2) - min(lo1, lo2), 1.0)
+    ends = np.array([min(lo1, lo2) - pad, max(hi1, hi2) + pad])
+    if nu.kind == mu.kind == "atoms":
+        grid = np.union1d(nu.locations, mu.locations)
+    else:
+        pts = [m.locations for m in (nu, mu) if m.kind == "atoms"]
+        grid = np.unique(np.concatenate(pts + [np.linspace(ends[0], ends[1], 801)]))
+    # U_mu is concave, so its largest magnitude on the span is at an end
+    scale = max(1.0, float(np.max(np.abs(mu.mean_abs_dev(ends)))))
+    diff = nu.mean_abs_dev(grid) - mu.mean_abs_dev(grid)   # U_mu - U_nu
     k = int(np.argmax(diff))
     max_violation = float(diff[k])
-    scale = max(1.0, float(np.max(np.abs(u_mu))))
     mean_gap = abs(nu.mean - mu.mean)
-    passed = (max_violation <= tol * scale) and (mean_gap <= 1e-7 * max(1.0, abs(mu.mean)))
+    passed = (max_violation <= EMBED_TOL * scale) and (mean_gap <= 1e-7 * max(1.0, abs(mu.mean)))
     return EmbeddingReport(
         passed=passed,
         max_violation=max_violation,
@@ -345,14 +362,14 @@ def check_embeddable(
         mean_nu=nu.mean,
         mean_mu=mu.mean,
         mean_gap=mean_gap,
-        tolerance=tol * scale,
+        tolerance=EMBED_TOL * scale,
     )
 
 
 def _measure_range(m: Measure, mass_eps: float = 1e-9) -> tuple[float, float]:
     """Interval carrying all but mass_eps of the measure."""
-    if m.kind in ("atoms", "tabulated-density"):
-        return float(m.locations.min()), float(m.locations.max())
+    if m.kind == "atoms":
+        return m.support
     if m.kind == "normal":
         mm = m.params["mean"]
         s = math.sqrt(m.params["variance"])
@@ -362,55 +379,6 @@ def _measure_range(m: Measure, mass_eps: float = 1e-9) -> tuple[float, float]:
     b = math.sqrt(m.params["log_variance"])
     z = -norm.ppf(mass_eps / 2.0) if b > 0 else 0.0
     return math.exp(a - z * b), math.exp(a + z * b)
-
-
-def _joint_grid(nu: Measure, mu: Measure, n_fill: int = 801) -> np.ndarray:
-    lo1, hi1 = _measure_range(nu)
-    lo2, hi2 = _measure_range(mu)
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
-    pad = 0.1 * max(hi - lo, 1.0)
-    pts = [np.linspace(lo - pad, hi + pad, n_fill)]
-    for m in (nu, mu):
-        if m.kind in ("atoms", "tabulated-density"):
-            pts.append(m.locations)
-    grid = np.unique(np.concatenate(pts))
-    return grid
-
-
-def truncate(m: Measure, lo: float, hi: float) -> Measure:
-    """Restrict a measure to [lo, hi], moving each tail to a boundary atom.
-
-    The two boundary masses are chosen so that both the total mass and the
-    mean are preserved exactly; this is the approximation knob that makes a
-    finite solver domain consistent with the original law.
-    """
-    if m.kind in ("atoms", "tabulated-density"):
-        locs, w = m.locations, m.weights
-    else:
-        # reduce analytic families to a fine atomization first: cell masses
-        # at cell midpoints, tails at the end nodes
-        lo0, hi0 = _measure_range(m, mass_eps=1e-12)
-        grid = np.linspace(min(lo0, lo), max(hi0, hi), 16001)
-        cdf = m.cdf(grid)
-        w = np.concatenate(([cdf[0]], np.diff(cdf), [1.0 - cdf[-1]]))
-        locs = np.concatenate(([grid[0]], 0.5 * (grid[:-1] + grid[1:]), [grid[-1]]))
-        keep = w > 0
-        locs, w = locs[keep], w[keep]
-        w = w / w.sum()
-    inside = (locs >= lo) & (locs <= hi)
-    if np.all(inside):
-        return atoms(locs, w)
-    m_out = w[~inside].sum()
-    s_out = np.dot(w[~inside], locs[~inside])
-    # match tail mass and tail mean with two boundary atoms
-    w_lo = (m_out * hi - s_out) / (hi - lo)
-    w_hi = m_out - w_lo
-    if w_lo < -MASS_TOL or w_hi < -MASS_TOL:
-        raise MeasureError("truncation interval does not cover the measure's mean mass")
-    new_locs = np.concatenate(([lo], locs[inside], [hi]))
-    new_w = np.concatenate(([max(w_lo, 0.0)], w[inside], [max(w_hi, 0.0)]))
-    new_w = new_w / new_w.sum()
-    return atoms(new_locs, new_w)
 
 
 # -- implied law from call quotes -------------------------------------------
@@ -497,7 +465,7 @@ def call_prices(m: Measure, strikes: np.ndarray, discount: float) -> np.ndarray:
 
 def save_measure(m: Measure, path: str) -> None:
     doc: dict = {"kind": m.kind}
-    if m.kind in ("atoms", "tabulated-density"):
+    if m.kind == "atoms":
         doc["atoms"] = [[float(x), float(w)] for x, w in zip(m.locations, m.weights)]
     else:
         doc["params"] = m.params
@@ -506,18 +474,19 @@ def save_measure(m: Measure, path: str) -> None:
 
 
 def load_measure(path: str) -> Measure:
+    """Read a measure JSON file (format in README).
+
+    The legacy kind ``tabulated-density`` is still read, from either a
+    ``density_table`` of [x, f] rows or an ``atoms`` list; it loads as an
+    atom list and is saved back as ``atoms``.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    kind = doc["kind"]
-    if kind == "atoms":
-        arr = np.asarray(doc["atoms"], dtype=float)
-        return atoms(arr[:, 0], arr[:, 1])
-    if kind == "tabulated-density":
-        if "density_table" in doc:
-            arr = np.asarray(doc["density_table"], dtype=float)
-            return tabulated_density(arr[:, 0], arr[:, 1])
-        arr = np.asarray(doc["atoms"], dtype=float)
-        return Measure(kind="tabulated-density", locations=arr[:, 0], weights=arr[:, 1])
+    kind = doc.get("kind")
+    if kind == "tabulated-density" and "density_table" in doc:
+        return tabulated_density(*_columns(doc, "density_table"))
+    if kind in ("atoms", "tabulated-density"):
+        return atoms(*_columns(doc, "atoms"))
     if kind == "normal":
         p = doc["params"]
         return normal(p["mean"], p["variance"])
@@ -525,6 +494,17 @@ def load_measure(path: str) -> Measure:
         p = doc["params"]
         return lognormal(p["log_mean"], p["log_variance"])
     raise MeasureError(f"unknown measure kind {kind!r}")
+
+
+def _columns(doc: dict, key: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a JSON table of [x, value] rows."""
+    try:
+        table = np.asarray(doc[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MeasureError(f"measure file: unreadable {key!r} table ({exc})") from None
+    if table.ndim != 2 or table.shape[1] != 2:
+        raise MeasureError(f"measure file: {key!r} rows must be [x, value] pairs")
+    return table[:, 0], table[:, 1]
 
 
 def load_quotes(csv_path: str, sidecar_path: str) -> CallQuotes:

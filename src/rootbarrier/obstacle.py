@@ -276,6 +276,8 @@ def assemble(diff: DiffusionSpec, nu: Measure, mu: Measure, cfg: SolverConfig) -
                 "enlarge the domain"
             )
 
+    # a law with at most nx/4 atoms (a tabulated density counts by its
+    # nodes) has its kinks snapped onto grid nodes
     snap = []
     for m in (mu, nu):
         if m.kind == "atoms" and len(m.locations) <= cfg.nx // 4:

@@ -364,10 +364,7 @@ def simulate_stopped(
 
 def empirical_potential(batch: PathBatch, grid: np.ndarray) -> Potential:
     """Potential of the empirical stopped law: -mean |X_tau - x| on a grid."""
-    grid = np.asarray(grid, dtype=float)
-    w = np.full(batch.n, 1.0 / batch.n)
-    mad = measures._mean_abs_dev_atoms(batch.stopped_values, w, grid)
-    return Potential(grid=grid, values=-mad, mean=float(np.mean(batch.stopped_values)))
+    return measures.potential(measures.empirical(batch.stopped_values), grid)
 
 
 # -- price models ---------------------------------------------------------------
@@ -502,7 +499,7 @@ def _hall_intervals(mu: Measure, n: int, rng: np.random.Generator) -> tuple[np.n
         pos = np.where(pick_minus, biased, plain)
         return m - neg, m + pos
     # generic route: atomize and sample the discrete mixture exactly
-    if mu.kind in ("atoms", "tabulated-density"):
+    if mu.kind == "atoms":
         locs, w = mu.locations - m, mu.weights
     else:
         lo0, hi0 = measures._measure_range(mu, mass_eps=1e-10)
@@ -564,13 +561,8 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     emp_le = (first_idx + counts) / nn
     emp_lt = first_idx / nn
     f_le = target(vals)
-    if measure is not None and measure.kind in ("atoms", "tabulated-density"):
-        mass = np.zeros_like(vals)
-        pos = np.searchsorted(measure.locations, vals)
-        inb = (pos < len(measure.locations))
-        exact = inb & (measure.locations[np.minimum(pos, len(measure.locations) - 1)] == vals)
-        mass[exact] = measure.weights[pos[exact]]
-        f_lt = f_le - mass
+    if measure is not None and measure.kind == "atoms":
+        f_lt = measure.cum_weights[np.searchsorted(measure.locations, vals, side="left")]
     else:
         f_lt = f_le
     d = max(float(np.max(np.abs(emp_le - f_le))), float(np.max(np.abs(emp_lt - f_lt))))

@@ -104,35 +104,6 @@ def test_grid_index_matches_searchsorted(grid):
     assert np.array_equal(b._index(states), idx(states))
 
 
-def test_hit_time_constant_barrier():
-    t = np.linspace(0, 2, 21)
-    path = np.zeros(21)
-    b = br.Barrier(x=np.array([-1.0, 1.0]), R=np.array([0.7, 0.7]), horizon=2.0)
-    assert br.hit_time(b, t, path) == int(np.argmax(t >= 0.7))
-
-
-def test_hit_time_parabola_frozen_path():
-    # frozen at x = 1 the parabolic boundary is reached at time R(1) = 3
-    x = np.linspace(-2.5, 3.5, 601)
-    b = br.from_function(pb.barrier_fn, x, horizon=4.0)
-    t = np.linspace(0.0, 4.0, 4001)
-    path = np.ones_like(t)
-    k = br.hit_time(b, t, path)
-    assert t[k] == pytest.approx(3.0, abs=t[1] - t[0])
-
-
-def test_hit_time_zero_barrier_excludes_start():
-    t = np.linspace(0, 1, 11)
-    b = br.Barrier(x=np.array([-1.0, 1.0]), R=np.array([0.0, 0.0]), horizon=1.0)
-    assert br.hit_time(b, t, np.zeros(11)) == 1
-
-
-def test_hit_time_never_hits():
-    t = np.linspace(0, 1, 11)
-    b = br.Barrier(x=np.array([-1.0, 1.0]), R=np.array([5.0, 5.0]), horizon=1.0)
-    assert br.hit_time(b, t, np.zeros(11)) == 11
-
-
 def test_barrier_io_round_trip(tmp_path):
     b = br.Barrier(x=np.array([-1.0, 0.0, 1.0]),
                    R=np.array([0.0, np.inf, 2.0]), horizon=3.0)

@@ -76,6 +76,17 @@ def test_solver_error_exit_code(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", [[[-1.0, float("nan")], [1.0, 1.0]], [[-1.0], [1.0]]],
+                         ids=["nan-mass", "not-pairs"])
+def test_malformed_measure_file_exit_code(tmp_path, measure_files, capsys, rows):
+    mu = tmp_path / "bad.json"
+    mu.write_text(json.dumps({"kind": "atoms", "atoms": rows}))
+    rc = run(["--out-dir", str(tmp_path / "out"), "solve-barrier",
+              "--nu", measure_files[0], "--mu", str(mu), "--nx", "41", "--nt", "5"])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_embed_round_trip(tmp_path, measure_files):
     nu, mu = measure_files
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,101 @@ def test_convex_order_monotone_potentials(seed):
     assert np.all(ms.potential(nu, grid).values >= ms.potential(mu, grid).values - 1e-12)
 
 
+def _dense_reference(nu, mu):
+    """Max of U_mu - U_nu on a fine grid through every atom, and its verdict."""
+    lo = min(nu.support[0], mu.support[0]) - 1.0
+    hi = max(nu.support[1], mu.support[1]) + 1.0
+    grid = np.union1d(np.linspace(lo, hi, 4001), np.concatenate((nu.locations, mu.locations)))
+    u_mu = ms.potential(mu, grid).values
+    diff = u_mu - ms.potential(nu, grid).values
+    scale = max(1.0, float(np.max(np.abs(u_mu))))
+    passed = (diff.max() <= ms.EMBED_TOL * scale
+              and abs(nu.mean - mu.mean) <= 1e-7 * max(1.0, abs(mu.mean)))
+    return float(diff.max()), passed, scale
+
+
+def _random_pair(rng, case):
+    k = int(rng.integers(1, 8))
+    locs = rng.normal(0.0, 1.0, k)
+    w = rng.random(k) + 0.05
+    w = w / w.sum()
+    if case == "independent":
+        # same mean, otherwise unrelated: either verdict can come out
+        other = rng.normal(0.0, 1.5, k + 2)
+        ow = rng.random(k + 2) + 0.05
+        ow = ow / ow.sum()
+        other = other - np.dot(ow, other) + np.dot(w, locs)
+        return ms.atoms(locs, w), ms.atoms(other, ow)
+    if case == "tied":
+        # repeated locations in both laws, and atoms shared between them
+        locs = np.round(locs, 1)
+        locs = np.concatenate((locs, locs[:1]))
+        w = np.concatenate((w * 0.8, [0.2]))
+    spread = rng.random(len(locs))
+    nu = ms.atoms(locs, w)
+    mu = ms.atoms(np.concatenate((locs - spread, locs, locs + spread)),
+                  np.concatenate((w / 4, w / 2, w / 4)))
+    return (mu, nu) if case == "reversed" else (nu, mu)
+
+
+@pytest.mark.parametrize("case", ["dilation", "reversed", "tied", "independent"])
+def test_union_of_atoms_check_matches_dense_reference(case):
+    rng = np.random.default_rng(["dilation", "reversed", "tied", "independent"].index(case))
+    verdicts = set()
+    for _ in range(40):
+        nu, mu = _random_pair(rng, case)
+        rep = ms.check_embeddable(nu, mu)
+        ref_max, ref_passed, scale = _dense_reference(nu, mu)
+        assert rep.passed == ref_passed
+        assert abs(rep.max_violation - ref_max) <= 1e-12 * scale
+        verdicts.add(rep.passed)
+    if case in ("dilation", "tied"):
+        assert verdicts == {True}
+    if case == "reversed":
+        assert verdicts == {False}
+
+
+def test_embeddable_check_memory_on_a_large_empirical_law():
+    # the union of atoms costs a handful of arrays of the atom count
+    law = ms.empirical(np.random.default_rng(1).standard_normal(600_000), recenter_to=0.0)
+    tracemalloc.start()
+    try:
+        rep = ms.check_embeddable(ms.point_mass(0.0), law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert rep.argmax == law.locations[0]
+    assert peak <= 25 * 2**20
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ms.atoms([0.0, 1.0], [np.nan, 1.0]),
+    lambda: ms.atoms([0.0, 1.0], [0.5, 0.5, 0.0]),
+    lambda: ms.atoms([0.0, 1.0, 2.0], [1.0]),
+    lambda: ms.atoms([], []),
+    lambda: ms.atoms([[0.0, 1.0]], [[0.5, 0.5]]),
+    lambda: ms.tabulated_density([0.0, 1.0, 2.0], [1.0, 1.0]),
+], ids=["nan-mass", "extra-mass", "missing-mass", "empty", "not-1d", "density-lengths"])
+def test_malformed_discrete_law_is_a_measure_error(make):
+    with pytest.raises(ms.MeasureError):
+        make()
+
+
+@pytest.mark.parametrize("table", [
+    [[0.0], [1.0]],
+    [0.0, 1.0],
+    [[-1.0, 0.5, 9.0], [1.0, 0.5, 9.0]],
+    [[-1.0, 0.5], [1.0]],
+    "atoms",
+], ids=["one-column", "flat", "three-columns", "ragged", "string"])
+def test_malformed_atoms_file_is_a_measure_error(tmp_path, table):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"kind": "atoms", "atoms": table}))
+    with pytest.raises(ms.MeasureError):
+        ms.load_measure(str(path))
+
+
 def bs_call(s0, k, vol, t):
     sd = vol * np.sqrt(t)
     d1 = (np.log(s0 / k) + 0.5 * sd * sd) / sd
@@ -166,19 +262,6 @@ def test_implied_measure_rejects_atom_at_zero():
         ms.implied_measure_from_calls(q)
 
 
-def test_truncate_preserves_mass_and_mean():
-    m = ms.normal(0.3, 2.0)
-    t = ms.truncate(m, -6.0, 7.0)
-    assert t.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    # atomization of the analytic family costs O(cell^2); exact for atoms
-    assert t.mean == pytest.approx(m.mean, abs=1e-5)
-    assert t.locations.min() >= -6.0 and t.locations.max() <= 7.0
-    a = ms.atoms([-3.0, 0.0, 0.5, 4.0], [0.1, 0.4, 0.4, 0.1])
-    ta = ms.truncate(a, -2.0, 2.0)
-    assert ta.mean == pytest.approx(a.mean, abs=1e-12)
-    assert ta.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_measure_json_round_trip(tmp_path):
     m = ms.atoms([-1.0, 0.5, 2.0], [0.25, 0.5, 0.25])
     path = tmp_path / "m.json"
@@ -189,6 +272,21 @@ def test_measure_json_round_trip(tmp_path):
     for maker in (lambda: ms.normal(0.1, 2.0), lambda: ms.lognormal(-0.1, 0.2)):
         ms.save_measure(maker(), str(path))
         assert ms.load_measure(str(path)).params == maker().params
+
+
+def test_tabulated_density_file_loads_and_saves_as_atoms(tmp_path):
+    x = np.linspace(-1.0, 1.0, 5)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"kind": "tabulated-density",
+                                "density_table": [[xi, 0.5] for xi in x]}))
+    m = ms.load_measure(str(path))
+    assert m.kind == "atoms"
+    assert np.array_equal(m.locations, ms.tabulated_density(x, np.full(5, 0.5)).locations)
+    ms.save_measure(m, str(path))
+    assert json.loads(path.read_text())["kind"] == "atoms"
+    path.write_text(json.dumps({"kind": "tabulated-density", "atoms": [[1.0, 0.5], [-1.0, 0.5]]}))
+    back = ms.load_measure(str(path))
+    assert back.kind == "atoms" and np.array_equal(back.locations, [-1.0, 1.0])
 
 
 def test_quote_csv_round_trip(tmp_path):

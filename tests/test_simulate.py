@@ -211,6 +211,18 @@ def test_ks_statistic_handles_atomic_ties():
     assert sim.ks_statistic(bad, m.cdf) > 0.05
 
 
+@pytest.mark.parametrize("locations, weights", [
+    ([1.0, 0.0], [0.3, 0.7]),               # unsorted input
+    ([1.0, 0.0, 0.0], [0.3, 0.35, 0.35]),   # unsorted, with a tied atom
+])
+def test_ks_statistic_reads_the_sorted_atoms(locations, weights):
+    # the law {0: 0.7, 1: 0.3} matches seven 0s and three 1s exactly
+    m = ms.Measure(kind="atoms", locations=np.array(locations), weights=np.array(weights))
+    samples = np.array([0.0] * 7 + [1.0] * 3)
+    assert sim.ks_statistic(samples, m) == pytest.approx(0.0, abs=1e-15)
+    assert sim.ks_statistic(samples, m.cdf) == pytest.approx(0.0, abs=1e-15)
+
+
 def test_full_chain_empirical_potential_band(gaussian_solution):
     # solve -> extract -> simulate -> empirical potential hugs the target's
     from rootbarrier import barrier as br
