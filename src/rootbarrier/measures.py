@@ -487,12 +487,15 @@ def load_measure(path: str) -> Measure:
         return tabulated_density(*_columns(doc, "density_table"))
     if kind in ("atoms", "tabulated-density"):
         return atoms(*_columns(doc, "atoms"))
-    if kind == "normal":
-        p = doc["params"]
-        return normal(p["mean"], p["variance"])
-    if kind == "lognormal":
-        p = doc["params"]
-        return lognormal(p["log_mean"], p["log_variance"])
+    if kind in ("normal", "lognormal"):
+        keys = ("mean", "variance") if kind == "normal" else ("log_mean", "log_variance")
+        try:
+            args = [float(doc["params"][k]) for k in keys]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MeasureError(f"measure file: {kind} needs numeric params {keys} ({exc!r})") from None
+        if not all(map(math.isfinite, args)):
+            raise MeasureError(f"measure file: {kind} params must be finite, got {args}")
+        return (normal if kind == "normal" else lognormal)(*args)
     raise MeasureError(f"unknown measure kind {kind!r}")
 
 

@@ -198,6 +198,7 @@ class GridFunction:
     x: np.ndarray
     t: np.ndarray
     values: np.ndarray       # (nt, nx)
+    clip: float = 0.0        # largest amount a lower clip raised a value by
 
 
 # -- grid and operator assembly ----------------------------------------------
@@ -226,16 +227,11 @@ def _snap_grid(lo: float, hi: float, nx: int, snap_points: np.ndarray) -> np.nda
 
 def _operator_rows(x, a, c):
     """Tridiagonal rows of A u = -a u_xx + c u_x on a non-uniform grid."""
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    ai = a[1:-1]
-    ci = c[1:-1]
+    h = np.diff(x)
     lower = np.zeros_like(x)
     diag = np.zeros_like(x)
     upper = np.zeros_like(x)
-    lower[1:-1] = -(2.0 * ai + ci * hp) / (hm * (hm + hp))
-    upper[1:-1] = -(2.0 * ai - ci * hm) / (hp * (hm + hp))
-    diag[1:-1] = (2.0 * ai + ci * (hp - hm)) / (hm * hp)
+    lower[1:-1], diag[1:-1], upper[1:-1] = _stencil(h[:-1], h[1:], a[1:-1], c[1:-1])
     # Dirichlet rows at the edges
     diag[0] = diag[-1] = 1.0
     if np.any(lower[1:-1] > 0) or np.any(upper[1:-1] > 0):
@@ -267,9 +263,11 @@ def assemble(diff: DiffusionSpec, nu: Measure, mu: Measure, cfg: SolverConfig) -
         if cfg.x_lo <= 0:
             raise ValueError("geometric case requires a positive price domain")
 
-    # tail mass outside the truncated domain must be negligible
+    # tail mass outside the truncated domain must be negligible; the mass
+    # below x_lo is the cdf's left limit there, read one ulp below
     for m, name in ((nu, "nu"), (mu, "mu")):
-        tail = 1.0 - float(m.cdf(np.array([cfg.x_hi]))[0] - m.cdf(np.array([cfg.x_lo - 1e-300]))[0])
+        below = m.cdf(np.array([np.nextafter(cfg.x_lo, -np.inf)]))[0]
+        tail = 1.0 - float(m.cdf(np.array([cfg.x_hi]))[0] - below)
         if tail > cfg.tail_mass_tol:
             raise SolverError(
                 f"domain [{cfg.x_lo}, {cfg.x_hi}] truncates mass {tail:.3e} of {name}; "
@@ -320,13 +318,42 @@ def assemble(diff: DiffusionSpec, nu: Measure, mu: Measure, cfg: SolverConfig) -
     )
 
 
-# -- LCP kernels --------------------------------------------------------------
+# -- the tridiagonal kernel shared by the obstacle and the M march -------------
 
-def _lcp_residual(lower, diag, upper, rhs, psi, v, scale):
+def _stencil(hm, hp, a, c=0.0):
+    """Rows (lower, diag, upper) of -a u_xx + c u_x from three points.
+
+    hm and hp are the spacings to the left and right neighbour; the M
+    march shortens them in the cells where the barrier crosses a level.
+    """
+    lower = -(2.0 * a + c * hp) / (hm * (hm + hp))
+    upper = -(2.0 * a - c * hm) / (hp * (hm + hp))
+    diag = (2.0 * a + c * (hp - hm)) / (hm * hp)
+    return lower, diag, upper
+
+
+def _tridiag_solve(lower, diag, upper, rhs):
+    """Solve the system whose row i is lower[i], diag[i], upper[i] (LAPACK gtsv).
+
+    lower[0] and upper[-1] are not read.  LAPACK may overwrite all four
+    arguments, so pass temporaries.
+    """
+    *_, v, info = dgtsv(lower[1:], diag, upper[:-1], rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise SolverError(f"singular tridiagonal system (LAPACK info {info})")
+    return v
+
+
+def _tridiag_mul(lower, diag, upper, v):
+    """The tridiagonal rows (lower, diag, upper) applied to v."""
     mv = diag * v
     mv[1:] += lower[1:] * v[:-1]
     mv[:-1] += upper[:-1] * v[1:]
-    op = (mv - rhs) / scale
+    return mv
+
+
+def _lcp_residual(lower, diag, upper, rhs, psi, v, scale):
+    op = (_tridiag_mul(lower, diag, upper, v) - rhs) / scale
     return np.minimum(v - psi, op)
 
 
@@ -343,13 +370,8 @@ def _active_set_lcp(lower, diag, upper, rhs, psi, active, tol, scale):
     """
     n = len(rhs)
     for solves in range(1, n + 1):
-        # all four arguments are fresh temporaries, so LAPACK may overwrite them
-        *_, v, info = dgtsv(np.where(active[1:], 0.0, lower[1:]),
-                            np.where(active, 1.0, diag),
-                            np.where(active[:-1], 0.0, upper[:-1]),
-                            np.where(active, psi, rhs), 1, 1, 1, 1)
-        if info != 0:
-            raise SolverError(f"singular LCP system (LAPACK info {info})")
+        v = _tridiag_solve(np.where(active, 0.0, lower), np.where(active, 1.0, diag),
+                           np.where(active, 0.0, upper), np.where(active, psi, rhs))
         np.copyto(v, psi, where=active)
         r = _lcp_residual(lower, diag, upper, rhs, psi, v, scale)
         r[0] = r[-1] = 0.0
@@ -412,9 +434,7 @@ def solve(problem: DiscreteProblem) -> ObstacleSolution:
         if theta == 1.0:
             rhs = cur.copy()
         else:
-            av = problem.diag * cur
-            av[1:] += problem.lower[1:] * cur[:-1]
-            av[:-1] += problem.upper[:-1] * cur[1:]
+            av = _tridiag_mul(problem.lower, problem.diag, problem.upper, cur)
             rhs = cur - dt * (1.0 - theta) * av
         rhs[0] = psi[0]
         rhs[-1] = psi[-1]

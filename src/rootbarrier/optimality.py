@@ -17,9 +17,10 @@ certificate, and in discounted-price coordinates the subhedge.
 All t-integrals share one trapezoid rule, so the discrete G + H - F equals
 minus the remaining integral of (M - f) and the inequality holds exactly
 at the nodes once M >= f is enforced (a property the continuum M has; the
-numerical M is clipped onto it).  M is tabulated up to the latest finite
-barrier time or the time f becomes constant, whichever is later; beyond
-that slab M = f identically and G extends analytically.
+numerical M is clipped onto it, and HedgeFunctions.M_clip says by how
+much).  M is tabulated up to the latest finite barrier time or the time
+f becomes constant, whichever is later; beyond that slab M = f
+identically and G extends analytically.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import solve_banded
 
 from . import simulate as sim
 from .barrier import Barrier, GridIndex
 from .measures import Measure
-from .obstacle import DiffusionSpec, GridFunction, SolverError
+from .obstacle import DiffusionSpec, GridFunction, SolverError, _stencil, _tridiag_solve
 
 __all__ = [
     "PayoffSpec",
@@ -151,6 +151,7 @@ class HedgeFunctions:
     base_point: float
     payoff: PayoffSpec
     barrier: Barrier
+    M_clip: float            # largest amount the clip M >= f raised M by
 
     def __post_init__(self):
         object.__setattr__(self, "_x_index", GridIndex(self.x))
@@ -228,7 +229,19 @@ def compute_M(
     level crossing of the barrier (irregular stencils), which keeps the
     scheme second order in space; kinks of the barrier (support edges,
     atoms) should be grid nodes for full accuracy, which the solver grids
-    arrange by construction.
+    arrange by construction.  Free edge nodes (a barrier positive at the
+    truncated boundary) take zero-slope rows, exact when the barrier
+    flattens in the tails.
+
+    Each step is implicit Euler on the obstacle's operator: the rows of
+    I + dt A come from the same three-point stencil formula as the
+    obstacle problem's (`obstacle._stencil`) and go through the same
+    LAPACK gtsv solve.  The regular rows are built once; each step pins
+    the nodes with t >= R and re-forms only the rows of the free nodes
+    next to a crossing, whose spacing to that neighbour is cut back to
+    the crossing.  The solution is clipped onto M >= f; `clip` on the
+    result is the largest amount that clip raised M by.  A NaN or inf in
+    the march (sigma, the barrier or f) raises ValueError.
     """
     x = np.asarray(x_grid, dtype=float)
     r = barrier.value_at(x)
@@ -252,85 +265,65 @@ def compute_M(
             f"horizon {t_max:.6g} is below the last barrier time {r_max:.6g}: "
             "increase the horizon"
         )
-    # edges inside the barrier are Dirichlet rows; edges still free (a
-    # barrier positive at the truncated boundary, e.g. a flat one) fall
-    # back to zero-slope rows, exact when the barrier flattens in the tails
-    neumann_lo = bool(r[0] > 0)
-    neumann_hi = bool(r[-1] > 0)
 
     t = np.linspace(0.0, float(t_max), nt + 1)
     dt = t[1] - t[0]
     f_t = payoff.f(t)
-
-    sig2 = x * x if diff.geometric else diff.sigma(x) ** 2
-    a = 0.5 * sig2
+    a = 0.5 * (x * x if diff.geometric else diff.sigma(x) ** 2)
     n = len(x)
+
+    # regular rows of I + dt A, A = -a d2/dx2; an edge node is pinned
+    # (R <= t) or free, and a free edge is a zero-slope row
+    h = np.diff(x)
+    lower, diag, upper = np.zeros(n), np.ones(n), np.zeros(n)
+    lo, di, up = _stencil(h[:-1], h[1:], a[1:-1])
+    lower[1:-1], diag[1:-1], upper[1:-1] = dt * lo, 1.0 + dt * di, dt * up
+    upper[0] = lower[-1] = -1.0
 
     M = np.empty((nt + 1, n))
     M[-1] = f_t[-1]
-    ab = np.zeros((3, n))
+    clip = 0.0
     for j in range(nt - 1, -1, -1):
-        pinned = t[j] >= r
         fv = f_t[j]
-        # exact boundary abscissa where R crosses the level t_j, found by
-        # linear interpolation of R inside each sign-change cell; placing
-        # the Dirichlet value there (irregular stencil) removes the O(h)
-        # staircase bias at the barrier's spatial edges
-        hm = np.empty(n)
-        hp = np.empty(n)
-        hm[1:] = x[1:] - x[:-1]
-        hm[0] = hp[-1] = 1e300
-        hp[:-1] = x[1:] - x[:-1]
-        free = ~pinned
-        # left neighbour pinned: boundary sits inside (x_{i-1}, x_i]
-        lb = free.copy()
-        lb[1:] &= pinned[:-1]
-        lb[0] = False
-        rb = free.copy()
-        rb[:-1] &= pinned[1:]
-        rb[-1] = False
-        i_lb = np.flatnonzero(lb)
-        i_rb = np.flatnonzero(rb)
-        if len(i_lb):
-            rl, ri = r[i_lb - 1], r[i_lb]
-            frac = np.where(np.isfinite(ri), (t[j] - rl) / np.maximum(ri - rl, 1e-300), 0.0)
-            frac = np.clip(frac, 0.0, 1.0)
-            hm[i_lb] = np.maximum((1.0 - frac) * (x[i_lb] - x[i_lb - 1]), 1e-3 * (x[i_lb] - x[i_lb - 1]))
-        if len(i_rb):
-            rr, ri = r[i_rb + 1], r[i_rb]
-            frac = np.where(np.isfinite(ri), (t[j] - rr) / np.maximum(ri - rr, 1e-300), 0.0)
-            frac = np.clip(frac, 0.0, 1.0)
-            hp[i_rb] = np.maximum((1.0 - frac) * (x[i_rb + 1] - x[i_rb]), 1e-3 * (x[i_rb + 1] - x[i_rb]))
+        pinned = t[j] >= r
+        free = ~pinned[1:-1]
+        # interior free nodes with a pinned neighbour: R crosses t_j in
+        # that cell, at the root of R's linear interpolant, and the stencil
+        # reaches only to the crossing, where M = f(t_j) is known
+        left, right = free & pinned[:-2], free & pinned[2:]
+        cross = left | right
+        i = np.flatnonzero(cross) + 1
+        left, right = left[cross], right[cross]
+        hm, hp = h[i - 1], h[i]
+        hm[left] = _cut(hm[left], r[i[left]], r[i[left] - 1], t[j])
+        hp[right] = _cut(hp[right], r[i[right]], r[i[right] + 1], t[j])
+        lo, di, up = _stencil(hm, hp, a[i])
+        lo, up = dt * lo, dt * up
 
-        with np.errstate(over="ignore"):
-            lo_c = 2.0 * a / (hm * (hm + hp))
-            up_c = 2.0 * a / (hp * (hm + hp))
-            di_c = 2.0 * a / (hm * hp)
-
-        rhs = M[j + 1].copy()
-        rhs[pinned] = fv
-        rhs[i_lb] += dt * lo_c[i_lb] * fv   # known boundary value enters the rhs
-        rhs[i_rb] += dt * up_c[i_rb] * fv
-
-        m_diag = np.where(pinned, 1.0, 1.0 + dt * di_c)
-        m_upper = np.where(pinned | rb, 0.0, -dt * up_c)
-        m_lower = np.where(pinned | lb, 0.0, -dt * lo_c)
-        m_upper[-1] = 0.0
-        m_lower[0] = 0.0
-        if neumann_lo and not pinned[0]:
-            m_diag[0], m_upper[0] = 1.0, -1.0
-            rhs[0] = 0.0
-        if neumann_hi and not pinned[-1]:
-            m_diag[-1], m_lower[-1] = 1.0, -1.0
-            rhs[-1] = 0.0
-        # banded layout indexes by column: ab[0, j] is row j-1's upper entry,
-        # ab[2, j] is row j+1's lower entry
-        ab[0, 1:] = m_upper[:-1]
-        ab[1, :] = m_diag
-        ab[2, :-1] = m_lower[1:]
-        sol = solve_banded((1, 1), ab, rhs)
+        m_lower = np.where(pinned, 0.0, lower)
+        m_diag = np.where(pinned, 1.0, diag)
+        m_upper = np.where(pinned, 0.0, upper)
+        m_lower[i] = np.where(left, 0.0, lo)
+        m_diag[i] = 1.0 + dt * di
+        m_upper[i] = np.where(right, 0.0, up)
+        rhs = np.where(pinned, fv, M[j + 1])
+        rhs[[0, -1]] = np.where(pinned[[0, -1]], fv, 0.0)
+        # the known boundary value enters the right-hand side
+        rhs[i[left]] -= lo[left] * fv
+        rhs[i[right]] -= up[right] * fv
+        sol = _tridiag_solve(m_lower, m_diag, m_upper, rhs)
+        clip = max(clip, fv - float(sol.min()))
         M[j] = np.maximum(sol, fv)
-    return GridFunction(x=x, t=t, values=M)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("M is not finite: sigma, the barrier or f is NaN or inf "
+                         "in the continuation region")
+    return GridFunction(x=x, t=t, values=M, clip=clip)
+
+
+def _cut(h, r_free, r_pinned, level):
+    """Spacing from a free node to where R, linear across the cell, crosses level."""
+    frac = np.where(np.isfinite(r_free), (level - r_pinned) / np.maximum(r_free - r_pinned, 1e-300), 0.0)
+    return np.maximum((1.0 - np.clip(frac, 0.0, 1.0)) * h, 1e-3 * h)
 
 
 def compute_Z(
@@ -383,7 +376,7 @@ def compute_G_H(
 
     return HedgeFunctions(
         x=x, t=t, M=M, Z=z, G=G, H=H, delta=delta, F_grid=F_grid,
-        base_point=base_point, payoff=payoff, barrier=barrier,
+        base_point=base_point, payoff=payoff, barrier=barrier, M_clip=m.clip,
     )
 
 

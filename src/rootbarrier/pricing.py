@@ -303,6 +303,7 @@ def lower_bound(
         "variance_horizon": horizon,
         "barrier_max_time": r_max,
         "lcp_max_residual": sol.max_residual,
+        "M_clip": hf.M_clip,
         "G_at_spot": g0,
         "H_at_spot": h0,
         "option_cost": option_cost,

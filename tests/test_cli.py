@@ -76,11 +76,20 @@ def test_solver_error_exit_code(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rows", [[[-1.0, float("nan")], [1.0, 1.0]], [[-1.0], [1.0]]],
-                         ids=["nan-mass", "not-pairs"])
-def test_malformed_measure_file_exit_code(tmp_path, measure_files, capsys, rows):
+@pytest.mark.parametrize("doc", [
+    {"kind": "atoms", "atoms": [[-1.0, float("nan")], [1.0, 1.0]]},
+    {"kind": "atoms", "atoms": [[-1.0], [1.0]]},
+    {"kind": "normal"},
+    {"kind": "normal", "params": {"mean": 0.0}},
+    {"kind": "normal", "params": {"mean": 0.0, "variance": "one"}},
+    {"kind": "normal", "params": [0.0, 1.0]},
+    {"kind": "lognormal", "params": {"log_mean": 0.0, "log_variance": None}},
+    {"kind": "lognormal", "params": {"log_mean": float("nan"), "log_variance": 0.04}},
+], ids=["nan-mass", "not-pairs", "normal-no-params", "normal-missing-key", "normal-non-numeric",
+        "normal-params-list", "lognormal-null", "lognormal-nan"])
+def test_malformed_measure_file_exit_code(tmp_path, measure_files, capsys, doc):
     mu = tmp_path / "bad.json"
-    mu.write_text(json.dumps({"kind": "atoms", "atoms": rows}))
+    mu.write_text(json.dumps(doc))
     rc = run(["--out-dir", str(tmp_path / "out"), "solve-barrier",
               "--nu", measure_files[0], "--mu", str(mu), "--nx", "41", "--nt", "5"])
     assert rc == 3
@@ -120,6 +129,7 @@ def test_price_bound_swap_consistency(tmp_path):
     assert rc == 0
     report = json.loads((out / "bound_report.json").read_text())
     assert report["lower_bound"] == pytest.approx(report["diagnostics"]["swap_value"], rel=1e-4)
+    assert 0.0 <= report["diagnostics"]["M_clip"] <= 1e-12
     assert (out / "gap_surface.csv").exists()
     assert (out / "barrier.csv").exists()
 

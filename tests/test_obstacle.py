@@ -248,3 +248,13 @@ def test_solution_matches_stopped_path_monte_carlo():
         row = np.interp(grid, sol.x, sol.v[j])
         band = 3.0 * 1.6 / np.sqrt(n) + 3e-2
         assert np.max(np.abs(emp.values - row)) < band, t_probe
+
+
+def test_atom_on_the_domain_edge_is_not_truncated():
+    # the atom at x_lo = -1 lies inside the domain: no mass is truncated
+    cfg = ob.SolverConfig(x_lo=-1.0, x_hi=3.0, nx=201, horizon=2.0, nt=200)
+    sol = ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), ms.atoms([-1.0, 1.0], [0.5, 0.5]), cfg))
+    assert sol.max_residual <= cfg.lcp_tol
+    with pytest.raises(ob.SolverError, match="truncates mass 5.000e-01"):
+        ob.assemble(ob.brownian(), ms.point_mass(0.0), ms.atoms([-1.0, 1.0], [0.5, 0.5]),
+                    ob.SolverConfig(x_lo=-0.99, x_hi=3.0, nx=201, horizon=2.0, nt=200))

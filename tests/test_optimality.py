@@ -178,3 +178,75 @@ def test_compute_M_open_region_with_capped_payoff():
     i0 = np.argmin(np.abs(m.x))
     assert 0.0 < m.values[0][i0] < 1.0
     assert np.max(m.values) <= 1.0 + 1e-9
+
+
+def _irregular_stencil_reference(x, r, f_t, t, a):
+    """M by one dense solve per step of the irregular-stencil system, built row by row."""
+    n, dt = len(x), t[1] - t[0]
+    M = np.empty((len(t), n))
+    M[-1] = f_t[-1]
+    for j in range(len(t) - 2, -1, -1):
+        A, b = np.zeros((n, n)), np.zeros(n)
+        for i in range(n):
+            if t[j] >= r[i]:                       # stopped: M = f
+                A[i, i], b[i] = 1.0, f_t[j]
+            elif i in (0, n - 1):                  # free edge: zero slope
+                A[i, i], A[i, 1 if i == 0 else n - 2] = 1.0, -1.0
+            else:
+                # reach of the stencil towards each neighbour: the whole cell,
+                # or up to where R (linear across the cell) crosses t_j, and
+                # at least 1e-3 of the cell
+                reach = {}
+                for k in (i - 1, i + 1):
+                    cell = abs(x[k] - x[i])
+                    if t[j] >= r[k]:
+                        s = 1.0 if np.isinf(r[i]) else (r[i] - t[j]) / (r[i] - r[k])
+                        reach[k] = max(s, 1e-3) * cell
+                    else:
+                        reach[k] = cell
+                hm, hp = reach[i - 1], reach[i + 1]
+                weight = {i - 1: 2.0 * a[i] / (hm * (hm + hp)), i + 1: 2.0 * a[i] / (hp * (hm + hp))}
+                A[i, i], b[i] = 1.0 + dt * 2.0 * a[i] / (hm * hp), M[j + 1, i]
+                for k in (i - 1, i + 1):
+                    if t[j] >= r[k]:               # known value f(t_j) at the crossing
+                        b[i] += dt * weight[k] * f_t[j]
+                    else:
+                        A[i, k] = -dt * weight[k]
+        M[j] = np.maximum(np.linalg.solve(A, b), f_t[j])
+    return M
+
+
+def test_compute_M_matches_a_dense_irregular_stencil_solve():
+    # 41 uneven nodes and a varying sigma.  R is positive at both edges
+    # (zero-slope rows until they stop), has a hump that stops from both
+    # sides, an open stretch with a spike in it, and a ramp; f = min(t, 1)
+    x = np.linspace(-2.0, 2.0, 41)
+    x[1:-1] += 0.02 * np.sin(7.0 * x[1:-1])
+    R = np.where(x < -0.4, 1.2 - 0.5 * np.abs(x + 1.2), 0.4 + 0.6 * (x - 0.6))
+    R[(x > -0.4) & (x < 0.6)] = np.inf
+    R[np.argmin(np.abs(x - 0.1))] = 0.5
+    bar = br.Barrier(x=x, R=R, horizon=2.0)
+    diff = ob.DiffusionSpec(sigma=lambda s: 1.0 + 0.3 * np.cos(s), dsigma=lambda s: -0.3 * np.sin(s))
+    payoff = opt.power_payoff(2.0, cap=1.0)
+    m = opt.compute_M(diff, bar, payoff, x, nt=60)
+    ref = _irregular_stencil_reference(x, R, payoff.f(m.t), m.t, 0.5 * diff.sigma(x) ** 2)
+    assert np.max(np.abs(m.values - ref)) <= 1e-12
+    assert 0.0 <= m.clip <= 1e-12
+
+
+def test_compute_M_rejects_a_nan_sigma():
+    # sigma is NaN at x = 0, inside the continuation region (R(0) = 1)
+    x = np.linspace(-2.0, 2.0, 81)
+    bar = br.Barrier(x=x, R=np.maximum(1.0 - x * x, 0.0), horizon=2.0)
+    diff = ob.DiffusionSpec(sigma=lambda s: np.where(np.abs(s) < 1e-12, np.nan, 1.0),
+                            dsigma=lambda s: np.zeros_like(s))
+    with pytest.raises(ValueError):
+        opt.compute_M(diff, bar, opt.variance_call(0.5), x, nt=50)
+
+
+def test_M_clip_is_reported(dense_swap_report, dense_call_report, parabola_hedge):
+    # the clip M >= f only mends round-off on these inputs
+    for rep in (dense_swap_report, dense_call_report):
+        assert rep.diagnostics["M_clip"] == rep.hedge.M_clip
+        assert 0.0 <= rep.hedge.M_clip <= 1e-12
+    assert 0.0 <= parabola_hedge[0].M_clip <= 1e-12

@@ -1,7 +1,15 @@
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+import numpy as np
+
+from rootbarrier import barrier as br
+from rootbarrier import obstacle as ob
+from rootbarrier import optimality as opt
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -20,8 +28,8 @@ def join(a,
 '''
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+def _load_tool(name="code_lines"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -36,3 +44,21 @@ def test_code_lines_counts_code_only(tmp_path, capsys):
     assert tool.code_lines(src) == 7
     assert tool.main(["code_lines.py", str(src.parent)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["7", "total"]
+
+
+def test_bit_digest_hashes_exact_bits(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))   # main() puts its --src first
+    tool = _load_tool("bit_digest")
+    assert tool.main(["bit_digest.py", "open-capped"]) == 0
+    out = dict(reversed(line.split("  ")) for line in capsys.readouterr().out.splitlines())
+    assert list(out) == ["open-capped.M", "open-capped.t"]
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in out.values())
+    # the case's M, rebuilt here, hashes to the printed line; one ulp changes it
+    x = np.linspace(-2.0, 2.0, 201)
+    bar = br.Barrier(x=x, R=np.where(np.abs(x) < 1.0 - 1e-9, np.inf, 0.0), horizon=1.0)
+    m = opt.compute_M(ob.brownian(), bar, opt.variance_call(0.3), x, nt=300).values
+    assert tool.digest(m) == out["open-capped.M"]
+    m[150, 100] = np.nextafter(m[150, 100], 2.0)
+    assert tool.digest(m) != out["open-capped.M"]
+    # a report spreads over one line per key
+    assert [ln.split("  ")[1] for ln in tool.lines("c", {"r": {"a": 1.0, "b": [1, 2]}})] == ["c.r.a", "c.r.b"]

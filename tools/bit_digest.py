@@ -1,0 +1,212 @@
+"""Print one sha256 per named result of a fixed list of pipeline cases.
+
+Two source trees compute the same numbers when their outputs match line
+for line.  Each case runs one chain of the pipeline on fixed inputs and
+seeds (the obstacle solve, the barrier, the hedge functions, path
+batches, bounds and their reports) and hashes every result from its
+exact bits: an array by its dtype, shape and bytes, a float by its
+IEEE double.  A report (a dict) is spread over one line per key, so a
+key that only one tree writes shows up as one line of the diff.
+
+The cases follow the inputs of the acceptance suite and the three
+benchmark workloads (perfbench/workloads.py, workload seed 1).
+
+Usage:
+    python3 tools/bit_digest.py [--src DIR] [CASE ...]
+
+DIR is the source tree `rootbarrier` is imported from (default: the
+`src` directory of this repository).  With no CASE every case runs;
+the full list takes about 20 s and peaks at 270 MiB on a 2-core Xeon.
+Prints lines `<sha256>  <case>.<result>`.  To compare two trees:
+
+    python3 tools/bit_digest.py --src A/src > a.txt
+    python3 tools/bit_digest.py --src B/src > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+WORKLOAD_SEED = 1
+
+
+def digest(value) -> str:
+    """sha256 of the exact bits of an array, a number, a string or a container of them."""
+    h = hashlib.sha256()
+    _feed(h, value)
+    return h.hexdigest()
+
+
+def _feed(h, value) -> None:
+    if isinstance(value, dict):
+        for key in sorted(value):
+            h.update(repr(key).encode())
+            _feed(h, value[key])
+    elif isinstance(value, (list, tuple)):
+        h.update(f"[{len(value)}".encode())
+        for item in value:
+            _feed(h, item)
+    elif value is None or isinstance(value, (str, bool, int)):
+        h.update(repr(value).encode())
+    else:
+        a = np.ascontiguousarray(value)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+
+
+def lines(case: str, results: dict) -> list[str]:
+    """`<sha256>  <case>.<name>` per result; dicts spread over one line per key."""
+    out = []
+    for name, value in results.items():
+        if isinstance(value, dict):
+            out += lines(f"{case}.{name}", value)
+        else:
+            out.append(f"{digest(value)}  {case}.{name}")
+    return out
+
+
+# -- the cases ------------------------------------------------------------------
+
+def _rb():
+    import rootbarrier as rb
+    import rootbarrier.parabola  # noqa: F401  (the package does not import it)
+    return rb
+
+
+def _batch(b) -> dict:
+    return {"stop_times": b.stop_times, "stopped_values": b.stopped_values,
+            "horizon_mass": b.horizon_mass}
+
+
+def _hedge(hf) -> dict:
+    return {"M": hf.M, "Z": hf.Z, "G": hf.G, "H": hf.H, "delta": hf.delta, "F_grid": hf.F_grid}
+
+
+def _report(rep) -> dict:
+    return {"lower_bound": rep.lower_bound, "cash": rep.cash, "forward_units": rep.forward_units,
+            "strike_weights": rep.strike_weights, "R": rep.barrier.R,
+            "diagnostics": rep.diagnostics, "hedge": _hedge(rep.hedge)}
+
+
+def case_normal() -> dict:
+    """delta_0 -> N(0,1): 801 x 6000 solve, barrier and the re-embedded batch."""
+    rb = _rb()
+    bm, nu, mu = rb.obstacle.brownian(), rb.measures.point_mass(0.0), rb.measures.normal(0.0, 1.0)
+    cfg = rb.obstacle.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=801, horizon=1.5, nt=6000)
+    sol = rb.obstacle.solve(rb.obstacle.assemble(bm, nu, mu, cfg))
+    bar = rb.barrier.extract_barrier(sol)
+    batch = rb.simulate.simulate_stopped(bm, nu, bar, n=20_000, dt=1e-3, seed=21)
+    return {"v": sol.v, "contact_step": sol.contact_step, "max_residual": sol.max_residual,
+            "R": bar.R, "reembed": _batch(batch)}
+
+
+def case_parabola() -> dict:
+    """Closed-form parabolic barrier: hedge functions, both checks, the 6e5-path round trip."""
+    rb = _rb()
+    opt, bm, nu = rb.optimality, rb.obstacle.brownian(), rb.measures.point_mass(0.0)
+    x = np.linspace(-2.5, 3.5, 601)
+    bar = rb.barrier.from_function(rb.parabola.barrier_fn, x, horizon=4.0)
+    hf = opt.build_hedge(bm, bar, opt.power_payoff(2.0, cap=6.0), x, nt=2400, base_point=0.0, t_max=6.0)
+    mart = opt.verify_martingale(hf, bm, nu, n=20_000, seed=41, ladder=[0.5, 1.0, 2.0, 4.0], dt=4e-3)
+    batch = rb.simulate.simulate_stopped(bm, nu, bar, n=600_000, dt=1e-2, seed=WORKLOAD_SEED)
+    law = rb.measures.empirical(batch.stopped_values, recenter_to=0.0)
+    cfg = rb.obstacle.SolverConfig(x_lo=-2.6, x_hi=3.6, nx=621, horizon=3.5, nt=1400)
+    sol = rb.obstacle.solve(rb.obstacle.assemble(bm, nu, law, cfg))
+    return {"hedge": _hedge(hf), "pathwise": opt.verify_pathwise(hf), "martingale": mart,
+            "round_trip": _batch(batch), "round_trip_R": rb.barrier.extract_barrier(sol).R,
+            "round_trip_residual": sol.max_residual}
+
+
+def case_flat() -> dict:
+    """Flat barrier (both edges Neumann rows) against the interval-exit competitor."""
+    rb = _rb()
+    opt, bm, mu = rb.optimality, rb.obstacle.brownian(), rb.measures.normal(0.0, 1.0)
+    xg = np.linspace(-6.5, 6.5, 1301)
+    payoff = opt.power_payoff(2.0, cap=4.0)
+    hf = opt.build_hedge(bm, rb.barrier.from_function(lambda s: np.ones_like(s), xg, 2.0),
+                         payoff, xg, nt=800, base_point=0.0)
+    root_bar = rb.barrier.Barrier(x=np.array([-10.0, 10.0]), R=np.array([1.0, 1.0]), horizon=2.0)
+    root = rb.simulate.simulate_stopped(bm, rb.measures.point_mass(0.0), root_bar, n=20_000,
+                                        dt=1 / 100, seed=31)
+    comp = rb.simulate.hall_competitor(mu, n=20_000, dt=4e-3, seed=32)
+    return {"hedge": _hedge(hf), "root": _batch(root), "competitor": _batch(comp),
+            "gap": opt.optimality_gap(hf, payoff, root, comp, mu)}
+
+
+def case_open_capped() -> dict:
+    """Open middle stretch with a capped payoff derivative."""
+    rb = _rb()
+    x = np.linspace(-2.0, 2.0, 201)
+    bar = rb.barrier.Barrier(x=x, R=np.where(np.abs(x) < 1.0 - 1e-9, np.inf, 0.0), horizon=1.0)
+    m = rb.optimality.compute_M(rb.obstacle.brownian(), bar, rb.optimality.variance_call(0.3), x, nt=300)
+    return {"M": m.values, "t": m.t}
+
+
+def case_price_dense() -> dict:
+    """301 dense quotes: three bounds, the attaining batch, three subhedges."""
+    rb = _rb()
+    pr, opt, sim = rb.pricing, rb.optimality, rb.simulate
+    market = pr.synthetic_lognormal_quotes(spot=1.0, vol=0.2, maturity=1.0, rate=0.0, n_strikes=301)
+    reps = {p.label: pr.lower_bound(market, p)
+            for p in (opt.variance_swap(), opt.variance_call(0.02), opt.variance_call(0.04))}
+    call = reps["variance call K=0.02"]
+    models = [
+        sim.PriceModel(kind="constant", s0=1.0, maturity=1.0, vol=0.2, rate=0.0),
+        sim.PriceModel(kind="constant", s0=1.0, maturity=1.0, vol=0.35, rate=0.02),
+        sim.PriceModel(kind="piecewise", s0=1.0, maturity=1.0,
+                       vol=(np.array([0.5]), np.array([0.15, 0.3])), rate=0.0),
+    ]
+    out = {label: _report(rep) for label, rep in reps.items()}
+    out["attaining"] = _batch(sim.simulate_price_model(call.attaining_model(), n=10_000, dt=1e-4, seed=9))
+    for k, model in enumerate(models):
+        out[f"subhedge{k}"] = pr.verify_subhedge(call, model, n=10_000, seed=WORKLOAD_SEED, dt=2e-3)
+    return out
+
+
+def case_two_atom() -> dict:
+    """Two quoted atoms: the benchmark's 201-node bound and the default 901-node one."""
+    rb = _rb()
+    pr, opt = rb.pricing, rb.optimality
+    market = pr.MarketData(spot=1.0, discount=1.0, maturity=1.0, strikes=np.array([0.7, 1.05, 1.4]),
+                           prices=np.array([0.3, 3.0 / 7.0 * 0.35, 0.0]))
+    payoff = opt.variance_call(0.05)
+    small = pr.lower_bound(market, payoff, pr.PricingConfig(nx=201, nt=400, nt_hedge=500))
+    model = small.attaining_model()
+    return {"nx201": _report(small),
+            "nx201_subhedge": pr.verify_subhedge(small, model, n=10_000, seed=9, dt=4e-4),
+            "nx201_attaining": _batch(rb.simulate.simulate_price_model(model, n=10_000, dt=4e-4, seed=9)),
+            "nx901": _report(pr.lower_bound(market, payoff))}
+
+
+CASES = {
+    "normal": case_normal,
+    "parabola": case_parabola,
+    "flat": case_flat,
+    "open-capped": case_open_capped,
+    "price-dense": case_price_dense,
+    "two-atom": case_two_atom,
+}
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    ap.add_argument("cases", nargs="*", metavar="CASE", help=", ".join(CASES))
+    args = ap.parse_args(argv[1:])
+    unknown = set(args.cases) - set(CASES)
+    if unknown:
+        ap.error(f"unknown case(s) {sorted(unknown)}; choose from {list(CASES)}")
+    sys.path.insert(0, args.src)
+    for case in args.cases or CASES:
+        print("\n".join(lines(case, CASES[case]())), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))
