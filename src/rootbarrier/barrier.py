@@ -75,17 +75,19 @@ class Barrier:
     Between nodes the barrier is evaluated piecewise-constant taking the
     minimum of the two neighbouring values, which errs toward earlier
     stopping by at most one cell and preserves lower semi-continuity.
-    Outside the grid R = 0 (immediate stopping).
+    Outside the grid R = 0 (immediate stopping).  The nodes x must be
+    finite and R nonnegative; R = +inf (never stop) is allowed, NaN is not.
     """
 
     x: np.ndarray
     R: np.ndarray
     horizon: float
-    origin_time_positive: bool = True
 
     def __post_init__(self):
-        if np.any(self.R < 0):
-            raise ValueError("barrier values must be nonnegative")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("barrier grid nodes must be finite")
+        if not np.all(self.R >= 0):
+            raise ValueError("barrier values must be nonnegative and not NaN")
         if np.any(np.diff(self.x) <= 0):
             raise ValueError("barrier grid must be strictly increasing")
         object.__setattr__(self, "_index", GridIndex(self.x))
@@ -139,15 +141,7 @@ def extract_barrier(
     pad = 1e-12 * max(1.0, abs(hi - lo))
     off = (x < lo - pad) | (x > hi + pad)
     R = np.where(off, 0.0, R)
-
-    start = sol.nu.mean
-    r_at_start = np.interp(start, x, np.where(np.isfinite(R), R, sol.t[-1] * 2))
-    return Barrier(
-        x=x,
-        R=R,
-        horizon=float(sol.t[-1]),
-        origin_time_positive=bool(r_at_start > 0),
-    )
+    return Barrier(x=x, R=R, horizon=float(sol.t[-1]))
 
 
 def from_function(fn, x: np.ndarray, horizon: float) -> Barrier:
@@ -155,8 +149,7 @@ def from_function(fn, x: np.ndarray, horizon: float) -> Barrier:
     x = np.asarray(x, dtype=float)
     R = np.asarray(fn(x), dtype=float)
     R = np.where(R < 0, 0.0, R)
-    return Barrier(x=x, R=R, horizon=float(horizon),
-                   origin_time_positive=bool(np.interp(0.0, x, R) > 0))
+    return Barrier(x=x, R=R, horizon=float(horizon))
 
 
 def save_barrier(b: Barrier, csv_path: str, meta_path: Optional[str] = None) -> None:
@@ -169,14 +162,16 @@ def save_barrier(b: Barrier, csv_path: str, meta_path: Optional[str] = None) -> 
         meta = {
             "grid": {"lo": float(b.x[0]), "hi": float(b.x[-1]), "n": len(b.x)},
             "horizon": b.horizon,
-            "origin_time_positive": b.origin_time_positive,
         }
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, indent=2)
 
 
 def load_barrier(csv_path: str, horizon: Optional[float] = None) -> Barrier:
-    data = np.genfromtxt(csv_path, delimiter=",", skip_header=1)
+    """Read an `x,R` CSV; a cell that is not a number is a ValueError."""
+    data = np.genfromtxt(csv_path, delimiter=",", skip_header=1, ndmin=2)
+    if data.shape[1] != 2 or len(data) == 0:
+        raise ValueError(f"{csv_path}: expected rows of x,R")
     x, R = data[:, 0], data[:, 1]
     if horizon is None:
         finite = R[np.isfinite(R)]

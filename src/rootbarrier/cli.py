@@ -63,12 +63,6 @@ def _apply_config(args, parser):
     return args
 
 
-def _load_measure_arg(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    return measures.load_measure(path)
-
-
 def _diffusion(name):
     if name in ("bm", "brownian"):
         return brownian()
@@ -86,8 +80,8 @@ def _solver_config(args):
 
 
 def cmd_solve_barrier(args) -> int:
-    nu = _load_measure_arg(args.nu)
-    mu = _load_measure_arg(args.mu)
+    nu = measures.load_measure(args.nu)
+    mu = measures.load_measure(args.mu)
     diff = _diffusion(args.sigma)
     sol = solve(assemble(diff, nu, mu, _solver_config(args)))
     bar = extract_barrier(sol)
@@ -102,14 +96,14 @@ def cmd_solve_barrier(args) -> int:
 
 
 def cmd_verify_embed(args) -> int:
-    nu = _load_measure_arg(args.nu)
-    mu = _load_measure_arg(args.mu)
+    nu = measures.load_measure(args.nu)
+    mu = measures.load_measure(args.mu)
     diff = _diffusion(args.sigma)
     bar = load_barrier(args.barrier)
     batch = sim.simulate_stopped(diff, nu, bar, n=args.n, dt=args.dt, seed=args.seed)
     ks = sim.ks_statistic(batch.stopped_values, mu.cdf)
     crit = sim.ks_critical_value(args.n, 0.01)
-    grid = np.linspace(bar.x[0], bar.x[-1], 201)
+    grid = np.unique(np.linspace(bar.x[0], bar.x[-1], 201))   # one point for a one-node barrier
     emp = sim.empirical_potential(batch, grid)
     target = measures.potential(mu, grid)
     gap = float(np.max(np.abs(emp.values - target.values)))

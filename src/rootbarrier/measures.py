@@ -31,6 +31,11 @@ from scipy.stats import norm
 
 MASS_TOL = 1e-12
 EMBED_TOL = 1e-10
+# slack of the no-arbitrage shape tests on a quoted call curve
+CONVEXITY_TOL = 1e-9
+# largest atom at zero a call curve may imply; it is folded into the
+# lowest strike
+ZERO_ATOM_TOL = 1e-6
 
 __all__ = [
     "Measure",
@@ -53,7 +58,7 @@ __all__ = [
 
 
 class MeasureError(ValueError):
-    """Invalid measure: mass, integrability or support violations."""
+    """Invalid measure (mass, integrability or support) or market data file."""
 
 
 class ArbitrageError(ValueError):
@@ -133,16 +138,6 @@ class Measure:
             return float(self.params["mean"])
         a, b2 = self.params["log_mean"], self.params["log_variance"]
         return float(math.exp(a + b2 / 2.0))
-
-    @property
-    def variance(self) -> float:
-        if self.kind == "atoms":
-            m = self.mean
-            return float(np.dot(self.weights, (self.locations - m) ** 2))
-        if self.kind == "normal":
-            return float(self.params["variance"])
-        a, b2 = self.params["log_mean"], self.params["log_variance"]
-        return float((math.exp(b2) - 1.0) * math.exp(2 * a + b2))
 
     def mean_abs_dev(self, x: np.ndarray) -> np.ndarray:
         """E|Y - x| for each grid point x (vectorized)."""
@@ -366,28 +361,21 @@ def check_embeddable(nu: Measure, mu: Measure) -> EmbeddingReport:
     )
 
 
-def _measure_range(m: Measure, mass_eps: float = 1e-9) -> tuple[float, float]:
-    """Interval carrying all but mass_eps of the measure."""
+def _measure_range(m: Measure) -> tuple[float, float]:
+    """Interval carrying all but 1e-9 of the measure."""
     if m.kind == "atoms":
         return m.support
+    z = -norm.ppf(0.5e-9)
     if m.kind == "normal":
-        mm = m.params["mean"]
-        s = math.sqrt(m.params["variance"])
-        z = -norm.ppf(mass_eps / 2.0) if s > 0 else 0.0
+        mm, s = m.params["mean"], math.sqrt(m.params["variance"])
         return mm - z * s, mm + z * s
-    a = m.params["log_mean"]
-    b = math.sqrt(m.params["log_variance"])
-    z = -norm.ppf(mass_eps / 2.0) if b > 0 else 0.0
+    a, b = m.params["log_mean"], math.sqrt(m.params["log_variance"])
     return math.exp(a - z * b), math.exp(a + z * b)
 
 
 # -- implied law from call quotes -------------------------------------------
 
-def implied_measure_from_calls(
-    quotes: CallQuotes,
-    convexity_tol: float = 1e-9,
-    zero_atom_tol: float = 1e-6,
-) -> Measure:
+def implied_measure_from_calls(quotes: CallQuotes) -> Measure:
     """Implied law of the discounted terminal price from a call curve.
 
     The quoted curve is completed with C(0) = spot on the left and a linear
@@ -396,34 +384,40 @@ def implied_measure_from_calls(
     piecewise-linear curve corresponds to a purely atomic law with atoms at
     the quoted strikes (divided by B_T) and masses given by the slope jumps.
     The resulting measure integrates to 1 and has mean equal to the spot.
+    A quote whose strike or price is not finite raises ArbitrageError.
     """
     k = np.asarray(quotes.strikes, dtype=float)
     c = np.asarray(quotes.prices, dtype=float)
     bt = float(quotes.discount)
     s0 = float(quotes.spot)
-    if bt <= 0 or s0 <= 0:
-        raise ArbitrageError("spot and discount factor must be positive")
+    bad = np.flatnonzero(~(np.isfinite(k) & np.isfinite(c)))
+    if len(bad):
+        i = int(bad[0])
+        raise ArbitrageError(f"quote {i + 1} of {len(k)} (strike {k[i]:g}, "
+                             f"price {c[i]:g}) is not finite")
+    if not (0 < bt < np.inf and 0 < s0 < np.inf):
+        raise ArbitrageError("spot and discount factor must be positive and finite")
     if np.any(np.diff(k) <= 0) or np.any(k <= 0):
         raise ArbitrageError("strikes must be positive and strictly increasing")
-    if np.any(c < -convexity_tol * s0):
+    if np.any(c < -CONVEXITY_TOL * s0):
         raise ArbitrageError("arbitrageable call curve: negative price")
 
     kk = np.concatenate(([0.0], k))
     cc = np.concatenate(([s0], c))
     slopes = np.diff(cc) / np.diff(kk)
     scale = max(1.0, s0)
-    if np.any(np.diff(slopes) < -convexity_tol * scale):
+    if np.any(np.diff(slopes) < -CONVEXITY_TOL * scale):
         raise ArbitrageError("arbitrageable call curve: not convex")
-    if np.any(slopes > convexity_tol):
+    if np.any(slopes > CONVEXITY_TOL):
         raise ArbitrageError("arbitrageable call curve: not decreasing")
-    if slopes[0] < -1.0 / bt - convexity_tol:
+    if slopes[0] < -1.0 / bt - CONVEXITY_TOL:
         raise ArbitrageError("arbitrageable call curve: slope below -1/B_T at zero")
 
     # close the curve: extend at the last slope until it crosses zero, so
     # the final kink sits at the crossing (no kink at the last quote)
-    if c[-1] > convexity_tol * scale:
+    if c[-1] > CONVEXITY_TOL * scale:
         s_last = slopes[-1]
-        if s_last >= -convexity_tol:
+        if s_last >= -CONVEXITY_TOL:
             raise ArbitrageError("call curve does not decay to zero")
         k_star = k[-1] - c[-1] / s_last
         kk = np.concatenate((kk, [k_star]))
@@ -437,7 +431,7 @@ def implied_measure_from_calls(
     locations = kk[1:] / bt
 
     atom_at_zero = 1.0 + bt * slopes[0]
-    if atom_at_zero > zero_atom_tol:
+    if atom_at_zero > ZERO_ATOM_TOL:
         raise ArbitrageError(
             f"call curve implies an atom of mass {atom_at_zero:.3e} at zero "
             "(right slope at K=0 exceeds -1/B_T)"
@@ -515,17 +509,24 @@ def load_quotes(csv_path: str, sidecar_path: str) -> CallQuotes:
     strikes, prices = [], []
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "strike" not in reader.fieldnames:
+        if reader.fieldnames is None or not {"strike", "price"} <= set(reader.fieldnames):
             raise ValueError(f"{csv_path}: expected header 'strike,price'")
         for row in reader:
-            strikes.append(float(row["strike"]))
-            prices.append(float(row["price"]))
+            try:
+                strikes.append(float(row["strike"]))
+                prices.append(float(row["price"]))
+            except (TypeError, ValueError):
+                raise ValueError(f"{csv_path}, line {reader.line_num}: expected numbers "
+                                 f"strike,price") from None
     with open(sidecar_path) as fh:
         meta = json.load(fh)
-    return CallQuotes(
-        strikes=np.asarray(strikes),
-        prices=np.asarray(prices),
-        spot=float(meta["spot"]),
-        discount=float(meta["discount_factor"]),
-        maturity=float(meta["maturity"]),
-    )
+    keys = ("spot", "discount_factor", "maturity")
+    try:
+        spot, discount, maturity = (float(meta[key]) for key in keys)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MeasureError(f"{sidecar_path}: market data needs numeric {keys} ({exc!r})") from None
+    if not all(map(math.isfinite, (spot, discount, maturity))):
+        raise MeasureError(f"{sidecar_path}: market data must be finite, got "
+                           f"spot {spot}, discount_factor {discount}, maturity {maturity}")
+    return CallQuotes(strikes=np.asarray(strikes), prices=np.asarray(prices),
+                      spot=spot, discount=discount, maturity=maturity)

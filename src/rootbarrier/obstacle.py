@@ -58,6 +58,8 @@ __all__ = [
 # contact tolerance in units of lcp_tol: a node is in contact once
 # v - psi <= CONTACT_REL * lcp_tol * max(1, |psi|)
 CONTACT_REL = 10.0
+# largest mass of either law that the truncated domain may leave outside
+TAIL_MASS_TOL = 1e-7
 
 
 class SolverError(RuntimeError):
@@ -121,7 +123,6 @@ class SolverConfig:
     lam: float = 1.0
     scheme: str = "implicit-projected"   # or "crank-nicolson-projected"
     lcp_tol: float = 1e-8
-    tail_mass_tol: float = 1e-7
 
     def __post_init__(self):
         if self.nx < 3 or self.nt < 1:
@@ -151,11 +152,6 @@ class DiscreteProblem:
     diff: DiffusionSpec
     nu: Measure
     mu: Measure
-
-    @property
-    def price_x(self) -> np.ndarray:
-        """Grid in state (price) coordinates."""
-        return np.exp(self.x) if self.diff.geometric else self.x
 
 
 @dataclass(frozen=True)
@@ -243,7 +239,7 @@ def assemble(diff: DiffusionSpec, nu: Measure, mu: Measure, cfg: SolverConfig) -
     """Build the discrete obstacle problem for the pair (nu, mu).
 
     Refuses to assemble when the ordered-potential condition fails or when
-    the domain truncates more than tail_mass_tol of either law.  In the
+    the domain truncates more than TAIL_MASS_TOL of either law.  In the
     geometric case the state variable is log price, both supports must lie
     in (0, inf), and lambda must exceed 1/2.
     """
@@ -268,7 +264,7 @@ def assemble(diff: DiffusionSpec, nu: Measure, mu: Measure, cfg: SolverConfig) -
     for m, name in ((nu, "nu"), (mu, "mu")):
         below = m.cdf(np.array([np.nextafter(cfg.x_lo, -np.inf)]))[0]
         tail = 1.0 - float(m.cdf(np.array([cfg.x_hi]))[0] - below)
-        if tail > cfg.tail_mass_tol:
+        if tail > TAIL_MASS_TOL:
             raise SolverError(
                 f"domain [{cfg.x_lo}, {cfg.x_hi}] truncates mass {tail:.3e} of {name}; "
                 "enlarge the domain"
@@ -462,7 +458,6 @@ def optimal_stopping_oracle(
     nu: Measure,
     mu: Measure,
     cfg: SolverConfig,
-    cfl: float = 0.8,
 ) -> GridFunction:
     """Value surface from backward dynamic programming on a trinomial tree.
 
@@ -489,7 +484,8 @@ def optimal_stopping_oracle(
     else:
         sig2 = diff.sigma(grid) ** 2
         drift = 0.0
-    dt_stab = cfl * h * h / float(np.max(sig2))
+    # steps of 0.8 times the explicit stability limit, or finer to reach nt
+    dt_stab = 0.8 * h * h / float(np.max(sig2))
     n_steps = max(int(math.ceil(cfg.horizon / dt_stab)), cfg.nt)
     dt = cfg.horizon / n_steps
 

@@ -71,7 +71,13 @@ class PayoffSpec:
     cap_time: float
     label: str = ""
 
-    def validate(self, t_max: float, tol: float = 1e-8) -> None:
+    def validate(self, t_max: float) -> None:
+        """Check F(0) = 0, f non-decreasing in [0, f_bound], and F = int f.
+
+        The first three hold to 1e-8; the integral to 1e-4 of max |F| plus
+        the half cell that derivative jumps cost the trapezoid rule.
+        """
+        tol = 1e-8
         ts = np.linspace(0.0, max(t_max, self.cap_time if np.isfinite(self.cap_time) else t_max), 2001)
         fv = self.f(ts)
         if abs(float(self.F(np.array([0.0]))[0])) > tol:
@@ -397,8 +403,9 @@ def build_hedge(
 
 # -- verification ---------------------------------------------------------------
 
-def verify_pathwise(hf: HedgeFunctions, tol: float = 1e-6) -> dict:
-    """Grid check of G + H - F <= 0 and of equality on the contact set."""
+def verify_pathwise(hf: HedgeFunctions) -> dict:
+    """Grid check of G + H - F <= 0 and of equality on the contact set, to 1e-6."""
+    tol = 1e-6
     gap = hf.G + hf.H[None, :] - hf.F_grid[:, None]
     max_violation = float(np.max(gap))
     contact = hf.t[:, None] >= hf.barrier.value_at(hf.x)[None, :]
@@ -486,17 +493,16 @@ def optimality_gap(
     root_batch: sim.PathBatch,
     competitor_batch: sim.PathBatch,
     mu: Measure,
-    ks_level: float = 0.01,
 ) -> dict:
     """Compare E F(tau) for the barrier time against a competitor embedding.
 
     The competitor batch must itself embed the target law (verified by a
-    KS test at ks_level, otherwise the comparison is refused); the report
+    KS test at the 1% level, otherwise the comparison is refused); the report
     carries both payoff means, the hedging decomposition E[G + H] of the
     competitor, and the inequality margin in combined standard errors.
     """
     ks = sim.ks_statistic(competitor_batch.stopped_values, mu.cdf)
-    crit = sim.ks_critical_value(competitor_batch.n, ks_level)
+    crit = sim.ks_critical_value(competitor_batch.n, 0.01)
     if ks > crit:
         raise ValueError(
             f"competitor batch does not embed the target law: KS {ks:.4f} > {crit:.4f}"

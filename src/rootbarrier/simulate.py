@@ -2,9 +2,10 @@
 
 Every batch is advanced by one stepping loop, `_walk`; the batches differ
 only in the pieces they hand it: a state update, a stopping rule and
-per-step observers.  Paths are advanced in a single streaming pass
-(states are only retained on request), which keeps memory linear in the
-number of paths for million-path runs.
+per-step observers.  Paths are advanced in a single streaming pass that
+keeps no per-step states, so memory stays linear in the number of paths
+for million-path runs; X_{t ^ tau} at a time t is the batch stopped at
+the horizon t.
 
 Step k draws from the counter-based generator step_rng(seed, k), one
 normal per running path in path order, so a draw belongs to a path's
@@ -66,8 +67,6 @@ class PathBatch:
     stopped_values: np.ndarray
     horizon_mass: float = 0.0
     realized_variance: Optional[np.ndarray] = None
-    times: Optional[np.ndarray] = None
-    states: Optional[np.ndarray] = None      # (n_steps+1, n) if retained
     diagnostics: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
@@ -107,19 +106,6 @@ class PriceModel:
 
     def rate_at(self, t: np.ndarray) -> np.ndarray:
         return _piecewise_at(self.rate, t)
-
-    def discount(self, t: float) -> float:
-        """B_t = exp(int_0^t r)."""
-        if not isinstance(self.rate, tuple):
-            return math.exp(float(self.rate) * t)
-        bp, vals = self.rate
-        grid = np.concatenate(([0.0], np.asarray(bp, dtype=float), [t]))
-        grid = np.clip(grid, 0.0, t)
-        acc = 0.0
-        for a, b in zip(grid[:-1], grid[1:]):
-            if b > a:
-                acc += float(self.rate_at(np.array([a]))[0]) * (b - a)
-        return math.exp(acc)
 
 
 def _piecewise_at(spec: Union[float, tuple], t: np.ndarray) -> np.ndarray:
@@ -309,18 +295,6 @@ class _RealizedVariance:
         self.values[s.ids] += s.dlog ** 2
 
 
-class _StoredStates:
-    """Observer: every path's state at every step, held at its stop value."""
-
-    def start(self, x0, n_steps, dt):
-        self.states = np.empty((n_steps + 1, len(x0)))
-        self.states[0] = x0
-
-    def __call__(self, s: _Step) -> None:
-        self.states[s.k] = self.states[s.k - 1]
-        self.states[s.k, s.ids] = s.x_new
-
-
 # -- stopped diffusion ---------------------------------------------------------
 
 def simulate_stopped(
@@ -331,7 +305,6 @@ def simulate_stopped(
     dt: float,
     seed: int,
     horizon: Optional[float] = None,
-    store_paths: bool = False,
 ) -> PathBatch:
     """Euler-Maruyama paths of dX = sigma(X) dW stopped at the barrier.
 
@@ -346,18 +319,12 @@ def simulate_stopped(
     # a horizon off the step grid gets one more step
     steps = lambda dt: int(round(horizon / dt)) if _divides(dt, horizon) else int(math.ceil(horizon / dt))
 
-    stored = _StoredStates()
     w = _walk(n, dt, seed, steps, lambda g: nu.sample(n, g), _diffusion_move(diff),
-              _TimeBarrier(barrier), [stored] if store_paths else [])
-    if store_paths:
-        # the walk ended early with every path stopped: later rows repeat the last
-        stored.states[w.steps + 1:] = stored.states[w.steps]
+              _TimeBarrier(barrier))
     return PathBatch(
         n=n, dt=dt, horizon=float(w.n_steps * dt), seed=seed,
         stop_times=w.stop_times, stopped_values=w.stopped_values,
         horizon_mass=w.horizon_mass,
-        times=dt * np.arange(w.n_steps + 1) if store_paths else None,
-        states=stored.states if store_paths else None,
         diagnostics={"horizon-warning": bool(w.horizon_mass > 0.01)},
     )
 
@@ -473,7 +440,10 @@ def hall_competitor(mu: Measure, n: int, dt: float, seed: int) -> PathBatch:
     uniformly integrable with E tau = Var(mu); it differs from the barrier
     embedding and so serves as a competitor in optimality comparisons.
     Interval crossings between samples use a Brownian-bridge correction.
+    The target must be normal or atomic (ValueError otherwise).
     """
+    if mu.kind not in ("normal", "atoms"):
+        raise ValueError(f"the interval-exit competitor needs a normal or atomic target, got {mu.kind!r}")
     w = _walk(n, dt, seed, lambda dt: int(5e7 // n) + 200000, lambda g: np.full(n, mu.mean),
               _additive(lambda x: 1.0), _IntervalExit(mu))
     return PathBatch(
@@ -498,18 +468,8 @@ def _hall_intervals(mu: Measure, n: int, rng: np.random.Generator) -> tuple[np.n
         neg = np.where(pick_minus, plain, biased)
         pos = np.where(pick_minus, biased, plain)
         return m - neg, m + pos
-    # generic route: atomize and sample the discrete mixture exactly
-    if mu.kind == "atoms":
-        locs, w = mu.locations - m, mu.weights
-    else:
-        lo0, hi0 = measures._measure_range(mu, mass_eps=1e-10)
-        grid = np.linspace(lo0, hi0, 4001)
-        cdf = mu.cdf(grid)
-        w = np.diff(np.concatenate(([0.0], cdf)))
-        w = np.append(w, max(0.0, 1.0 - w.sum()))
-        locs = np.append(grid, grid[-1]) - m
-        keep = w > 0
-        locs, w = locs[keep], w[keep]
+    # atomic target: sample the discrete mixture exactly
+    locs, w = mu.locations - m, mu.weights
     negm = locs < 0
     posm = locs > 0
     p_minus = w[negm].sum()

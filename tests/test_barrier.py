@@ -12,7 +12,6 @@ def test_gaussian_barrier_constant(gaussian_solution):
     central = np.abs(b.x) <= 1.96
     h = np.max(np.diff(gaussian_solution.x))
     assert np.max(np.abs(b.R[central] - 1.0)) <= 2 * h
-    assert b.origin_time_positive
 
 
 def test_two_atom_barrier_structure():

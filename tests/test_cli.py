@@ -178,6 +178,66 @@ def test_price_bound_arbitrageable_quotes(tmp_path, capsys):
     assert "arbitrageable" in capsys.readouterr().err
 
 
+GOOD_QUOTES = "strike,price\n0.5,0.5\n1.0,0.25\n1.5,0.0\n"
+GOOD_SIDECAR = {"spot": 1.0, "discount_factor": 1.0, "maturity": 1.0}
+
+
+@pytest.mark.parametrize("quotes, sidecar, code, message", [
+    (GOOD_QUOTES, {"spot": 1.0, "maturity": 1.0}, 3, "discount_factor"),
+    (GOOD_QUOTES, {**GOOD_SIDECAR, "spot": "one"}, 3, "spot"),
+    (GOOD_QUOTES, {**GOOD_SIDECAR, "maturity": None}, 3, "maturity"),
+    (GOOD_QUOTES, {**GOOD_SIDECAR, "discount_factor": float("nan")}, 3, "finite"),
+    ("strike,price\n0.5,0.5\n1.0,nan\n1.5,0.0\n", GOOD_SIDECAR, 3, "quote 2 of 3 (strike 1, price nan)"),
+    ("strike,price\n0.5,0.5\ninf,0.25\n1.5,0.0\n", GOOD_SIDECAR, 3, "quote 2 of 3 (strike inf, price 0.25)"),
+    ("strike,price\n0.5\n1.0,0.25\n1.5,0.0\n", GOOD_SIDECAR, 2, "line 2: expected numbers"),
+    ("strike,cost\n0.5,0.5\n1.0,0.25\n1.5,0.0\n", GOOD_SIDECAR, 2, "expected header"),
+], ids=["sidecar-missing-key", "sidecar-non-numeric", "sidecar-null", "sidecar-nan",
+        "nan-price", "inf-strike", "row-without-price", "no-price-column"])
+def test_malformed_quote_files_exit_code(tmp_path, capsys, quotes, sidecar, code, message):
+    q = tmp_path / "q.csv"
+    q.write_text(quotes)
+    side = tmp_path / "m.json"
+    side.write_text(json.dumps(sidecar))
+    rc = run(["--out-dir", str(tmp_path / "out"), "price-bound",
+              "--quotes", str(q), "--market", str(side), "--nx", "101", "--nt", "50"])
+    assert rc == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,R\n-1,1\n0,abc\n2,1\n", "barrier values must be nonnegative and not NaN"),
+    ("x,R\n-1,1\nabc,1\n2,1\n", "barrier grid nodes must be finite"),
+    ("x,R\n-1,1\ninf,1\n2,1\n", "barrier grid nodes must be finite"),
+    ("x,R\n0\n1\n", "expected rows of x,R"),
+], ids=["nan-R", "nan-x", "inf-x", "one-column"])
+def test_malformed_barrier_file_exit_code(tmp_path, measure_files, capsys, text, message):
+    # a cell that is not a number must not load as a NaN barrier that stops
+    # every path at once
+    nu, mu = measure_files
+    bar = tmp_path / "barrier.csv"
+    bar.write_text(text)
+    rc = run(["--out-dir", str(tmp_path / "out"), "verify-embed",
+              "--nu", nu, "--mu", mu, "--barrier", str(bar), "--n", "100"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_one_node_barrier_file(tmp_path):
+    # delta_0 embeds into itself by stopping at once: R(0) = 0 on one node
+    nu = tmp_path / "delta0.json"
+    ms.save_measure(ms.point_mass(0.0), str(nu))
+    bar = tmp_path / "barrier.csv"
+    bar.write_text("x,R\n0,0\n")
+    out = tmp_path / "out"
+    rc = run(["--out-dir", str(out), "--quiet", "verify-embed",
+              "--nu", str(nu), "--mu", str(nu), "--barrier", str(bar), "--n", "100"])
+    assert rc == 0
+    report = json.loads((out / "embed_report.json").read_text())
+    assert report["mean-tau"] == 0.0
+    assert report["ks-statistics"]["stopped-vs-target"] == 0.0
+    assert report["potential-sup-gap"] == 0.0
+
+
 def test_hedge_report_artifacts(tmp_path):
     out = tmp_path / "out"
     rc = run(["--out-dir", str(out), "--quiet", "hedge-report",

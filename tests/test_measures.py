@@ -297,3 +297,31 @@ def test_quote_csv_round_trip(tmp_path):
     q = ms.load_quotes(str(csv), str(side))
     assert np.allclose(q.strikes, [0.8, 1.2])
     assert q.discount == pytest.approx(0.99)
+
+
+def test_implied_measure_closes_a_curve_still_positive_at_its_last_quote():
+    # law 0.25 / 0.5 / 0.25 at 0.5 / 1.0 / 1.5, quoted up to 1.25 only: the
+    # curve is continued at its last slope to zero, and the kink there is the
+    # top atom
+    bt = 0.95
+    strikes = bt * np.array([0.5, 1.0, 1.25])
+    law = ms.atoms([0.5, 1.0, 1.5], [0.25, 0.5, 0.25])
+    prices = ms.call_prices(law, strikes, bt)
+    q = ms.CallQuotes(strikes=strikes, prices=prices, spot=1.0, discount=bt, maturity=1.0)
+    mu = ms.implied_measure_from_calls(q)
+    s_last = (prices[-1] - prices[-2]) / (strikes[-1] - strikes[-2])
+    k_star = strikes[-1] - prices[-1] / s_last
+    assert prices[-1] > 0.06
+    assert mu.locations[-1] == pytest.approx(k_star / bt, rel=1e-12)
+    assert mu.weights[-1] == pytest.approx(-bt * s_last, rel=1e-12)
+    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert mu.mean == pytest.approx(q.spot, abs=1e-12)
+    assert np.allclose(mu.locations, law.locations) and np.allclose(mu.weights, law.weights)
+
+
+def test_implied_measure_rejects_a_curve_flat_at_a_positive_last_quote():
+    ks = np.array([0.5, 1.0, 1.5])
+    q = ms.CallQuotes(strikes=ks, prices=np.array([0.5, 0.25, 0.25]),
+                      spot=1.0, discount=1.0, maturity=1.0)
+    with pytest.raises(ms.ArbitrageError, match="does not decay"):
+        ms.implied_measure_from_calls(q)

@@ -98,7 +98,7 @@ def test_M_matches_monte_carlo_probes(parabola_hedge):
 
 def test_pathwise_inequality(parabola_hedge):
     hf, _, _ = parabola_hedge
-    rep = opt.verify_pathwise(hf, tol=1e-6)
+    rep = opt.verify_pathwise(hf)
     assert rep["passed"]
     assert rep["max_violation"] <= 1e-6
     assert rep["max_contact_gap"] <= 1e-6

@@ -62,3 +62,47 @@ def test_bit_digest_hashes_exact_bits(capsys, monkeypatch):
     assert tool.digest(m) != out["open-capped.M"]
     # a report spreads over one line per key
     assert [ln.split("  ")[1] for ln in tool.lines("c", {"r": {"a": 1.0, "b": [1, 2]}})] == ["c.r.a", "c.r.b"]
+
+
+BRANCHY = '''def sign(x):
+    """Docstring: no bytecode of its own."""
+    if x >= 0:
+        return 1
+    # the branch below is never taken
+    return -1
+'''
+
+
+def test_line_coverage_reports_the_branch_not_taken(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))   # main() puts its --src first
+    tool = _load_tool("line_coverage")
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "lc_branchy.py").write_text(BRANCHY)
+    assert tool.executable_lines(src / "lc_branchy.py") == {1, 3, 4, 6}
+
+    def load_and_call():
+        spec = importlib.util.spec_from_file_location("lc_branchy", src / "lc_branchy.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod.sign(2)
+
+    before = sys.gettrace()
+    result, hits = tool.run_traced(src, load_and_call)
+    assert sys.gettrace() is before
+    assert result == 1
+    assert hits == {str((src / "lc_branchy.py").resolve()): {1, 3, 4}}
+    assert tool.ranges({3, 4, 5, 9, 11, 12}) == "3-5,9,11-12"
+
+    # end to end: a pytest run in the same process, traced
+    test = tmp_path / "tests" / "test_branchy.py"
+    test.parent.mkdir()
+    test.write_text("from lc_branchy import sign\n\n\ndef test_positive():\n    assert sign(2) == 1\n")
+    try:
+        assert tool.main(["line_coverage.py", "--src", str(src), "--", "-q", "-p", "no:cacheprovider",
+                          str(test)]) == 0
+    finally:
+        sys.modules.pop("lc_branchy", None)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].split() == ["1/4", "lc_branchy.py", "6"]
+    assert out[-1].split() == ["1/4", "total"]
