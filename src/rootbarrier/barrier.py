@@ -77,6 +77,11 @@ class Barrier:
     stopping by at most one cell and preserves lower semi-continuity.
     Outside the grid R = 0 (immediate stopping).  The nodes x must be
     finite and R nonnegative; R = +inf (never stop) is allowed, NaN is not.
+
+    value_at looks R up per state.  A path loop instead asks, once per
+    step, for the free section {x : R(x) > t} as sorted interval edges
+    (free_edges) and decides stop or continue for every path against those
+    edges (stops), which makes no grid lookup per path.
     """
 
     x: np.ndarray
@@ -93,30 +98,56 @@ class Barrier:
         object.__setattr__(self, "_index", GridIndex(self.x))
         # cell-wise minima padded with the off-grid value 0 and indexed by
         # the number of nodes at or below a state, so a lookup is one
-        # GridIndex call plus one gather (the hot path of every simulation)
+        # GridIndex call plus one gather; cell j covers [x_{j-1}, x_j)
         cells = np.minimum(self.R[:-1], self.R[1:])
         object.__setattr__(self, "_cell_floor", np.concatenate(([0.0], cells, [0.0])))
         ceil = np.maximum(self.R[:-1], self.R[1:])
         object.__setattr__(self, "_cell_ceil", np.concatenate(([0.0], ceil, [0.0])))
 
-    def value_at(self, states: np.ndarray, exact_nodes: bool = True,
-                 conservative: bool = True) -> np.ndarray:
+    def value_at(self, states: np.ndarray, conservative: bool = True) -> np.ndarray:
         """R at arbitrary states: exact on nodes, min of neighbours between.
 
-        exact_nodes=False skips the on-node correction (a.s. irrelevant for
-        simulated states) and saves two gathers per call.  conservative=False
-        takes the max of the bracketing nodes instead of the min, for
-        callers that resolve narrow features (spikes of atomic targets) by
-        an explicit crossing test rather than the cell floor.
+        conservative=False takes the max of the bracketing nodes instead of
+        the min, for callers that resolve narrow features (spikes of atomic
+        targets) by an explicit crossing test rather than the cell floor.
         """
         s = np.asarray(states, dtype=float)
         idx = self._index(s)
         out = (self._cell_floor if conservative else self._cell_ceil)[idx]
-        if exact_nodes:
-            # left = -1 reads the index's NaN sentinel, which no state equals
-            left = idx - 1
-            out = np.where(s == self._index.x[left], self.R[left], out)
-        return out
+        # left = -1 reads the index's NaN sentinel, which no state equals
+        left = idx - 1
+        return np.where(s == self._index.x[left], self.R[left], out)
+
+    def free_edges(self, t: float, conservative: bool = True) -> np.ndarray:
+        """Sorted edges of the free section {x : R(x) > t} at a time t > 0.
+
+        R is read cell-wise as in value_at between nodes (the cell floor, or
+        the ceil with conservative=False); cells off the grid hold 0, so the
+        section is a union of intervals [e_0, e_1), [e_2, e_3), ... bounded
+        by nodes, and there is an even number of edges.  It shrinks as t
+        grows: it is the continuation region of the time-t slice.
+        """
+        free = (self._cell_floor if conservative else self._cell_ceil) > t
+        return self.x[np.flatnonzero(free[1:] != free[:-1])]
+
+    def stops(self, states: np.ndarray, t: float, conservative: bool = True) -> np.ndarray:
+        """t >= R(X) at a time t > 0 for every state, off the free section's edges.
+
+        The same decision as t >= value_at(states) between nodes; a state on
+        a node reads the cell to its right, and a NaN state stops.  One
+        interval is two comparisons per state and more take a binary search
+        over the edges, so no grid lookup is made per state.
+        """
+        edges = self.free_edges(t, conservative)
+        s = np.asarray(states, dtype=float)
+        if len(edges) == 2:
+            inside = s >= edges[0]
+            inside &= s < edges[1]
+            return ~inside
+        if len(edges) == 0:
+            return np.ones(s.shape, dtype=bool)
+        # free iff an odd number of edges lie at or below the state
+        return (np.searchsorted(edges, s, side="right") & 1) == 0
 
 
 def extract_barrier(

@@ -419,7 +419,11 @@ def verify_pathwise(hf: HedgeFunctions) -> dict:
 
 
 class _LadderSnapshots:
-    """Path observer: free states, stopped states and stopped clocks at the ladder times."""
+    """Path observer: free states, stopped states and stopped clocks at the ladder times.
+
+    Paths stop at the first step with t_k >= R(X), decided against the
+    step's free section (Barrier.stops) as in simulate._TimeBarrier.
+    """
 
     def __init__(self, barrier: Barrier, ladder: list):
         self.barrier, self.ladder, self.snaps = barrier, ladder, {}
@@ -431,7 +435,7 @@ class _LadderSnapshots:
 
     def __call__(self, s) -> None:
         x, t_k = s.x_new, s.k * s.dt
-        hit = ~(self.tau <= t_k) & (t_k >= self.barrier.value_at(x))
+        hit = ~(self.tau <= t_k) & self.barrier.stops(x, t_k)
         self.tau[hit] = t_k
         self.val[hit] = x[hit]
         if s.k in self.targets:

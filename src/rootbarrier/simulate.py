@@ -18,7 +18,11 @@ can be split are ROADMAP.md item 4.
 Stopping against a barrier is a check in time, t >= R(X_t), performed at
 every sample; no bridge correction is applied for crossings between
 samples (the crossing is in the time axis, not a spatial level), so the
-stopping time resolution is one time step.  Interval exits for the
+stopping time resolution is one time step.  At the sample time t_k the
+check asks only whether X lies in the barrier's free section
+{x : R(x) > t_k}, which is taken once per step as sorted interval edges
+(Barrier.free_edges); every running path is then tested against those
+edges, with no barrier lookup per path.  Interval exits for the
 competitor embedding, by contrast, are spatial crossings and do use a
 Brownian-bridge correction.
 """
@@ -221,10 +225,14 @@ def _diffusion_move(diff: DiffusionSpec):
 class _TimeBarrier:
     """Stop at the first sample with t >= R(X_t).
 
-    With spikes (locations, arming times), also stop where the bridge
-    test sees an armed spike touched between samples, at the spike; the
-    barrier is then read at the larger of the bracketing nodes, leaving
-    narrow features to the spike test.
+    At each step t_k = k dt the barrier's free section {x : R(x) > t_k} is
+    taken once as sorted interval edges, and every running path is tested
+    against those edges (Barrier.stops), not looked up on the grid.  With
+    spikes (locations, arming times), also stop where the bridge test sees
+    an armed spike touched between samples, at the spike; the barrier is
+    then read at the larger of the bracketing nodes, leaving narrow
+    features to the spike test.  The log states of the running paths are
+    carried from step to step for that test.
     """
 
     lag = 0
@@ -234,17 +242,28 @@ class _TimeBarrier:
 
     def start(self, x0, g0):
         # starts already inside the barrier stop at once (closed, regular set)
-        return self.barrier.value_at(x0, conservative=self.spikes is None) > 0.0
+        live = self.barrier.value_at(x0, conservative=self.spikes is None) > 0.0
+        if self.spikes is not None:
+            at, arm = self.spikes
+            # one sentinel left and two right, never armed, so that the
+            # candidates j_r - 1, j_r and j_r + 1 index the padded arrays
+            self.l_spike = np.pad(np.log(at), (1, 2), mode="edge")
+            self.arm = np.pad(np.asarray(arm, dtype=float), (1, 2), constant_values=np.inf)
+            self.l_x = np.log(x0[live])
+        return live
 
     def __call__(self, s: _Step) -> np.ndarray:
         t = s.k * s.dt
-        hit = t >= self.barrier.value_at(s.x_new, exact_nodes=False, conservative=self.spikes is None)
+        hit = self.barrier.stops(s.x_new, t, conservative=self.spikes is None)
         if self.spikes is not None:
-            at, arm = self.spikes
-            sp_hit, which = spike_crossings(s.x_old, s.x_new, t, s.dt, at, arm, s.g.random(len(s.ids)))
+            at = self.spikes[0]
+            l_new = np.log(s.x_new)
+            sp_hit, which = spike_crossings(s.x_old, self.l_x, l_new, t, s.dt, at,
+                                            self.l_spike, self.arm, s.g.random(len(s.ids)))
             # the spike is touched en route, before the endpoint region
             s.x_new[sp_hit] = at[which[sp_hit]]
             hit |= sp_hit
+            self.l_x = l_new[~hit]
         return hit
 
 
@@ -393,27 +412,27 @@ def _price_batch(model: PriceModel, n: int, dt: float, seed: int,
     )
 
 
-def spike_crossings(x_old, x_new, t_k, dt, spike_x, spike_t, u):
+def spike_crossings(x_old, l_old, l_new, t_k, dt, spike_x, l_spike, arm, u):
     """Bridge test for touching an armed vertical spike between samples.
 
-    Works in log coordinates (the step is exponential).  The candidates
-    are the spikes bracketing the start point plus the next one out;
-    straddled spikes are certain crossings, same-side near misses carry
-    the exp(-2 a b / dt) bridge probability.  A single uniform selects
-    among candidates, whose combined probability is ~disjoint for steps
-    smaller than the spike spacing.  Returns (hit mask, spike index).
+    Works in log coordinates (the step is exponential): l_old and l_new
+    are the logs of x_old and of the new states.  l_spike and arm are the
+    log locations and arming times of the sorted spikes spike_x, padded
+    with one entry on the left and two on the right whose arming time is
+    +inf.  The candidates are the spikes bracketing the start point plus
+    the next one out; straddled spikes are certain crossings, same-side
+    near misses carry the exp(-2 a b / dt) bridge probability.  A single
+    uniform selects among candidates, whose combined probability is
+    ~disjoint for steps smaller than the spike spacing.  Returns (hit
+    mask, spike index).
     """
     n = len(x_old)
     hit = np.zeros(n, dtype=bool)
     which = np.zeros(n, dtype=int)
-    l_old = np.log(x_old)
-    l_new = np.log(x_new)
-    l_spike = np.log(spike_x)
     j_r = np.searchsorted(spike_x, x_old, side="right")
     acc = np.zeros(n)
-    for cand in (j_r - 1, j_r, j_r + 1):
-        jj = np.clip(cand, 0, len(spike_x) - 1)
-        valid = (cand >= 0) & (cand < len(spike_x)) & (t_k >= spike_t[jj]) & ~hit
+    for jj in (j_r, j_r + 1, j_r + 2):     # j_r - 1, j_r and j_r + 1 in the padded arrays
+        valid = (t_k >= arm[jj]) & ~hit
         if not valid.any():
             continue
         lk = l_spike[jj]
@@ -425,7 +444,7 @@ def spike_crossings(x_old, x_new, t_k, dt, spike_x, spike_t, u):
         cross = (u >= acc) & (u < acc + p)
         acc = acc + p
         hit |= cross
-        which[cross] = jj[cross]
+        which[cross] = jj[cross] - 1
     return hit, which
 
 

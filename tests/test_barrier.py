@@ -77,6 +77,41 @@ def test_value_at_conventions():
     assert np.allclose(b.value_at(np.array([-1.0, 5.0])), [0.0, 0.0])
 
 
+FREE_SECTION_BARRIERS = {
+    # never-stopping nodes in the middle: one interval, two edges
+    "open-middle": np.where(np.abs(np.linspace(-1.0, 1.0, 11)) < 0.5, np.inf,
+                            1.0 - np.abs(np.linspace(-1.0, 1.0, 11))),
+    # stops everywhere at once: no edges at any t > 0
+    "all-zero": np.zeros(11),
+    # three bumps (and an inf node): up to three intervals, six edges
+    "three-bumps": np.array([0.0, 1.0, 2.0, 0.0, 0.5, np.inf, 0.5, 0.0, 3.0, 1.5, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE_SECTION_BARRIERS))
+def test_free_section_matches_the_cell_lookup(name):
+    # the per-step free-section test makes exactly the decision of a lookup
+    # of the cell a state falls in, for the floor and for the ceil cells
+    x = np.linspace(-1.0, 1.0, 11)
+    R = FREE_SECTION_BARRIERS[name]
+    b = br.Barrier(x=x, R=R, horizon=4.0)
+    rng = np.random.default_rng(3)
+    states = np.concatenate((rng.uniform(-1.5, 1.5, 2000), x, np.nextafter(x, np.inf), [-3.0, 3.0],
+                             np.nextafter(x, -np.inf), [-np.inf, np.inf, np.nan]))
+    most = 0
+    for conservative, pick in ((True, np.minimum), (False, np.maximum)):
+        cells = np.concatenate(([0.0], pick(R[:-1], R[1:]), [0.0]))
+        finite = cells[np.isfinite(cells) & (cells > 0)]
+        times = np.unique(np.concatenate((finite, finite + 0.25, [1e-3, 10.0])))
+        for t in times:
+            edges = b.free_edges(t, conservative)
+            assert len(edges) % 2 == 0 and np.all(np.diff(edges) > 0)
+            most = max(most, len(edges))
+            ref = t >= cells[np.searchsorted(x, states, side="right")]
+            assert np.array_equal(b.stops(states, t, conservative), ref), (conservative, t)
+    assert most == {"open-middle": 2, "all-zero": 0, "three-bumps": 6}[name]
+
+
 GRIDS = {
     "linspace": np.linspace(-2.5, 3.5, 601),
     "snapped-geometric": np.exp(ob._snap_grid(np.log(0.5), np.log(2.0), 901,

@@ -258,6 +258,53 @@ def test_demo_example_golden(tmp_path):
     assert max(report["max_errors"].values()) <= 1e-3
 
 
+def test_demo_example_martingale_and_optimality_checks(tmp_path):
+    out = tmp_path / "out"
+    rc = run(["--out-dir", str(out), "--quiet", "demo-example", "--nx", "601", "--nt", "1200",
+              "--n", "2000", "--check-martingale", "--check-optimality"])
+    assert rc == 0
+    report = json.loads((out / "demo_report.json").read_text())
+    assert {"martingale", "optimality"} <= set(report)
+    assert {"stopped_means", "unstopped_means", "martingale_ok", "submartingale_ok",
+            "passed"} <= set(report["martingale"])
+    assert {"EF_root", "EF_competitor", "E_GH_competitor", "ks", "ks_critical",
+            "optimal", "chain_ok"} <= set(report["optimality"])
+
+
+def test_geometric_solve_and_embed_with_path_dump(tmp_path):
+    nu = tmp_path / "nu.json"
+    mu = tmp_path / "mu.json"
+    ms.save_measure(ms.point_mass(1.0), str(nu))
+    ms.save_measure(ms.lognormal(-0.02, 0.04), str(mu))
+    out = tmp_path / "out"
+    rc = run(["--out-dir", str(out), "--quiet", "solve-barrier", "--sigma", "gbm",
+              "--nu", str(nu), "--mu", str(mu), "--x-lo", "0.3", "--x-hi", "3.0",
+              "--nx", "401", "--horizon", "0.25", "--nt", "400"])
+    assert rc == 0
+    rc = run(["--out-dir", str(out), "--quiet", "verify-embed", "--sigma", "gbm",
+              "--nu", str(nu), "--mu", str(mu), "--barrier", str(out / "barrier.csv"),
+              "--n", "2000", "--dt", "1e-4", "--dump-paths"])
+    assert rc == 0
+    report = json.loads((out / "embed_report.json").read_text())
+    assert {"n", "mean-tau", "horizon-mass", "ks-statistics", "potential-sup-gap",
+            "embeds"} <= set(report)
+    paths = np.genfromtxt(out / "paths.csv", delimiter=",", names=True)
+    assert paths.dtype.names == ("stop_time", "stopped_value") and len(paths) == 2000
+    assert np.mean(paths["stop_time"]) == pytest.approx(report["mean-tau"])
+
+
+def test_price_bound_power_payoff(tmp_path):
+    out = tmp_path / "out"
+    rc = run(["--out-dir", str(out), "--quiet", "price-bound", "--bs-vol", "0.2",
+              "--payoff", "power", "--power", "2", "--cap", "0.1", "--nx", "201", "--nt", "200"])
+    assert rc == 0
+    report = json.loads((out / "bound_report.json").read_text())
+    assert {"lower_bound", "cash", "forward_units", "strike_weights", "base_point",
+            "payoff", "diagnostics"} <= set(report)
+    assert report["payoff"].startswith("power payoff p=2")
+    assert report["lower_bound"] > 0.0
+
+
 def test_deterministic_reruns(tmp_path, measure_files):
     nu, mu = measure_files
     outs = []

@@ -246,10 +246,25 @@ def test_implied_measure_rejects_non_convex():
 
 
 def test_implied_measure_rejects_increasing():
+    # convex, but the curve ends rising
     ks = np.array([0.5, 1.0, 1.5])
-    q = ms.CallQuotes(strikes=ks, prices=np.array([0.52, 0.6, 0.2]),
+    q = ms.CallQuotes(strikes=ks, prices=np.array([0.5, 0.3, 0.4]),
                       spot=1.0, discount=1.0, maturity=1.0)
-    with pytest.raises(ms.ArbitrageError):
+    with pytest.raises(ms.ArbitrageError, match="not decreasing"):
+        ms.implied_measure_from_calls(q)
+
+
+@pytest.mark.parametrize("strikes, prices, spot, discount, message", [
+    ([0.5, 1.0], [0.5, 0.1], 0.0, 1.0, "spot and discount"),
+    ([0.5, 1.0], [0.5, 0.1], 1.0, np.inf, "spot and discount"),
+    ([1.0, 0.5], [0.1, 0.5], 1.0, 1.0, "strictly increasing"),
+    ([0.5, 1.0], [0.5, -0.1], 1.0, 1.0, "negative price"),
+    ([0.5, 1.0], [0.3, 0.0], 1.0, 1.0, "slope below"),
+], ids=["spot", "discount", "unsorted", "negative", "steep-at-zero"])
+def test_implied_measure_rejects_bad_quotes(strikes, prices, spot, discount, message):
+    q = ms.CallQuotes(strikes=np.array(strikes), prices=np.array(prices),
+                      spot=spot, discount=discount, maturity=1.0)
+    with pytest.raises(ms.ArbitrageError, match=message):
         ms.implied_measure_from_calls(q)
 
 

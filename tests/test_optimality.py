@@ -167,6 +167,17 @@ def test_compute_M_horizon_guard():
         opt.compute_M(ob.brownian(), bar, unbounded, x, nt=50)
 
 
+def test_compute_M_rejects_a_short_horizon():
+    # a given horizon must close the free region and pass the last barrier time
+    x = np.linspace(-2.0, 2.0, 101)
+    open_bar = br.Barrier(x=x, R=np.where(np.abs(x) < 1.0, np.inf, 0.0), horizon=1.0)
+    with pytest.raises(ob.SolverError, match="free region still open at the terminal slab"):
+        opt.compute_M(ob.brownian(), open_bar, opt.variance_call(0.3), x, nt=50, t_max=0.2)
+    closed_bar = br.Barrier(x=x, R=np.where(np.abs(x) < 1.0, 1.0, 0.0), horizon=1.0)
+    with pytest.raises(ob.SolverError, match="below the last barrier time"):
+        opt.compute_M(ob.brownian(), closed_bar, opt.variance_call(0.3), x, nt=50, t_max=0.5)
+
+
 def test_compute_M_open_region_with_capped_payoff():
     # spikes at the ends, open middle: fine once f flattens
     x = np.linspace(-2.0, 2.0, 201)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rootbarrier import measures as ms
 from rootbarrier import optimality as opt
 from rootbarrier import pricing as pr
 from rootbarrier import simulate as sim
@@ -52,6 +53,16 @@ def test_degenerate_quotes_give_zero_bound():
                         strikes=ks, prices=np.maximum(1.0 - ks, 0.0))
     rep = pr.lower_bound(mkt, opt.variance_call(0.01))
     assert rep.lower_bound == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lower_bound_rejects_an_uncapped_payoff_on_open_nodes(two_atom_market):
+    # between the two atoms the barrier never closes; a payoff whose
+    # derivative never flattens has no finite hedge there
+    unbounded = opt.custom_payoff(lambda t: np.asarray(t, dtype=float) ** 2 / 2,
+                                  lambda t: np.asarray(t, dtype=float),
+                                  f_bound=np.inf, cap_time=np.inf)
+    with pytest.raises(ms.MeasureError, match="grid nodes never reach the obstacle"):
+        pr.lower_bound(two_atom_market, unbounded, pr.PricingConfig(nx=201, nt=200))
 
 
 def test_variance_call_bounds_sandwich_and_monotone(dense_market):
