@@ -77,6 +77,7 @@ class Barrier:
     stopping by at most one cell and preserves lower semi-continuity.
     Outside the grid R = 0 (immediate stopping).  The nodes x must be
     finite and R nonnegative; R = +inf (never stop) is allowed, NaN is not.
+    The horizon, the default end of a path batch, is finite and nonnegative.
 
     value_at looks R up per state.  A path loop instead asks, once per
     step, for the free section {x : R(x) > t} as sorted interval edges
@@ -95,6 +96,8 @@ class Barrier:
             raise ValueError("barrier values must be nonnegative and not NaN")
         if np.any(np.diff(self.x) <= 0):
             raise ValueError("barrier grid must be strictly increasing")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"barrier horizon must be finite and nonnegative, got {self.horizon!r}")
         object.__setattr__(self, "_index", GridIndex(self.x))
         # cell-wise minima padded with the off-grid value 0 and indexed by
         # the number of nodes at or below a state, so a lookup is one

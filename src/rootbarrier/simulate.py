@@ -15,6 +15,18 @@ A batch is therefore bit-identical for a fixed (seed, n), but a slice of
 its paths run on its own gets other draws; streams keyed so that a batch
 can be split are ROADMAP.md item 4.
 
+While step k runs, step k + 1's normals may be drawn ahead on one worker
+thread, whose fill releases the GIL and so runs on a second core: one
+normal per path running at step k, into one of two buffers that the walk
+allocates once.  Step k + 1 reads the prefix it needs, as long as the
+paths it runs.  A generator's first m normals do not depend on how many
+it draws, so the bits are those of drawing exactly m, on any number of
+cores; the cost is at most one unused normal per path, for the paths
+that stop at step k.  The draw ahead is taken only when the stopping rule
+draws nothing after the normals (its `draws` is False; otherwise the
+extra normals would move its uniforms) and at least _PREFETCH_MIN paths
+are running.
+
 Stopping against a barrier is a check in time, t >= R(X_t), performed at
 every sample; no bridge correction is applied for crossings between
 samples (the crossing is in the time axis, not a spatial level), so the
@@ -30,6 +42,7 @@ Brownian-bridge correction.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -50,6 +63,12 @@ __all__ = [
     "ks_statistic",
     "ks_critical_value",
 ]
+
+
+# running paths at a step from which the next step's normals are drawn ahead.
+# Per step of a walk in which every path runs, on a 2-core Xeon: +18% at
+# 1e4 paths, within noise from 4e4 to 1e5, -23% at 1.5e5 and -20% at 6e5.
+_PREFETCH_MIN = 1 << 16
 
 
 def step_rng(seed: int, step: int) -> np.random.Generator:
@@ -133,7 +152,7 @@ class _Step:
     x_old: np.ndarray
     x_new: np.ndarray               # a stopping rule moves hit paths to their stop value
     dlog: Optional[np.ndarray]      # log return of the price over a geometric step
-    g: np.random.Generator          # the step's generator, its normals already drawn
+    g: np.random.Generator          # the step's generator, its normals (and maybe more) drawn
 
 
 class _WalkResult(NamedTuple):
@@ -142,6 +161,32 @@ class _WalkResult(NamedTuple):
     horizon_mass: float
     steps: int                      # steps taken: fewer than n_steps once all paths stop
     n_steps: int
+
+
+class _Normals:
+    """Each step's generator and normals, the next step's drawn ahead on pool for big batches."""
+
+    def __init__(self, seed: int, n_steps: int, pool: Optional[ThreadPoolExecutor]):
+        self.seed, self.n_steps, self.pool = seed, n_steps, pool
+        self.bufs = self.pending = None
+
+    def draw(self, k: int, m: int) -> tuple[np.random.Generator, np.ndarray]:
+        """Step k's generator and its first m normals, for m running paths."""
+        if self.pending is None:
+            g = step_rng(self.seed, k)
+            z = g.standard_normal(m)
+        else:
+            g, fill, buf = self.pending
+            fill.result()
+            z = buf[:m]
+            self.pending = None
+        if self.pool is not None and k < self.n_steps and m >= _PREFETCH_MIN:
+            if self.bufs is None:
+                self.bufs = (np.empty(m), np.empty(m))
+            buf = self.bufs[k % 2]      # z, if drawn ahead, is in bufs[(k - 1) % 2]
+            g_next = step_rng(self.seed, k + 1)     # on this thread: perfbench wraps step_rng
+            self.pending = (g_next, self.pool.submit(g_next.standard_normal, out=buf[:m]), buf)
+        return g, z
 
 
 def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResult:
@@ -160,6 +205,13 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     dt) and see every step after the stopping rule, in the order given.
     Paths still running at the end keep the last step time as a sentinel
     stopping time and make up the horizon mass.
+
+    When the stopping rule draws nothing after the normals and at least
+    _PREFETCH_MIN paths are running, step k builds step_rng(seed, k + 1)
+    on this thread and has the worker thread fill one of two buffers with
+    one normal per running path while step k moves, stops, observes and
+    compacts; step k + 1 takes the prefix of its length.  The draws, and so the bits, are the same as without it.
+    A draw still pending when the paths run out is awaited and dropped.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive whole number of paths, got {n!r}")
@@ -176,20 +228,22 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     ids = np.flatnonzero(live)
     x = x0[ids]     # the hot loop works on compacted state, not full-size fancy indexing
     k = 0
-    while k < n_steps and len(ids):
-        k += 1
-        g = step_rng(seed, k)
-        z = g.standard_normal(len(ids))
-        x_new, dlog = move(x, z, k, dt)
-        s = _Step(k, dt, ids, x, x_new, dlog, g)
-        hit = None if stop is None else stop(s)
-        for obs in observers:
-            obs(s)
-        if hit is not None and hit.any():
-            tau[ids[hit]] = (k - stop.lag) * dt
-            val[ids[hit]] = x_new[hit]
-            x_new, ids = x_new[~hit], ids[~hit]
-        x = x_new
+    # the pool starts its thread at the first draw ahead; leaving the block waits for one pending
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        normals = _Normals(seed, n_steps, pool if stop is None or not stop.draws else None)
+        while k < n_steps and len(ids):
+            k += 1
+            g, z = normals.draw(k, len(ids))
+            x_new, dlog = move(x, z, k, dt)
+            s = _Step(k, dt, ids, x, x_new, dlog, g)
+            hit = None if stop is None else stop(s)
+            for obs in observers:
+                obs(s)
+            if hit is not None and hit.any():
+                tau[ids[hit]] = (k - stop.lag) * dt
+                val[ids[hit]] = x_new[hit]
+                x_new, ids = x_new[~hit], ids[~hit]
+            x = x_new
     val[ids] = x    # horizon sentinel paths keep their current state
     return _WalkResult(tau, val, len(ids) / n if stop is not None else 0.0, k, n_steps)
 
@@ -239,6 +293,7 @@ class _TimeBarrier:
 
     def __init__(self, barrier: Barrier, spikes: Optional[tuple] = None):
         self.barrier, self.spikes = barrier, spikes
+        self.draws = spikes is not None     # the spike test draws uniforms after the normals
 
     def start(self, x0, g0):
         # starts already inside the barrier stop at once (closed, regular set)
@@ -275,6 +330,7 @@ class _IntervalExit:
     """
 
     lag = 0.5
+    draws = True        # a uniform per path after the normals
 
     def __init__(self, mu: Measure):
         self.mu = mu
@@ -334,6 +390,8 @@ def simulate_stopped(
     """
     if horizon is None:
         horizon = barrier.horizon
+    elif not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
     # a horizon off the step grid gets one more step
     steps = lambda dt: int(round(horizon / dt)) if _divides(dt, horizon) else int(math.ceil(horizon / dt))

@@ -156,6 +156,12 @@ def test_negative_barrier_rejected():
         br.Barrier(x=np.array([0.0, 1.0]), R=np.array([-0.1, 1.0]), horizon=1.0)
 
 
+@pytest.mark.parametrize("horizon", [-1.0, np.nan, np.inf])
+def test_bad_horizon_rejected(horizon):
+    with pytest.raises(ValueError, match="^barrier horizon must be finite and nonnegative"):
+        br.Barrier(x=np.array([0.0, 1.0]), R=np.array([1.0, 1.0]), horizon=horizon)
+
+
 def test_resolution_independent_stopping_distribution():
     # two solver resolutions embed the same law: coupled stopped paths give
     # stopping-time samples whose two-sample KS stays within the combined

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -146,6 +149,101 @@ def test_horizon_sentinel_reported():
     assert batch.horizon_mass == 1.0
     assert batch.diagnostics["horizon-warning"]
     assert np.all(batch.stop_times == batch.horizon)
+
+
+@pytest.mark.parametrize("horizon", [-1.0, np.nan, np.inf])
+def test_bad_horizon_is_a_value_error(horizon):
+    with pytest.raises(ValueError, match="^horizon must be finite and nonnegative"):
+        sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), UNIT_BARRIER, n=10, dt=0.01,
+                             seed=1, horizon=horizon)
+
+
+# -- the next step's normals drawn ahead on a worker thread ---------------------
+
+PREFETCH_N = 70_000     # above simulate._PREFETCH_MIN running paths at step 1
+
+
+class _ThreadLog:
+    """step_rng replaced by one that records the threads that build and draw generators."""
+
+    def __init__(self, monkeypatch):
+        self.built, self.drawn = [], []
+        make, log = sim.step_rng, self
+
+        class Logged(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                log.drawn.append(threading.current_thread())
+                return super().standard_normal(*args, **kwargs)
+
+        def step_rng(seed, step):
+            log.built.append(threading.current_thread())
+            return Logged(make(seed, step).bit_generator)
+
+        monkeypatch.setattr(sim, "step_rng", step_rng)
+
+    def off_main(self, threads) -> int:
+        return sum(t is not threading.main_thread() for t in threads)
+
+
+PREFETCH_CASES = {
+    # the running paths fall below the threshold as they stop at the parabola
+    "stopped-crossing": lambda: sim.simulate_stopped(
+        ob.brownian(), ms.point_mass(0.0), br.from_function(pb.barrier_fn, np.linspace(-2.5, 3.5, 601), 4.0),
+        n=PREFETCH_N, dt=1e-2, seed=5),
+    "constant-vol": lambda: sim.simulate_price_model(CONSTANT_VOL, n=PREFETCH_N, dt=1e-2, seed=5),
+    # every path stops at step 1, so the draw for step 2 is never read
+    "all-stop-at-step-1": lambda: sim.simulate_stopped(
+        ob.brownian(), ms.point_mass(0.0), br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([0.01, 0.01]),
+                                                      horizon=1.0),
+        n=PREFETCH_N, dt=1e-2, seed=5),
+    # stopping rules that draw uniforms after the normals are never drawn ahead
+    "spiked-time-change": lambda: sim.simulate_price_model(spiked_time_change(), n=PREFETCH_N, dt=1e-2, seed=5),
+    "hall": lambda: sim.hall_competitor(ms.atoms([-0.1, 0.1], [0.5, 0.5]), n=PREFETCH_N, dt=1e-3, seed=5),
+}
+DRAWS_AFTER_NORMALS = {"spiked-time-change", "hall"}
+
+
+@pytest.mark.parametrize("case", PREFETCH_CASES)
+def test_prefetch_is_bit_identical(monkeypatch, case):
+    log, threshold = _ThreadLog(monkeypatch), sim._PREFETCH_MIN
+    ahead = PREFETCH_CASES[case]()
+    assert (log.off_main(log.drawn) > 0) == (case not in DRAWS_AFTER_NORMALS)
+    monkeypatch.setattr(sim, "_PREFETCH_MIN", 1 << 62)
+    log.drawn.clear()
+    plain = PREFETCH_CASES[case]()
+    assert log.off_main(log.drawn) == 0
+    for name in ("stop_times", "stopped_values", "realized_variance"):
+        a, b = getattr(ahead, name), getattr(plain, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert ahead.horizon_mass == plain.horizon_mass
+    if case == "stopped-crossing":
+        assert ahead.horizon_mass * PREFETCH_N < threshold <= np.sum(ahead.stop_times > 0)
+    if case == "all-stop-at-step-1":
+        assert np.all(ahead.stop_times == 0.01)
+
+
+def test_draw_ahead_leaves_the_moving_step_alone(monkeypatch):
+    # a slow move gives the worker time to finish the next draw before z is read
+    def slow_move(x, z, k, dt):
+        time.sleep(0.005)
+        return x + z, None
+
+    def walk():
+        return sim._walk(PREFETCH_N, 0.1, 5, lambda dt: 6, lambda g: np.zeros(PREFETCH_N), slow_move)
+
+    ahead = walk()
+    monkeypatch.setattr(sim, "_PREFETCH_MIN", 1 << 62)
+    assert ahead.stopped_values.tobytes() == walk().stopped_values.tobytes()
+
+
+def test_step_rng_runs_on_the_calling_thread(monkeypatch):
+    # perfbench times step_rng through a wrapper that is not thread-safe
+    log = _ThreadLog(monkeypatch)
+    sim.simulate_price_model(CONSTANT_VOL, n=PREFETCH_N, dt=0.05, seed=5)
+    assert len(log.built) == 21 and log.off_main(log.built) == 0
+    assert log.off_main(log.drawn) == 19    # steps 2 to 20 are drawn ahead
 
 
 def test_constant_vol_realized_variance():

@@ -9,14 +9,15 @@ IEEE double.  A report (a dict) is spread over one line per key, so a
 key that only one tree writes shows up as one line of the diff.
 
 The cases follow the inputs of the acceptance suite and the three
-benchmark workloads (perfbench/workloads.py, workload seed 1).
+benchmark workloads (perfbench/workloads.py, workload seed 1), plus
+batches on either side of the stepping loop's draw-ahead threshold.
 
 Usage:
     python3 tools/bit_digest.py [--src DIR] [CASE ...]
 
 DIR is the source tree `rootbarrier` is imported from (default: the
 `src` directory of this repository).  With no CASE every case runs;
-the full list takes about 20 s and peaks at 270 MiB on a 2-core Xeon.
+the full list takes about 15 s and peaks at 270 MiB on a 2-core Xeon.
 Prints lines `<sha256>  <case>.<result>`.  To compare two trees:
 
     python3 tools/bit_digest.py --src A/src > a.txt
@@ -184,6 +185,23 @@ def case_two_atom() -> dict:
             "nx901": _report(pr.lower_bound(market, payoff))}
 
 
+def case_prefetch() -> dict:
+    """7e4-path batches around the draw-ahead threshold of simulate._walk.
+
+    The running paths of the parabola batch fall below the threshold as
+    they stop, and every path of the other stopped batch stops at step 1.
+    """
+    rb = _rb()
+    bm, nu, sim = rb.obstacle.brownian(), rb.measures.point_mass(0.0), rb.simulate
+    parabola = rb.barrier.from_function(rb.parabola.barrier_fn, np.linspace(-2.5, 3.5, 601), horizon=4.0)
+    at_once = rb.barrier.Barrier(x=np.array([-10.0, 10.0]), R=np.array([0.01, 0.01]), horizon=1.0)
+    price = sim.simulate_price_model(sim.PriceModel(kind="constant", s0=1.0, maturity=1.0, vol=0.2),
+                                     n=70_000, dt=1e-2, seed=5)
+    return {"crossing": _batch(sim.simulate_stopped(bm, nu, parabola, n=70_000, dt=1e-2, seed=5)),
+            "step_1": _batch(sim.simulate_stopped(bm, nu, at_once, n=70_000, dt=1e-2, seed=5)),
+            "constant_vol": {**_batch(price), "realized_variance": price.realized_variance}}
+
+
 CASES = {
     "normal": case_normal,
     "parabola": case_parabola,
@@ -191,6 +209,7 @@ CASES = {
     "open-capped": case_open_capped,
     "price-dense": case_price_dense,
     "two-atom": case_two_atom,
+    "prefetch": case_prefetch,
 }
 
 
