@@ -75,7 +75,8 @@ class SolverError(RuntimeError):
 class DiffusionSpec:
     """Diffusion coefficient of dX = sigma(X) dW.
 
-    sigma and its closed-form derivative are callables on arrays.  bounds
+    sigma and its closed-form derivative are callables on arrays; a
+    constant sigma may return a scalar, which broadcasts against x.  bounds
     report the ellipticity window (lo, hi) on the truncated domain; for the
     geometric flag the solver works in log coordinates instead, where no
     lower ellipticity bound on sigma itself is needed.
@@ -99,7 +100,7 @@ class DiffusionSpec:
 
 def brownian() -> DiffusionSpec:
     return DiffusionSpec(
-        sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        sigma=lambda x: 1.0,
         dsigma=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         bounds=(0.5, 2.0),
     )
@@ -291,7 +292,7 @@ def assemble(diff: DiffusionSpec, nu: Measure, mu: Measure, cfg: SolverConfig) -
         grid = _snap_grid(cfg.x_lo, cfg.x_hi, cfg.nx, snap)
         state = grid
         diff.validate_on(grid)
-        s = diff.sigma(grid)
+        s = np.broadcast_to(diff.sigma(grid), grid.shape)
         ds = diff.dsigma(grid)
         a = 0.5 * s * s
         sg = np.sign(grid)
@@ -478,12 +479,9 @@ def optimal_stopping_oracle(
     h = grid[1] - grid[0]
     state = np.exp(grid) if diff.geometric else grid
 
-    if diff.geometric:
-        sig2 = np.ones_like(grid)   # unit diffusion, drift -1/2 in log space
-        drift = -0.5
-    else:
-        sig2 = diff.sigma(grid) ** 2
-        drift = 0.0
+    # unit diffusion and drift -1/2 in log space
+    sig2, drift = (1.0, -0.5) if diff.geometric else (diff.sigma(grid) ** 2, 0.0)
+    sig2 = np.broadcast_to(sig2, grid.shape)
     # steps of 0.8 times the explicit stability limit, or finer to reach nt
     dt_stab = 0.8 * h * h / float(np.max(sig2))
     n_steps = max(int(math.ceil(cfg.horizon / dt_stab)), cfg.nt)

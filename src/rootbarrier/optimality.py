@@ -275,7 +275,7 @@ def compute_M(
     t = np.linspace(0.0, float(t_max), nt + 1)
     dt = t[1] - t[0]
     f_t = payoff.f(t)
-    a = 0.5 * (x * x if diff.geometric else diff.sigma(x) ** 2)
+    a = 0.5 * (x * x if diff.geometric else np.broadcast_to(diff.sigma(x), x.shape) ** 2)
     n = len(x)
 
     # regular rows of I + dt A, A = -a d2/dx2; an edge node is pinned

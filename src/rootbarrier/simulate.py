@@ -1,19 +1,19 @@
 """Path simulation: stopped diffusions, price models, empirical diagnostics.
 
-Every batch is advanced by one stepping loop, `_walk`; the batches differ
-only in the pieces they hand it: a state update, a stopping rule and
-per-step observers.  Paths are advanced in a single streaming pass that
-keeps no per-step states, so memory stays linear in the number of paths
-for million-path runs; X_{t ^ tau} at a time t is the batch stopped at
-the horizon t.
+Every time-stepped batch is advanced by one stepping loop, `_walk`; the
+batches differ only in the pieces they hand it: a state update, a
+stopping rule and per-step observers.  Paths are advanced in a single
+streaming pass that keeps no per-step states, so memory stays linear in
+the number of paths for million-path runs; X_{t ^ tau} at a time t is the
+batch stopped at the horizon t.
 
 Step k draws from the counter-based generator step_rng(seed, k), one
 normal per running path in path order, so a draw belongs to a path's
 rank among the paths still running, not to the path.  Step 0 draws the
-start states or the competitor's intervals, in amounts that depend on n.
-A batch is therefore bit-identical for a fixed (seed, n), but a slice of
-its paths run on its own gets other draws; streams keyed so that a batch
-can be split are ROADMAP.md item 4.
+start states, in amounts that depend on n.  A batch is therefore
+bit-identical for a fixed (seed, n), but a slice of its paths run on its
+own gets other draws; streams keyed so that a batch can be split are
+ROADMAP.md item 4.
 
 While step k runs, step k + 1's normals may be drawn ahead on one worker
 thread, whose fill releases the GIL and so runs on a second core: one
@@ -34,9 +34,12 @@ stopping time resolution is one time step.  At the sample time t_k the
 check asks only whether X lies in the barrier's free section
 {x : R(x) > t_k}, which is taken once per step as sorted interval edges
 (Barrier.free_edges); every running path is then tested against those
-edges, with no barrier lookup per path.  Interval exits for the
-competitor embedding, by contrast, are spatial crossings and do use a
-Brownian-bridge correction.
+edges, with no barrier lookup per path.
+
+The competitor embedding, which stops Brownian motion on leaving a random
+interval, takes no time steps: `hall_competitor` draws each exit exactly
+by a walk on spheres (Muller 1956), with round k drawing from
+step_rng(seed, k).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
+from scipy.special import erfc, erfcinv, expit
 
 from . import measures
 from .measures import Measure, Potential
@@ -159,7 +163,6 @@ class _WalkResult(NamedTuple):
     stop_times: np.ndarray
     stopped_values: np.ndarray
     horizon_mass: float
-    steps: int                      # steps taken: fewer than n_steps once all paths stop
     n_steps: int
 
 
@@ -189,6 +192,14 @@ class _Normals:
         return g, z
 
 
+def _check_paths(n, dt) -> None:
+    """Reject a path count or time step before any draw or allocation."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be a positive whole number of paths, got {n!r}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be a positive finite time step, got {dt!r}")
+
+
 def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResult:
     """Advance n paths by up to steps(dt) time steps: the one stepping loop.
 
@@ -197,12 +208,12 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     start states, drawn from the step-0 generator.  Step k draws one
     standard normal per running path from step_rng(seed, k) and moves the
     paths with move(x, z, k, dt), which returns the new states and, for a
-    geometric step, the log returns.  The stopping rule (None,
-    _TimeBarrier or _IntervalExit) names the paths running at time 0
-    through stop.start(x0, g0) and then marks which running paths stop;
-    they stop at (k - stop.lag) dt at their state after the step, and drop
-    out of later steps.  Observers are started with obs.start(x0, n_steps,
-    dt) and see every step after the stopping rule, in the order given.
+    geometric step, the log returns.  The stopping rule (None or a
+    _TimeBarrier) names the paths running at time 0 through
+    stop.start(x0, g0) and then marks which running paths stop; they stop
+    at k dt at their state after the step, and drop out of later steps.
+    Observers are started with obs.start(x0, n_steps, dt) and see every
+    step after the stopping rule, in the order given.
     Paths still running at the end keep the last step time as a sentinel
     stopping time and make up the horizon mass.
 
@@ -213,10 +224,7 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     compacts; step k + 1 takes the prefix of its length.  The draws, and so the bits, are the same as without it.
     A draw still pending when the paths run out is awaited and dropped.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive whole number of paths, got {n!r}")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be a positive finite time step, got {dt!r}")
+    _check_paths(n, dt)
     n_steps = steps(dt)
     g0 = step_rng(seed, 0)
     x0 = np.asarray(start(g0), dtype=float)
@@ -240,12 +248,12 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
             for obs in observers:
                 obs(s)
             if hit is not None and hit.any():
-                tau[ids[hit]] = (k - stop.lag) * dt
+                tau[ids[hit]] = k * dt
                 val[ids[hit]] = x_new[hit]
                 x_new, ids = x_new[~hit], ids[~hit]
             x = x_new
     val[ids] = x    # horizon sentinel paths keep their current state
-    return _WalkResult(tau, val, len(ids) / n if stop is not None else 0.0, k, n_steps)
+    return _WalkResult(tau, val, len(ids) / n if stop is not None else 0.0, n_steps)
 
 
 def _divides(dt: float, horizon: float) -> bool:
@@ -289,8 +297,6 @@ class _TimeBarrier:
     carried from step to step for that test.
     """
 
-    lag = 0
-
     def __init__(self, barrier: Barrier, spikes: Optional[tuple] = None):
         self.barrier, self.spikes = barrier, spikes
         self.draws = spikes is not None     # the spike test draws uniforms after the normals
@@ -319,44 +325,6 @@ class _TimeBarrier:
             s.x_new[sp_hit] = at[which[sp_hit]]
             hit |= sp_hit
             self.l_x = l_new[~hit]
-        return hit
-
-
-class _IntervalExit:
-    """Stop Brownian paths on leaving their interval (lo, hi), drawn at step 0.
-
-    Crossings between samples are caught by the Brownian-bridge
-    probability and dated to the middle of the step.
-    """
-
-    lag = 0.5
-    draws = True        # a uniform per path after the normals
-
-    def __init__(self, mu: Measure):
-        self.mu = mu
-
-    def start(self, x0, g0):
-        self.lo, self.hi = _hall_intervals(self.mu, len(x0), g0)
-        # paths with degenerate interval (atom at the mean) stop immediately
-        return ~((self.hi - self.lo) <= 0)
-
-    def __call__(self, s: _Step) -> np.ndarray:
-        u = s.g.random(len(s.ids))
-        x, x_new, dt = s.x_old, s.x_new, s.dt
-        up, dn = self.hi[s.ids], self.lo[s.ids]
-        crossed_up = x_new >= up
-        crossed_dn = x_new <= dn
-        inside = ~(crossed_up | crossed_dn)
-        # bridge probability of touching a level between consecutive samples
-        p_up = np.zeros(len(x))
-        p_dn = np.zeros(len(x))
-        p_up[inside] = np.exp(-2.0 * (up[inside] - x[inside]) * (up[inside] - x_new[inside]) / dt)
-        p_dn[inside] = np.exp(-2.0 * (x[inside] - dn[inside]) * (x_new[inside] - dn[inside]) / dt)
-        bridge_up = inside & (u < p_up)
-        bridge_dn = inside & ~bridge_up & (u < p_up + p_dn)
-        hit_up = crossed_up | bridge_up
-        hit = hit_up | crossed_dn | bridge_dn
-        x_new[hit] = np.where(hit_up[hit], up[hit], dn[hit])
         return hit
 
 
@@ -516,19 +484,90 @@ def hall_competitor(mu: Measure, n: int, dt: float, seed: int) -> PathBatch:
     stop Brownian motion started at m on leaving (R, S).  The embedding is
     uniformly integrable with E tau = Var(mu); it differs from the barrier
     embedding and so serves as a competitor in optimality comparisons.
-    Interval crossings between samples use a Brownian-bridge correction.
     The target must be normal or atomic (ValueError otherwise).
+
+    The exits are drawn exactly, with no time steps, by a walk on spheres
+    (Muller 1956).  From x in (R, S), with r the distance to the nearer
+    end, Brownian motion leaves (x - r, x + r) after r^2 T, where T is the
+    exit time of (-1, 1) from 0, on either side with probability 1/2 and
+    independently of T.  The side at the nearer end stops the path there;
+    the other moves it to x +- r for another round, so each round stops a
+    running path with probability at least 1/2.  step_rng(seed, 0) draws
+    the intervals, and round k draws step_rng(seed, k).random((2, m)) for
+    its m running paths: one row picks the sides, the other gives T by
+    _exit_time.  dt is checked like every entry point's and recorded in
+    the batch, but nothing depends on it.  The diagnostics give the rounds
+    taken and the worst inversion error |F(T) - u| over the draws.
     """
     if mu.kind not in ("normal", "atoms"):
         raise ValueError(f"the interval-exit competitor needs a normal or atomic target, got {mu.kind!r}")
-    w = _walk(n, dt, seed, lambda dt: int(5e7 // n) + 200000, lambda g: np.full(n, mu.mean),
-              _additive(lambda x: 1.0), _IntervalExit(mu))
+    _check_paths(n, dt)
+    lo, hi = _hall_intervals(mu, n, step_rng(seed, 0))
+    tau, val = np.zeros(n), np.full(n, float(mu.mean))
+    run = np.flatnonzero(hi > lo)   # an atom at the mean has an empty interval and stops at once
+    k, worst = 0, 0.0
+    while len(run):
+        k += 1
+        side, u = step_rng(seed, k).random((2, len(run)))
+        x, a, b = val[run], lo[run], hi[run]
+        d_lo, d_hi = x - a, b - x
+        r = np.minimum(d_lo, d_hi)
+        t, err = _exit_time(u)
+        tau[run] += r * r * t
+        worst = max(worst, err)
+        down = side < 0.5
+        stop = np.where(down, d_lo, d_hi) == r      # the side picked is the nearer end
+        val[run] = np.where(stop, np.where(down, a, b), np.where(down, x - r, x + r))
+        run = run[~stop]
     return PathBatch(
-        n=n, dt=dt, horizon=float(w.steps * dt), seed=seed,
-        stop_times=w.stop_times, stopped_values=w.stopped_values,
-        horizon_mass=w.horizon_mass,
-        diagnostics={"kind": "hall-interval-exit"},
+        n=n, dt=dt, horizon=float(tau.max()), seed=seed, stop_times=tau, stopped_values=val,
+        diagnostics={"kind": "hall-interval-exit", "rounds": k, "inversion-error": worst},
     )
+
+
+def _exit_law(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, 1 - F, density) of the exit time T of (-1, 1) by Brownian motion from 0, at t > 0.
+
+    The image series F = 2 sum_j (-1)^j erfc((2j + 1) / sqrt(2t)) holds
+    below t = 1/2, the eigenfunction series 1 - F = (4/pi) sum_j (-1)^j
+    exp(-(2j + 1)^2 pi^2 t / 8) / (2j + 1) above it (Borodin & Salminen
+    2002).  Four terms of either reach double precision on its side, and
+    the smaller of F and 1 - F keeps its relative precision.
+    """
+    t = np.asarray(t, dtype=float)
+    j = np.arange(4.0)[:, None]
+    odd, sign = 2.0 * j + 1.0, (-1.0) ** j
+    img = t < 0.5
+    a = odd / np.sqrt(2.0 * t[img])
+    e = np.exp(-(math.pi ** 2 / 8.0) * odd ** 2 * t[~img])
+    F, Q, f = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    F[img] = 2.0 * np.sum(sign * erfc(a), axis=0)
+    Q[~img] = 4.0 / math.pi * np.sum(sign / odd * e, axis=0)
+    F[~img], Q[img] = 1.0 - Q[~img], 1.0 - F[img]
+    f[img] = 4.0 / math.sqrt(math.pi) * a[0] ** 3 * np.sum(sign * odd * np.exp(-a * a), axis=0)
+    f[~img] = math.pi / 2.0 * np.sum(sign * odd * e, axis=0)
+    return F, Q, f
+
+
+def _exit_time(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """F^-1(u) for the exit time T of _exit_law, and its worst error |F(F^-1(u)) - u|.
+
+    Works in the log-odds s = log(u / (1 - u)), which keeps the relative
+    precision of u in the lower tail and of 1 - u in the upper one.  The
+    leading term of each series gives a first guess within 1%, and three
+    Newton steps on the series reach double precision (about 4e-16 in u).
+    u below 3e-23, u = 0 included, is read at s = -52; no double u < 1
+    lies beyond s = 40.
+    """
+    with np.errstate(divide="ignore"):
+        s = np.clip(np.log(u) - np.log1p(-u), -52.0, 40.0)
+    t = np.where(s < 0.0, 0.5 / erfcinv(0.5 * expit(s)) ** 2,
+                 8.0 / math.pi ** 2 * (math.log(4.0 / math.pi) + np.log1p(np.exp(s))))
+    for _ in range(3):
+        F, Q, f = _exit_law(t)
+        t = t - (np.log(F) - np.log(Q) - s) * (F * Q / f)
+    F, Q, _ = _exit_law(t)
+    return t, float(np.max(np.where(u < 0.5, np.abs(F - u), np.abs(Q - (1.0 - u)))))
 
 
 def _hall_intervals(mu: Measure, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -547,31 +586,21 @@ def _hall_intervals(mu: Measure, n: int, rng: np.random.Generator) -> tuple[np.n
         return m - neg, m + pos
     # atomic target: sample the discrete mixture exactly
     locs, w = mu.locations - m, mu.weights
-    negm = locs < 0
-    posm = locs > 0
-    p_minus = w[negm].sum()
-    p_zero = float(w[~negm & ~posm].sum())
-    m_plus = float(np.dot(w[posm], locs[posm]))
-    if m_plus <= 0:
+    negm, posm = locs < 0, locs > 0
+    if float(np.dot(w[posm], locs[posm])) <= 0:
         return np.full(n, m), np.full(n, m)
-    w_plain_neg = w[negm] / max(p_minus, 1e-300)
-    w_plain_pos = w[posm] / max(w[posm].sum(), 1e-300)
-    w_bias_neg = w[negm] * (-locs[negm])
-    w_bias_neg = w_bias_neg / w_bias_neg.sum()
-    w_bias_pos = w[posm] * locs[posm]
-    w_bias_pos = w_bias_pos / w_bias_pos.sum()
-
+    p_minus, p_zero = w[negm].sum(), float(w[~negm & ~posm].sum())
     u = rng.random(n)
     is_zero = u < p_zero
     pick_minus = (u >= p_zero) & (u < p_zero + p_minus)
-    neg_plain = locs[negm][rng.choice(len(w_plain_neg), size=n, p=w_plain_neg)]
-    neg_bias = locs[negm][rng.choice(len(w_bias_neg), size=n, p=w_bias_neg)]
-    pos_plain = locs[posm][rng.choice(len(w_plain_pos), size=n, p=w_plain_pos)]
-    pos_bias = locs[posm][rng.choice(len(w_bias_pos), size=n, p=w_bias_pos)]
-    neg = np.where(pick_minus, neg_plain, neg_bias)
-    pos = np.where(pick_minus, pos_bias, pos_plain)
-    neg = np.where(is_zero, 0.0, neg)
-    pos = np.where(is_zero, 0.0, pos)
+
+    def pick(side, wts):    # an atom of one side, with probability proportional to wts
+        return locs[side][rng.choice(len(wts), size=n, p=wts / wts.sum())]
+    # plain and size-biased picks on either side, drawn in this order
+    neg_plain, neg_bias = pick(negm, w[negm]), pick(negm, w[negm] * (-locs[negm]))
+    pos_plain, pos_bias = pick(posm, w[posm]), pick(posm, w[posm] * locs[posm])
+    neg = np.where(is_zero, 0.0, np.where(pick_minus, neg_plain, neg_bias))
+    pos = np.where(is_zero, 0.0, np.where(pick_minus, pos_bias, pos_plain))
     return m + neg, m + pos
 
 

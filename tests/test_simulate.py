@@ -198,9 +198,8 @@ PREFETCH_CASES = {
         n=PREFETCH_N, dt=1e-2, seed=5),
     # stopping rules that draw uniforms after the normals are never drawn ahead
     "spiked-time-change": lambda: sim.simulate_price_model(spiked_time_change(), n=PREFETCH_N, dt=1e-2, seed=5),
-    "hall": lambda: sim.hall_competitor(ms.atoms([-0.1, 0.1], [0.5, 0.5]), n=PREFETCH_N, dt=1e-3, seed=5),
 }
-DRAWS_AFTER_NORMALS = {"spiked-time-change", "hall"}
+DRAWS_AFTER_NORMALS = {"spiked-time-change"}
 
 
 @pytest.mark.parametrize("case", PREFETCH_CASES)
@@ -287,7 +286,7 @@ def test_hall_competitor_embeds_standard_normal():
     ks = sim.ks_statistic(batch.stopped_values, mu.cdf)
     assert ks <= sim.ks_critical_value(batch.n, 0.01)
     se = np.std(batch.stop_times) / np.sqrt(batch.n)
-    assert abs(np.mean(batch.stop_times) - 1.0) <= 3 * se + 2e-2
+    assert abs(np.mean(batch.stop_times) - 1.0) <= 3 * se
     # strictly suboptimal for the squared payoff
     assert np.mean(batch.stop_times ** 2) > 1.5
 
@@ -303,6 +302,47 @@ def test_hall_competitor_atomic_target():
     batch = sim.hall_competitor(mu, n=20_000, dt=5e-4, seed=13)
     ks = sim.ks_statistic(batch.stopped_values, mu)
     assert ks <= sim.ks_critical_value(batch.n, 0.01)
+    se = np.std(batch.stop_times) / np.sqrt(batch.n)
+    assert abs(np.mean(batch.stop_times) - 1.5) <= 3 * se     # Var mu = 1.5
+    # the atom at the mean has an empty interval: those paths stop at once, at 0
+    at_mean = batch.stopped_values == 0.0
+    assert np.all(batch.stop_times[at_mean] == 0.0) and np.all(batch.stop_times[~at_mean] > 0.0)
+    assert abs(np.mean(at_mean) - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / batch.n)
+
+
+def test_hall_competitor_from_the_midpoint_stops_in_one_round():
+    # every interval is (-1, 1) and the walk starts at its midpoint 0
+    batch = sim.hall_competitor(ms.atoms([-1.0, 1.0], [0.5, 0.5]), n=1000, dt=1e-3, seed=3)
+    assert batch.diagnostics["rounds"] == 1
+    assert set(np.unique(batch.stopped_values)) == {-1.0, 1.0}
+    assert np.all(batch.stop_times > 0.0) and batch.dt == 1e-3
+
+
+@pytest.mark.parametrize("mu", [ms.point_mass(0.3), ms.normal(0.3, 0.0)], ids=["atom", "normal"])
+def test_hall_competitor_of_a_point_mass_stops_at_once(mu):
+    batch = sim.hall_competitor(mu, n=100, dt=1e-3, seed=3)
+    assert np.all(batch.stop_times == 0.0) and np.all(batch.stopped_values == 0.3)
+    assert batch.diagnostics["rounds"] == 0
+
+
+def test_exit_time_inverse_is_exact():
+    # dense in the middle, down to 1e-300 and up to the largest double below 1
+    u = np.concatenate([np.linspace(0.0, 1.0, 100_001)[:-1], np.logspace(-300, -1, 600),
+                        1.0 - np.logspace(-16, -1, 300), [np.nextafter(1.0, 0.0)]])
+    t, err = sim._exit_time(u)
+    F, Q, _ = sim._exit_law(t)
+    worst = np.max(np.where(u < 0.5, np.abs(F - u), np.abs(Q - (1.0 - u))))
+    assert worst <= 1e-12 and err == worst
+    assert np.array_equal(sim._exit_time(u)[0], t)
+    # the image and the eigenfunction series meet at t = 1/2
+    F, Q, f = sim._exit_law(np.array([np.nextafter(0.5, 0.0), 0.5]))
+    assert abs(F[1] - F[0]) <= 1e-15 and abs(f[1] - f[0]) <= 1e-15
+    # E T = 1 and E T^2 = 5/3, by trapezoid quadrature in the log-odds s (u = expit(s))
+    s = np.linspace(-50.0, 36.0, 86_001)
+    u = 1.0 / (1.0 + np.exp(-s))
+    t, w = sim._exit_time(u)[0], u * (1.0 - u)
+    assert abs(np.trapezoid(t * w, s) - 1.0) <= 1e-10
+    assert abs(np.trapezoid(t * t * w, s) - 5.0 / 3.0) <= 1e-10
 
 
 def test_ks_statistic_handles_atomic_ties():
