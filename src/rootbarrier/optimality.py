@@ -160,8 +160,12 @@ class HedgeFunctions:
     M_clip: float            # largest amount the clip M >= f raised M by
 
     def __post_init__(self):
-        object.__setattr__(self, "_x_index", GridIndex(self.x))
-        object.__setattr__(self, "_t_index", GridIndex(self.t))
+        for name, value in (("_x_index", GridIndex(self.x)), ("_t_index", GridIndex(self.t)),
+                            # per searchsorted result: the cell to interpolate in, the lower row to blend from
+                            ("_cell", np.clip(np.arange(len(self.x) + 1) - 1, 0, len(self.x) - 2)),
+                            ("_row", np.clip(np.arange(len(self.t) + 1), 1, len(self.t) - 1) - 1),
+                            ("_dx", np.diff(self.x)), ("_dt", np.diff(self.t))):
+            object.__setattr__(self, name, value)
 
     @property
     def T_M(self) -> float:
@@ -173,22 +177,36 @@ class HedgeFunctions:
         t is clamped to [0, T_M] and may be one time per point.  Rows are
         blended in t first and the blend is interpolated in x, with the
         linear continuation of the end cells off the tabulated x range.
+        Corners are gathered from the flattened surface.
         """
         x = np.asarray(x, dtype=float)
         i = self._x_index(x)
-        top = i == len(self.x)
-        c = np.clip(i - 1, 0, len(self.x) - 2)
+        c = self._cell.take(i)
         if t is None:
-            lo, hi = surf[c], surf[c + 1]
+            lo, hi = surf.take(c), surf.take(c + 1)
         else:
             tt = np.minimum(np.maximum(t, 0.0), self.T_M)
-            j = np.clip(self._t_index(tt), 1, len(self.t) - 1)
-            w = (tt - self.t[j - 1]) / (self.t[j] - self.t[j - 1])
-            lo = (1.0 - w) * surf[j - 1, c] + w * surf[j, c]
-            hi = (1.0 - w) * surf[j - 1, c + 1] + w * surf[j, c + 1]
-        slope = (hi - lo) / (self.x[c + 1] - self.x[c])
+            row = self._row.take(self._t_index(tt))
+            w = tt - self.t.take(row)
+            w /= self._dt.take(row)
+            k = row * len(self.x) + c
+            u = 1.0 - w
+            lo, hi = surf.take(k), surf.take(k + 1)
+            lo *= u
+            hi *= u
+            k += len(self.x)
+            lo += w * surf.take(k)
+            hi += w * surf.take(k + 1)
+        slope = hi - lo
+        slope /= self._dx.take(c)
         # off the range the end cell's line continues; past the top it starts at the last node
-        return slope * (x - self.x[c + top]) + np.where(top, hi, lo)
+        top = i == len(self.x)
+        if top.any():
+            c, lo = c + top, np.where(top, hi, lo)
+        out = x - self.x.take(c)
+        out *= slope
+        out += lo
+        return out
 
     def H_at(self, x: np.ndarray) -> np.ndarray:
         # beyond the tabulated range the barrier is immediate and H = Z,
@@ -242,12 +260,14 @@ def compute_M(
     Each step is implicit Euler on the obstacle's operator: the rows of
     I + dt A come from the same three-point stencil formula as the
     obstacle problem's (`obstacle._stencil`) and go through the same
-    LAPACK gtsv solve.  The regular rows are built once; each step pins
-    the nodes with t >= R and re-forms only the rows of the free nodes
-    next to a crossing, whose spacing to that neighbour is cut back to
-    the crossing.  The solution is clipped onto M >= f; `clip` on the
-    result is the largest amount that clip raised M by.  A NaN or inf in
-    the march (sigma, the barrier or f) raises ValueError.
+    LAPACK gtsv solve.  The regular rows are built once, and so are the
+    rows of every step's free nodes next to a crossing, whose spacing to
+    that neighbour is cut back to the crossing (found per node by a
+    binary search of the time grid).  Each step then pins the nodes with
+    t >= R and writes in its crossing rows.  The solution is clipped onto
+    M >= f; `clip` on the result is the largest amount that clip raised M
+    by.  A NaN or inf in the march (sigma, the barrier or f) raises
+    ValueError.
     """
     x = np.asarray(x_grid, dtype=float)
     r = barrier.value_at(x)
@@ -286,37 +306,43 @@ def compute_M(
     lower[1:-1], diag[1:-1], upper[1:-1] = dt * lo, 1.0 + dt * di, dt * up
     upper[0] = lower[-1] = -1.0
 
+    # crossing rows of every step, before the march: interior node i is a
+    # left crossing at the steps with R[i-1] <= t_j < R[i] and a right one
+    # at those with R[i+1] <= t_j < R[i]; R crosses t_j in that cell, at the
+    # root of R's linear interpolant, and the stencil reaches only to the
+    # crossing, where M = f(t_j) is known
+    first = np.searchsorted(t[:-1], r)          # node i is pinned from step first[i]
+    k_left = _steps_between(first[:-2], first[1:-1], n)
+    k_right = _steps_between(first[2:], first[1:-1], n)
+    keys = np.union1d(k_left, k_right)          # j n + i, by step then node
+    step, i = np.divmod(keys, n)
+    left, right = np.isin(keys, k_left), np.isin(keys, k_right)
+    hm, hp = h[i - 1], h[i]
+    hm[left] = _cut(hm[left], r[i[left]], r[i[left] - 1], t[step[left]])
+    hp[right] = _cut(hp[right], r[i[right]], r[i[right] + 1], t[step[right]])
+    lo, di, up = _stencil(hm, hp, a[i])
+    lo, up, f_c = dt * lo, dt * up, f_t[step]
+    c_lower, c_diag, c_upper = np.where(left, 0.0, lo), 1.0 + dt * di, np.where(right, 0.0, up)
+    # the known boundary value enters the right-hand side
+    c_left_f, c_right_f = np.where(left, lo * f_c, 0.0), np.where(right, up * f_c, 0.0)
+    rows = np.searchsorted(step, np.arange(nt + 1))
+
     M = np.empty((nt + 1, n))
     M[-1] = f_t[-1]
     clip = 0.0
     for j in range(nt - 1, -1, -1):
         fv = f_t[j]
         pinned = t[j] >= r
-        free = ~pinned[1:-1]
-        # interior free nodes with a pinned neighbour: R crosses t_j in
-        # that cell, at the root of R's linear interpolant, and the stencil
-        # reaches only to the crossing, where M = f(t_j) is known
-        left, right = free & pinned[:-2], free & pinned[2:]
-        cross = left | right
-        i = np.flatnonzero(cross) + 1
-        left, right = left[cross], right[cross]
-        hm, hp = h[i - 1], h[i]
-        hm[left] = _cut(hm[left], r[i[left]], r[i[left] - 1], t[j])
-        hp[right] = _cut(hp[right], r[i[right]], r[i[right] + 1], t[j])
-        lo, di, up = _stencil(hm, hp, a[i])
-        lo, up = dt * lo, dt * up
-
+        c = slice(rows[j], rows[j + 1])
+        i_j = i[c]
         m_lower = np.where(pinned, 0.0, lower)
         m_diag = np.where(pinned, 1.0, diag)
         m_upper = np.where(pinned, 0.0, upper)
-        m_lower[i] = np.where(left, 0.0, lo)
-        m_diag[i] = 1.0 + dt * di
-        m_upper[i] = np.where(right, 0.0, up)
+        m_lower[i_j], m_diag[i_j], m_upper[i_j] = c_lower[c], c_diag[c], c_upper[c]
         rhs = np.where(pinned, fv, M[j + 1])
         rhs[[0, -1]] = np.where(pinned[[0, -1]], fv, 0.0)
-        # the known boundary value enters the right-hand side
-        rhs[i[left]] -= lo[left] * fv
-        rhs[i[right]] -= up[right] * fv
+        rhs[i_j] -= c_left_f[c]
+        rhs[i_j] -= c_right_f[c]
         sol = _tridiag_solve(m_lower, m_diag, m_upper, rhs)
         clip = max(clip, fv - float(sol.min()))
         M[j] = np.maximum(sol, fv)
@@ -324,6 +350,14 @@ def compute_M(
         raise ValueError("M is not finite: sigma, the barrier or f is NaN or inf "
                          "in the continuation region")
     return GridFunction(x=x, t=t, values=M, clip=clip)
+
+
+def _steps_between(first, stop, n):
+    """Keys j n + i for every interior node i = k + 1 and step first[k] <= j < stop[k]."""
+    count = np.maximum(stop - first, 0)
+    k = np.repeat(np.arange(len(count)), count)
+    j = first[k] + np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
+    return j * n + k + 1
 
 
 def _cut(h, r_free, r_pinned, level):

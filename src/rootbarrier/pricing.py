@@ -288,8 +288,8 @@ def lower_bound(
 
     # option legs priced off the quoted curve; puts from call-put parity
     option_cost = 0.0
-    for k, w in weights:
-        c_k = _quote_curve(market, np.array([k]))[0]
+    calls = _quote_curve(market, np.array([k for k, _ in weights], dtype=float))
+    for (k, w), c_k in zip(weights, calls):
         if k > bt * s0:
             option_cost += w * c_k
         else:

@@ -245,6 +245,71 @@ def test_compute_M_matches_a_dense_irregular_stencil_solve():
     assert 0.0 <= m.clip <= 1e-12
 
 
+def test_compute_M_crossings_on_grid_times():
+    # every R is a grid time t_j, so the tie t_j >= R decides when a node
+    # stops; a hump, a spike whose node is a left and a right crossing at
+    # the same steps, a plateau with no crossing inside and a free left edge
+    nt, t_max = 48, 1.2
+    t = np.linspace(0.0, t_max, nt + 1)
+    x = np.linspace(-1.5, 1.5, 31)
+    k = np.clip(np.round(40.0 - 30.0 * x * x), 0, None).astype(int)
+    k[0], k[24], k[27], k[28] = 5, 44, 18, 18          # edge, spike, plateau
+    R = t[k]
+    bar = br.Barrier(x=x, R=R, horizon=t_max)
+    spike = (R[1:-1] > R[:-2]) & (R[1:-1] > R[2:])
+    assert np.any(spike & (R[:-2] > 0.0) & (R[2:] > 0.0)) and np.any(R[1:-1] == R[2:])
+    diff = ob.DiffusionSpec(sigma=lambda s: 1.0 + 0.3 * np.cos(s), dsigma=lambda s: -0.3 * np.sin(s))
+    payoff = opt.power_payoff(2.0, cap=1.0)
+    m = opt.compute_M(diff, bar, payoff, x, nt=nt, t_max=t_max)
+    assert np.array_equal(m.t, t)
+    ref = _irregular_stencil_reference(x, R, payoff.f(t), t, 0.5 * diff.sigma(x) ** 2)
+    assert np.max(np.abs(m.values - ref)) <= 1e-12
+
+
+def _bilinear_reference(surf, xg, tg, x, t=None):
+    """surf at (x, t) by np.searchsorted: rows blended in t, then the blend in x.
+
+    Off the x range the end cell's line continues (from the last node past
+    the top); t is clamped to the tabulated times.
+    """
+    i = np.searchsorted(xg, x, side="right")
+    c = np.clip(i - 1, 0, len(xg) - 2)
+    top = i == len(xg)
+    if t is None:
+        lo, hi = surf[c], surf[c + 1]
+    else:
+        tt = np.minimum(np.maximum(t, 0.0), tg[-1])
+        j = np.clip(np.searchsorted(tg, tt, side="right"), 1, len(tg) - 1)
+        w = (tt - tg[j - 1]) / (tg[j] - tg[j - 1])
+        lo = (1.0 - w) * surf[j - 1, c] + w * surf[j, c]
+        hi = (1.0 - w) * surf[j - 1, c + 1] + w * surf[j, c + 1]
+    slope = (hi - lo) / (xg[c + 1] - xg[c])
+    return slope * (x - xg[c + top]) + np.where(top, hi, lo)
+
+
+def test_lookups_match_a_searchsorted_reference(parabola_hedge, dense_call_report):
+    for hf in (parabola_hedge[0], dense_call_report.hedge):
+        xg, tg, T = hf.x, hf.t, hf.T_M
+        span = xg[-1] - xg[0]
+        # off both ends (the last node first), interior nodes, between nodes
+        x = np.concatenate(([xg[0] - 0.2 * span], xg[-1] + span * np.linspace(0.0, 0.5, 25),
+                            xg[1:-1:53], 0.5 * (xg[3:-1:71] + xg[4::71])))
+        # t < 0, grid times, between them, past T_M
+        t = np.concatenate(([-0.5], tg[::97], 0.61 * tg[1:][::89], [T, 1.5 * T]))
+        x, t = np.resize(x, max(len(x), len(t))), np.resize(t, max(len(x), len(t)))
+        assert np.any(t < 0) and np.any(t > T) and np.any(np.isin(t[t > 0], tg))
+        for ts in (t, 0.43 * T):                         # one t per point, and a scalar t
+            g = _bilinear_reference(hf.G, xg, tg, x, ts)
+            past = hf.F_grid[-1] + hf.payoff.F(ts) - hf.payoff.F(np.array([T]))[0]
+            g = np.where(ts > T, g + past - hf.F_grid[-1], g)
+            m = np.where(ts > T, hf.payoff.f(ts), _bilinear_reference(hf.M, xg, tg, x, ts))
+            for got, want in ((hf.G_at(x, ts), g), (hf.M_at(x, ts), m),
+                              (hf.delta_at(x, ts), _bilinear_reference(hf.delta, xg, tg, x, ts))):
+                assert np.array_equal(got, want)
+        for got, surf in ((hf.H_at(x), hf.H), (hf.Z_at(x), hf.Z)):
+            assert np.array_equal(got, _bilinear_reference(surf, xg, tg, x))
+
+
 def test_compute_M_rejects_a_nan_sigma():
     # sigma is NaN at x = 0, inside the continuation region (R(0) = 1)
     x = np.linspace(-2.0, 2.0, 81)

@@ -10,7 +10,8 @@ key that only one tree writes shows up as one line of the diff.
 
 The cases follow the inputs of the acceptance suite and the three
 benchmark workloads (perfbench/workloads.py, workload seed 1), plus
-batches on either side of the stepping loop's draw-ahead threshold.
+batches on either side of the stepping loop's draw-ahead threshold and
+the five hedge lookups at fixed points off and on the grids.
 
 Usage:
     python3 tools/bit_digest.py [--src DIR] [CASE ...]
@@ -202,6 +203,41 @@ def case_prefetch() -> dict:
             "constant_vol": {**_batch(price), "realized_variance": price.realized_variance}}
 
 
+def _lookups(hf, x: np.ndarray, t: np.ndarray, t_all: float) -> dict:
+    """The five hedge lookups at x, with one time t per point and with t_all for all."""
+    out = {"H": hf.H_at(x), "Z": hf.Z_at(x)}
+    for name in ("G", "M", "delta"):
+        at = getattr(hf, f"{name}_at")
+        out[name], out[f"{name}_scalar_t"] = at(x, t), at(x, t_all)
+    return out
+
+
+def case_lookups() -> dict:
+    """H, Z, G, M and delta of the dense K = 0.02 report and the parabola hedge.
+
+    Points lie off both ends of x, on nodes and between them; times lie
+    before 0, on grid times, between them and past the tabulated slab.
+    """
+    rb = _rb()
+    pr, opt = rb.pricing, rb.optimality
+    market = pr.synthetic_lognormal_quotes(spot=1.0, vol=0.2, maturity=1.0, rate=0.0, n_strikes=301)
+    x = np.linspace(-2.5, 3.5, 601)
+    bar = rb.barrier.from_function(rb.parabola.barrier_fn, x, horizon=4.0)
+    hedges = {"dense_call": pr.lower_bound(market, opt.variance_call(0.02)).hedge,
+              "parabola": opt.build_hedge(rb.obstacle.brownian(), bar, opt.power_payoff(2.0, cap=6.0),
+                                          x, nt=2400, base_point=0.0, t_max=6.0)}
+    out = {}
+    for name, hf in hedges.items():
+        span, horizon = hf.x[-1] - hf.x[0], hf.T_M
+        xs = np.concatenate((hf.x[0] - np.array([0.3, 0.0]) * span, hf.x[::97],
+                             hf.x[-1] + np.linspace(0.0, 0.5, 13) * span,
+                             np.linspace(hf.x[0], hf.x[-1], 41) + 1e-3 * span))
+        ts = np.resize(np.concatenate(([-1.0, 0.0], hf.t[::131], np.linspace(0.0, 1.3 * horizon, 23),
+                                       [horizon, 2.0 * horizon])), len(xs))
+        out[name] = _lookups(hf, xs, ts, 0.37 * horizon)
+    return out
+
+
 CASES = {
     "normal": case_normal,
     "parabola": case_parabola,
@@ -210,6 +246,7 @@ CASES = {
     "price-dense": case_price_dense,
     "two-atom": case_two_atom,
     "prefetch": case_prefetch,
+    "lookups": case_lookups,
 }
 
 
