@@ -74,8 +74,7 @@ def _diffusion(name):
 def _solver_config(args):
     return SolverConfig(
         x_lo=args.x_lo, x_hi=args.x_hi, nx=args.nx,
-        horizon=args.horizon, nt=args.nt, lam=args.lam,
-        scheme=args.scheme, lcp_tol=args.lcp_tol,
+        horizon=args.horizon, nt=args.nt, lam=args.lam, lcp_tol=args.lcp_tol,
     )
 
 
@@ -269,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--horizon", type=float, default=2.0)
     sb.add_argument("--nt", type=int, default=1600)
     sb.add_argument("--lam", type=float, default=1.0)
-    sb.add_argument("--scheme", default="implicit-projected")
     sb.add_argument("--lcp-tol", type=float, default=1e-8)
     sb.set_defaults(func=cmd_solve_barrier)
 

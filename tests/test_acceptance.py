@@ -139,7 +139,7 @@ def test_criterion_6_oracle_agreement(gaussian_solution):
     cfg = sol.cfg
     oracle = ob.optimal_stopping_oracle(ob.brownian(), ms.point_mass(0.0),
                                         ms.normal(0.0, 1.0), cfg)
-    # budgets: first order in dt, second in h, for both schemes
+    # budgets: first order in dt, second in h (generous for Crank-Nicolson)
     h_dp = oracle.x[1] - oracle.x[0]
     dt_dp = 0.8 * h_dp * h_dp
     tol_vi = sol.scheme_tolerance()

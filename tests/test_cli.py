@@ -76,6 +76,16 @@ def test_solver_error_exit_code(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def test_non_finite_horizon_exit_code(tmp_path, measure_files, capsys):
+    nu, mu = measure_files
+    out = tmp_path / "out"
+    rc = run(["--out-dir", str(out), "solve-barrier", "--nu", nu, "--mu", mu,
+              "--nx", "41", "--nt", "5", "--horizon", "nan"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "atoms", "atoms": [[-1.0, float("nan")], [1.0, 1.0]]},
     {"kind": "atoms", "atoms": [[-1.0], [1.0]]},
@@ -330,7 +340,7 @@ def test_config_file_wins_conflicts(tmp_path, measure_files, capsys):
     assert len(data) == 301
 
 
-@pytest.mark.parametrize("key", ["nxx", "contact-tol", "func"])
+@pytest.mark.parametrize("key", ["nxx", "contact-tol", "scheme", "func"])
 def test_unknown_config_key_is_an_input_error(tmp_path, measure_files, capsys, key):
     # a key that matches no flag is refused, not dropped; known keys still
     # win conflicts (test_config_file_wins_conflicts)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from rootbarrier import measures as ms
 from rootbarrier import obstacle as ob
+from rootbarrier import pricing as pr
 
 
 def closed_form_gaussian(x, t, t0=1.0):
@@ -37,7 +40,17 @@ def test_refinement_order():
     assert order >= 0.9
 
 
-def test_solution_invariants(gaussian_solution):
+def _price_atomic_solution(market, nx=201, nt=400):
+    """The log-price obstacle solve that pricing.lower_bound runs on these quotes."""
+    mu = ms.implied_measure_from_calls(market.quotes())
+    lo, hi = float(mu.locations.min()), float(mu.locations.max())
+    cfg = ob.SolverConfig(x_lo=lo * math.exp(-pr.DOMAIN_PAD), x_hi=hi * math.exp(pr.DOMAIN_PAD),
+                          nx=nx, nt=nt,
+                          horizon=max(pr.HORIZON_SWAPS * pr.swap_value(market, mu), 1e-4))
+    return ob.solve(ob.assemble(ob.geometric_brownian(), ms.point_mass(market.spot), mu, cfg))
+
+
+def test_solution_invariants(gaussian_solution, two_atom_market):
     sol = gaussian_solution
     scale = max(1.0, np.abs(sol.psi).max())
     tol = 10 * sol.cfg.lcp_tol * scale
@@ -47,24 +60,41 @@ def test_solution_invariants(gaussian_solution):
     assert np.max(np.diff(sol.v, axis=0)) <= tol
     assert np.max(sol.v - np.maximum(u_nu, sol.psi)[None, :]) <= tol
     assert sol.max_residual <= sol.cfg.lcp_tol
+    # v does not rise in time on the kinked data of two quoted atoms either;
+    # Crank-Nicolson without its implicit start rises there by 3e-5
+    atomic = _price_atomic_solution(two_atom_market)
+    tol = 10 * atomic.cfg.lcp_tol * max(1.0, np.abs(atomic.psi).max())
+    assert np.max(np.diff(atomic.v, axis=0)) <= tol
 
 
 def test_complementarity_residual_reported(gaussian_solution):
-    # recompute min(v - psi, M v - rhs) of every implicit step from the
-    # stored surface and the assembled operator; the reported figure is
-    # the worst of them
+    # recompute min(v - psi, M v - rhs) of every step from the stored
+    # surface and the assembled operator, M = I + dt/2 A; the reported
+    # figure is the worst of them
     sol = gaussian_solution
     prob = ob.assemble(sol.diff, sol.nu, sol.mu, sol.cfg)
-    dt = sol.t[1] - sol.t[0]
-    lower, diag, upper = dt * prob.lower, 1.0 + dt * prob.diag, dt * prob.upper
+    half_dt = 0.5 * (sol.t[1] - sol.t[0])
+    lower, diag, upper = half_dt * prob.lower, 1.0 + half_dt * prob.diag, half_dt * prob.upper
     lower[[0, -1]] = upper[[0, -1]] = 0.0
     diag[[0, -1]] = 1.0
     scale = max(1.0, float(np.max(np.abs(prob.v0))))
-    worst = 0.0
-    for j in range(1, len(sol.t)):
-        rhs = sol.v[j - 1].copy()
+    # step 1: two implicit half steps from v[0], warm-started from its contact set
+    active = prob.v0 <= sol.psi
+    active[[0, -1]] = False
+    cur, worst = sol.v[0], 0.0
+    for _ in range(2):
+        rhs = cur.copy()
         rhs[[0, -1]] = sol.psi[[0, -1]]
-        r = ob._lcp_residual(lower, diag, upper, rhs, sol.psi, sol.v[j], scale)[1:-1]
+        cur, _, active, _, r = ob._active_set_lcp(lower, diag, upper, rhs, sol.psi, active,
+                                                   sol.cfg.lcp_tol, scale)
+        worst = max(worst, r)
+    assert np.array_equal(cur, sol.v[1])
+    # steps j >= 2: the Crank-Nicolson right-hand side (I - dt/2 A) v[j-1]
+    for j in range(2, len(sol.t)):
+        rhs = 2.0 * sol.v[j - 1] - ob._tridiag_mul(lower, diag, upper, sol.v[j - 1])
+        rhs[[0, -1]] = sol.psi[[0, -1]]
+        mv = ob._tridiag_mul(lower, diag, upper, sol.v[j])
+        r = np.minimum(sol.v[j] - sol.psi, (mv - rhs) / scale)[1:-1]
         worst = max(worst, float(np.max(np.abs(r))))
     assert sol.max_residual == worst
     assert sol.max_residual <= sol.cfg.lcp_tol
@@ -145,6 +175,21 @@ def test_assemble_refuses_non_embeddable():
         ob.assemble(ob.brownian(), ms.atoms([-1, 1], [0.5, 0.5]), ms.point_mass(0.0), cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x_lo", -np.inf), ("x_lo", np.nan), ("x_hi", np.inf), ("x_hi", np.nan),
+    ("horizon", np.inf), ("horizon", np.nan), ("lam", np.inf), ("lam", np.nan),
+    ("lcp_tol", np.inf), ("lcp_tol", np.nan),
+])
+def test_config_refuses_non_finite_values(field, value):
+    # nan slips through every ordered comparison: a nan horizon or an
+    # infinite domain edge would give a non-finite v with residual 0 and
+    # R = 0, and a nan tolerance would never reach contact
+    kw = dict(x_lo=-6.0, x_hi=6.0, nx=101, horizon=1.0, nt=10, lam=1.0, lcp_tol=1e-8)
+    kw[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        ob.SolverConfig(**kw)
+
+
 def test_domain_truncation_guard():
     cfg = ob.SolverConfig(x_lo=-1.5, x_hi=1.5, nx=101, horizon=1.0, nt=10)
     with pytest.raises(ob.SolverError, match="truncates"):
@@ -193,6 +238,7 @@ def test_solution_dump(tmp_path, gaussian_solution):
     meta = json.loads((tmp_path / "sol_meta.json").read_text())
     assert meta["residual_summary"]["max_abs"] <= 1e-8
     assert meta["residual_summary"]["lcp_iterations"] == gaussian_solution.iterations
+    assert set(meta["config"]) == {"lcp_tol", "lambda"}
     data = np.genfromtxt(tmp_path / "sol_v.csv", delimiter=",", skip_header=1)
     assert data.shape == (len(gaussian_solution.t), len(gaussian_solution.x) + 1)
 
