@@ -136,7 +136,7 @@ def _payoff_from_args(args):
 
 def _market_from_args(args):
     if args.quotes and args.market:
-        return pricing.MarketData.from_files(args.quotes, args.market)
+        return measures.load_quotes(args.quotes, args.market)
     if args.bs_vol is not None:
         return pricing.synthetic_lognormal_quotes(
             spot=args.spot, vol=args.bs_vol, maturity=args.maturity, rate=args.rate)

@@ -231,13 +231,23 @@ class EmbeddingReport:
 
 @dataclass(frozen=True)
 class CallQuotes:
-    """Call quote curve at a single maturity plus market conventions."""
+    """Call quote curve at a single maturity plus market conventions.
+
+    `discount` is the discount factor to the maturity, 1/B_T (e^{-rT} at
+    a constant rate r), with B_T what one unit of cash grows to by then.
+    A quote is today's price C(K) = B_T^{-1} E (S_T - K)_+.
+    """
 
     strikes: np.ndarray
     prices: np.ndarray
     spot: float
     discount: float
     maturity: float
+
+    @property
+    def growth(self) -> float:
+        """B_T = 1 / discount, the one place the library forms it."""
+        return 1.0 / self.discount
 
 
 # -- constructors -----------------------------------------------------------
@@ -388,15 +398,15 @@ def implied_measure_from_calls(quotes: CallQuotes) -> Measure:
     """
     k = np.asarray(quotes.strikes, dtype=float)
     c = np.asarray(quotes.prices, dtype=float)
-    bt = float(quotes.discount)
     s0 = float(quotes.spot)
     bad = np.flatnonzero(~(np.isfinite(k) & np.isfinite(c)))
     if len(bad):
         i = int(bad[0])
         raise ArbitrageError(f"quote {i + 1} of {len(k)} (strike {k[i]:g}, "
                              f"price {c[i]:g}) is not finite")
-    if not (0 < bt < np.inf and 0 < s0 < np.inf):
+    if not (0 < quotes.discount < np.inf and 0 < s0 < np.inf):
         raise ArbitrageError("spot and discount factor must be positive and finite")
+    bt = quotes.growth
     if np.any(np.diff(k) <= 0) or np.any(k <= 0):
         raise ArbitrageError("strikes must be positive and strictly increasing")
     if np.any(c < -CONVEXITY_TOL * s0):
@@ -447,10 +457,11 @@ def implied_measure_from_calls(quotes: CallQuotes) -> Measure:
 def call_prices(m: Measure, strikes: np.ndarray, discount: float) -> np.ndarray:
     """Price calls on S_T = B_T X against the law of the discounted price X.
 
-    C(K) = B_T^{-1} E (S_T - K)_+ = E (X - K/B_T)_+.
+    discount is the discount factor 1/B_T, so that
+    C(K) = B_T^{-1} E (S_T - K)_+ = E (X - K discount)_+.
     """
     strikes = np.asarray(strikes, dtype=float)
-    x = strikes / discount
+    x = strikes * discount
     # E(Y - x)_+ = (E|Y - x| + EY - x)/2
     return 0.5 * (m.mean_abs_dev(x) + m.mean - x)
 

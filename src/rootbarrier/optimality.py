@@ -455,21 +455,21 @@ def verify_pathwise(hf: HedgeFunctions) -> dict:
 class _LadderSnapshots:
     """Path observer: free states, stopped states and stopped clocks at the ladder times.
 
-    Paths stop at the first step with t_k >= R(X), decided against the
-    step's free section (Barrier.stops) as in simulate._TimeBarrier.
+    Every path keeps running; its stopping time is the one the stopping
+    rule of simulate_stopped, simulate._TimeBarrier, would give it.
     """
 
     def __init__(self, barrier: Barrier, ladder: list):
-        self.barrier, self.ladder, self.snaps = barrier, ladder, {}
+        self.rule, self.ladder, self.snaps = sim._TimeBarrier(barrier), ladder, {}
 
     def start(self, x0, n_steps, dt):
         self.targets = {int(round(tv / dt)): tv for tv in self.ladder}
-        self.tau = np.where(self.barrier.value_at(x0) <= 0.0, 0.0, np.inf)
+        self.tau = np.where(self.rule.start(x0, None), np.inf, 0.0)
         self.val = x0.copy()
 
     def __call__(self, s) -> None:
         x, t_k = s.x_new, s.k * s.dt
-        hit = ~(self.tau <= t_k) & self.barrier.stops(x, t_k)
+        hit = ~(self.tau <= t_k) & self.rule(s)
         self.tau[hit] = t_k
         self.val[hit] = x[hit]
         if s.k in self.targets:

@@ -1,19 +1,23 @@
 """Robust lower bounds and subhedges for options on realized variance.
 
-Given call quotes at one maturity, the implied law of the discounted
-terminal price is extracted, embedded by a stopping barrier for the
-driftless geometric diffusion (solved in log space), and the hedge
-functions G and H are assembled with base point at the spot.  The lower
-bound for a payoff F of realized variance is the setup cost
+The market is `MarketData`, the pricing name of `measures.CallQuotes`:
+call quotes at one maturity, the spot, the maturity and the discount
+factor 1/B_T, where B_T (its `growth`) is what one unit of cash grows to
+by the maturity.  The implied law mu of the discounted terminal price
+X_T = S_T / B_T is extracted from the quotes, embedded by a stopping
+barrier for the driftless geometric diffusion (solved in log space), and
+the hedge functions G and H are assembled with base point at the spot.
+The lower bound for a payoff F of realized variance is the setup cost
 
-    B_T^{-1} [ G(S0, 0) + H(S0) + int C(B_T K) H''(dK) + int P(B_T K) H''(dK) ],
+    B_T^{-1} [ G(S0, 0) + int H dmu ].
 
-realized as cash, a forward position, and a strip of calls and puts whose
-weights are the slope changes of H across the quoted strikes, plus a
-dynamic position of B_T^{-1} dG/dx(X_t, rv_t) units of the asset marked
-against accumulated squared log returns.  Any admissible price path keeps
-the portfolio at or below the payoff; the barrier time-change model makes
-it tight.
+It is realized as a static leg, the piecewise-linear interpolant of H at
+the atoms of mu and the spot (cash, a forward position and a strip of
+calls and puts whose units are the slope changes of H), and a dynamic
+position of B_T^{-1} dG/dx(X_t, rv_t) units of the asset marked against
+accumulated squared log returns.  mu reprices every quote, so the strip
+costs B_T^{-1} int H dmu.  Any admissible price path keeps the portfolio
+at or below the payoff; the barrier time-change model makes it tight.
 
 A price below the bound is an arbitrage; the upper bound for concave
 payoffs follows from exact variance-swap replication via the log
@@ -32,7 +36,7 @@ from scipy.stats import norm
 
 from . import measures, simulate as sim
 from .barrier import Barrier, extract_barrier
-from .measures import CallQuotes, Measure
+from .measures import Measure
 from .obstacle import SolverConfig, assemble, geometric_brownian, solve
 from .optimality import HedgeFunctions, PayoffSpec, build_hedge
 
@@ -52,27 +56,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MarketData:
-    """Call quotes at one maturity plus spot, discount factor and maturity."""
-
-    spot: float
-    discount: float
-    maturity: float
-    strikes: np.ndarray
-    prices: np.ndarray
-
-    def quotes(self) -> CallQuotes:
-        return CallQuotes(
-            strikes=self.strikes, prices=self.prices,
-            spot=self.spot, discount=self.discount, maturity=self.maturity,
-        )
-
-    @classmethod
-    def from_files(cls, csv_path: str, sidecar_path: str) -> "MarketData":
-        q = measures.load_quotes(csv_path, sidecar_path)
-        return cls(spot=q.spot, discount=q.discount, maturity=q.maturity,
-                   strikes=q.strikes, prices=q.prices)
+# call quotes, spot, discount factor and maturity: one market type
+MarketData = measures.CallQuotes
 
 
 # variance-time horizon of the obstacle solve, in units of the swap value
@@ -106,7 +91,7 @@ class HedgeReport:
 
     def delta(self, x: np.ndarray, accumulated_variance: float) -> np.ndarray:
         """Units of the asset held by the dynamic account, B_T^{-1} scaled."""
-        return self.hedge.delta_at(np.asarray(x, dtype=float), accumulated_variance) / self.market.discount
+        return self.hedge.delta_at(np.asarray(x, dtype=float), accumulated_variance) / self.market.growth
 
     def attaining_model(self) -> "sim.PriceModel":
         """The barrier time-change price model under which the bound is met.
@@ -170,18 +155,18 @@ def synthetic_lognormal_quotes(
 def log_contract_value(market: MarketData, mu: Optional[Measure] = None) -> float:
     """Price of the contract paying ln S_T, by quadrature against the implied law."""
     if mu is None:
-        mu = measures.implied_measure_from_calls(market.quotes())
+        mu = measures.implied_measure_from_calls(market)
     e_ln_x = float(np.dot(mu.weights, np.log(mu.locations)))
-    bt = market.discount
+    bt = market.growth
     return (e_ln_x + math.log(bt)) / bt
 
 
 def swap_value(market: MarketData, mu: Optional[Measure] = None) -> float:
     """Model-free price of the payoff <ln S>_T: -2 B_T^{-1} E ln(X_T / S0)."""
     if mu is None:
-        mu = measures.implied_measure_from_calls(market.quotes())
+        mu = measures.implied_measure_from_calls(market)
     e_ln = float(np.dot(mu.weights, np.log(mu.locations / market.spot)))
-    return -2.0 * e_ln / market.discount
+    return -2.0 * e_ln / market.growth
 
 
 # -- static replication ---------------------------------------------------------
@@ -190,15 +175,16 @@ def static_portfolio(
     nodes: np.ndarray,
     h_values: np.ndarray,
     spot: float,
-    discount: float,
+    growth: float,
 ) -> tuple[float, float, list]:
     """Cash, forward and option weights replicating H at the given kinks.
 
     The piecewise-linear interpolant of H through the nodes is written as
     H(S0) + H'_+(S0)(x - S0) plus calls above the spot and puts at or
     below it, with option units equal to the slope changes; the identity
-    is exact at every node.  All units carry the B_T^{-1} prefactor of the
-    terminal payoff mapping x = B_T^{-1} S_T.
+    is exact at every node.  growth is B_T: all units carry the B_T^{-1}
+    prefactor of the terminal payoff mapping x = B_T^{-1} S_T, and the
+    strikes are B_T x.
     """
     x = np.asarray(nodes, dtype=float)
     h = np.asarray(h_values, dtype=float)
@@ -207,12 +193,12 @@ def static_portfolio(
         raise ValueError("the spot must be one of the portfolio nodes")
     if len(x) < 2:
         # target concentrated at the spot: a pure cash position
-        return h[0] / discount, 0.0, []
+        return h[0] / growth, 0.0, []
     slopes = np.diff(h) / np.diff(x)
     h_s0 = h[i0]
     slope_right = slopes[i0] if i0 < len(slopes) else slopes[-1]
-    cash = (h_s0 - slope_right * spot) / discount
-    forward_units = slope_right / discount
+    cash = (h_s0 - slope_right * spot) / growth
+    forward_units = slope_right / growth
     # every interior kink is an option leg; the one at the spot becomes a
     # put because the forward leg carries only the right slope there
     weights = []
@@ -226,7 +212,7 @@ def static_portfolio(
     for i, w in zip(range(1, len(x) - 1), jumps):
         if abs(w) < 1e-14:
             continue
-        weights.append((discount * x[i], w / discount))
+        weights.append((growth * x[i], w / growth))
     return cash, forward_units, weights
 
 
@@ -239,17 +225,17 @@ def lower_bound(
 ) -> HedgeReport:
     """Model-independent lower bound and subhedge for F(<ln S>_T).
 
-    Pipeline: implied law from the quotes, log-space obstacle solve for the
-    embedding barrier of delta_{S0} into the implied law, hedge functions
-    with base point S0, then the static strike decomposition priced off
-    the quoted curve (puts via parity).
+    Pipeline: implied law mu from the quotes, log-space obstacle solve for
+    the embedding barrier of delta_{S0} into mu, hedge functions with base
+    point S0, then the static strike decomposition of H at the atoms of
+    mu and the spot.  The bound is B_T^{-1} [G(S0, 0) + int H dmu].
     """
     if cfg is None:
         cfg = PricingConfig()
-    mu = measures.implied_measure_from_calls(market.quotes())
+    mu = measures.implied_measure_from_calls(market)
     nu = measures.point_mass(market.spot)
     s0 = market.spot
-    bt = market.discount
+    bt = market.growth
 
     sv = swap_value(market, mu)
     horizon = max(HORIZON_SWAPS * sv, 1e-4)
@@ -279,24 +265,15 @@ def lower_bound(
     hf = build_hedge(diff, bar, payoff, bar.x, nt=cfg.nt_hedge,
                      base_point=s0, t_max=t_max)
 
-    # static decomposition at the implied atoms (the quoted strikes)
-    kink_x = mu.locations
-    interior = (kink_x > bar.x[0]) & (kink_x < bar.x[-1])
-    nodes = np.unique(np.concatenate((kink_x[interior], [s0])))
-    h_at = hf.H_at(nodes)
-    cash, forward_units, weights = static_portfolio(nodes, h_at, s0, bt)
-
-    # option legs priced off the quoted curve; puts from call-put parity
-    option_cost = 0.0
-    calls = _quote_curve(market, np.array([k for k, _ in weights], dtype=float))
-    for (k, w), c_k in zip(weights, calls):
-        if k > bt * s0:
-            option_cost += w * c_k
-        else:
-            option_cost += w * (k / bt - s0 + c_k)   # put via parity, discounted strike leg
+    # static leg: H interpolated at the implied atoms (the quoted strikes)
+    # and the spot, so that under mu it pays int H dmu
+    nodes = np.unique(np.append(mu.locations, s0))
+    cash, forward_units, weights = static_portfolio(nodes, hf.H_at(nodes), s0, bt)
     g0 = float(hf.G_at(np.array([s0]), 0.0)[0])
     h0 = float(hf.H_at(np.array([s0]))[0])
-    bound = (g0 + h0) / bt + option_cost
+    e_h = float(np.dot(mu.weights, hf.H_at(mu.locations)))
+    bound = (g0 + e_h) / bt
+    option_cost = (e_h - h0) / bt
 
     diagnostics = {
         "swap_value": sv,
@@ -314,19 +291,6 @@ def lower_bound(
         strike_weights=weights, market=market, payoff=payoff,
         implied_measure=mu, barrier=bar, hedge=hf, diagnostics=diagnostics,
     )
-
-
-def _quote_curve(market: MarketData, strikes: np.ndarray) -> np.ndarray:
-    """Piecewise-linear quoted call curve, completed at 0 and in the tail."""
-    k = np.concatenate(([0.0], market.strikes))
-    c = np.concatenate(([market.spot], market.prices))
-    if c[-1] > 0 and len(k) >= 2:
-        s_last = (c[-1] - c[-2]) / (k[-1] - k[-2])
-        if s_last < 0:
-            k = np.append(k, k[-1] - c[-1] / s_last)
-            c = np.append(c, 0.0)
-    out = np.interp(np.asarray(strikes, dtype=float), k, c)
-    return np.maximum(out, 0.0)
 
 
 # -- pathwise verification --------------------------------------------------------
@@ -353,7 +317,7 @@ def verify_subhedge(
     implied law.
     """
     hf = report.hedge
-    bt = report.market.discount
+    bt = report.market.growth
     g0 = float(hf.G_at(np.array([model.s0]), 0.0)[0])
     payoff = report.payoff
     rv = sim._RealizedVariance()
@@ -404,7 +368,7 @@ class _HedgeAccount:
 
 
 def _static_value(report: HedgeReport, x_terminal: np.ndarray) -> np.ndarray:
-    bt = report.market.discount
+    bt = report.market.growth
     s_t = bt * np.asarray(x_terminal, dtype=float)
     out = np.full_like(s_t, report.cash * bt)
     out += report.forward_units * s_t

@@ -13,7 +13,7 @@ rank among the paths still running, not to the path.  Step 0 draws the
 start states, in amounts that depend on n.  A batch is therefore
 bit-identical for a fixed (seed, n), but a slice of its paths run on its
 own gets other draws; streams keyed so that a batch can be split are
-ROADMAP.md item 4.
+ROADMAP.md item 8.
 
 While step k runs, step k + 1's normals may be drawn ahead on one worker
 thread, whose fill releases the GIL and so runs on a second core: one

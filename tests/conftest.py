@@ -18,6 +18,13 @@ def gaussian_solution():
 
 
 @pytest.fixture(scope="session")
+def coarse_gaussian_solution():
+    """The same solve on 401 nodes and 400 time steps."""
+    cfg = ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=401, horizon=2.0, nt=400)
+    return ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg))
+
+
+@pytest.fixture(scope="session")
 def parabola_hedge():
     """Hedge functions for the closed-form parabolic barrier."""
     x = np.linspace(-2.5, 3.5, 601)

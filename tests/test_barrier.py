@@ -45,7 +45,7 @@ def test_contact_indicator_monotone(gaussian_solution):
     assert np.all(np.diff(contact.astype(int), axis=0) >= 0)
 
 
-def test_extract_barrier_matches_full_matrix(gaussian_solution):
+def test_extract_barrier_matches_full_matrix(gaussian_solution, coarse_gaussian_solution):
     # the contact steps recorded during the march must reproduce the
     # whole-surface formula bit for bit; the two-atom solve adds
     # never-stopping nodes (R = inf), the lognormal solve the geometric
@@ -56,9 +56,7 @@ def test_extract_barrier_matches_full_matrix(gaussian_solution):
     cfg = ob.SolverConfig(x_lo=0.3, x_hi=3.0, nx=401, horizon=0.25, nt=400)
     lognormal = ob.solve(ob.assemble(ob.geometric_brownian(), ms.point_mass(1.0),
                                      ms.lognormal(-0.02, 0.04), cfg))
-    cfg = ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=401, horizon=2.0, nt=400)
-    coarse = ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg))
-    for sol in (gaussian_solution, two_atom, lognormal, coarse):
+    for sol in (gaussian_solution, two_atom, lognormal, coarse_gaussian_solution):
         tol = 10 * sol.cfg.lcp_tol * np.maximum(1.0, np.abs(sol.psi))
         contact = (sol.v - sol.psi[None, :]) <= tol[None, :]
         first = np.where(contact.any(axis=0), contact.argmax(axis=0), -1)
@@ -187,15 +185,3 @@ def test_resolution_independent_stopping_distribution():
     cdfs = [np.searchsorted(t, grid, side="right") / len(t) for t in taus.values()]
     ks12 = float(np.max(np.abs(cdfs[0] - cdfs[1])))
     assert ks12 <= 0.05
-
-
-def test_crank_nicolson_scheme_matches():
-    cfg = ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=401, horizon=2.0, nt=400)
-    sol = ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg))
-    errs = []
-    for j in range(0, len(sol.t), 40):
-        s = min(sol.t[j], 1.0)
-        cf = -np.abs(sol.x) if s == 0 else -ms.normal(0.0, s).mean_abs_dev(sol.x)
-        errs.append(np.max(np.abs(sol.v[j] - cf)))
-    assert max(errs) < 2e-3
-    assert sol.max_residual <= cfg.lcp_tol

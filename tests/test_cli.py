@@ -132,16 +132,35 @@ def test_verify_embed_without_paths_exit_code(tmp_path, measure_files, capsys):
 
 
 def test_price_bound_swap_consistency(tmp_path):
+    # also with the quotes discounted at a 3% rate
+    for rate in ("0.0", "0.03"):
+        out = tmp_path / f"out{rate}"
+        rc = run(["--out-dir", str(out), "--quiet", "price-bound",
+                  "--bs-vol", "0.2", "--rate", rate, "--payoff", "variance-swap",
+                  "--nx", "901", "--nt", "1600"])
+        assert rc == 0
+        report = json.loads((out / "bound_report.json").read_text())
+        assert report["lower_bound"] == pytest.approx(report["diagnostics"]["swap_value"], rel=1e-4)
+        assert 0.0 <= report["diagnostics"]["M_clip"] <= 1e-12
+        assert (out / "gap_surface.csv").exists()
+        assert (out / "barrier.csv").exists()
+
+
+def test_price_bound_reads_the_sidecar_discount_factor(tmp_path):
+    # quotes discounted at 0.97 = 1/B_T: the swap costs 0.97 sigma^2 T
+    market = pr.synthetic_lognormal_quotes(vol=0.2, rate=-np.log(0.97))
+    q = tmp_path / "q.csv"
+    q.write_text("strike,price\n" + "".join(f"{k:.17g},{c:.17g}\n" for k, c in zip(market.strikes, market.prices)))
+    side = tmp_path / "m.json"
+    side.write_text(json.dumps({"spot": 1.0, "discount_factor": 0.97, "maturity": 1.0}))
+    assert ms.load_quotes(str(q), str(side)).growth == 1.0 / 0.97
     out = tmp_path / "out"
-    rc = run(["--out-dir", str(out), "--quiet", "price-bound",
-              "--bs-vol", "0.2", "--payoff", "variance-swap",
-              "--nx", "901", "--nt", "1600"])
+    rc = run(["--out-dir", str(out), "--quiet", "price-bound", "--quotes", str(q),
+              "--market", str(side), "--nx", "301", "--nt", "400"])
     assert rc == 0
     report = json.loads((out / "bound_report.json").read_text())
-    assert report["lower_bound"] == pytest.approx(report["diagnostics"]["swap_value"], rel=1e-4)
-    assert 0.0 <= report["diagnostics"]["M_clip"] <= 1e-12
-    assert (out / "gap_surface.csv").exists()
-    assert (out / "barrier.csv").exists()
+    assert report["lower_bound"] == pytest.approx(report["diagnostics"]["swap_value"], rel=1e-3)
+    assert report["lower_bound"] == pytest.approx(0.97 * 0.04, rel=2e-3)
 
 
 def test_price_bound_check_reports_ks_of_the_subhedge_paths(tmp_path):

@@ -202,19 +202,22 @@ def bs_call(s0, k, vol, t):
 
 
 def test_implied_measure_black_scholes_round_trip():
+    # at r = 3% the quotes are discounted by df = e^{-rT} = 1/B_T; the law
+    # of the discounted price X_T = S_T df is the same lognormal at any rate
     ks = np.linspace(0.2, 3.2, 301)
-    q = ms.CallQuotes(strikes=ks, prices=bs_call(1.0, ks, 0.2, 1.0),
-                      spot=1.0, discount=1.0, maturity=1.0)
-    mu = ms.implied_measure_from_calls(q)
-    assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert mu.mean == pytest.approx(1.0, abs=1e-8)
-    # repricing the quotes against the implied law reproduces them
-    assert np.max(np.abs(ms.call_prices(mu, ks, 1.0) - q.prices)) < 1e-6
-    # and the law is the lognormal one up to quote discretization
-    grid = np.linspace(0.05, 4.0, 401)
-    gap = np.abs(ms.potential(mu, grid).values
-                 - ms.potential(ms.lognormal(-0.02, 0.04), grid).values)
-    assert np.max(gap) < 1e-4
+    for df in (1.0, np.exp(-0.03)):
+        q = ms.CallQuotes(strikes=ks, prices=df * bs_call(1.0 / df, ks, 0.2, 1.0),
+                          spot=1.0, discount=df, maturity=1.0)
+        mu = ms.implied_measure_from_calls(q)
+        assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert mu.mean == pytest.approx(1.0, abs=1e-8)
+        # repricing the quotes against the implied law reproduces them
+        assert np.max(np.abs(ms.call_prices(mu, ks, df) - q.prices)) < 1e-6
+        # and the law is the lognormal one up to quote discretization
+        grid = np.linspace(0.05, 4.0, 401)
+        gap = np.abs(ms.potential(mu, grid).values
+                     - ms.potential(ms.lognormal(-0.02, 0.04), grid).values)
+        assert np.max(gap) < 1e-4
 
 
 def test_implied_measure_two_point_curve():
@@ -315,20 +318,21 @@ def test_quote_csv_round_trip(tmp_path):
 
 
 def test_implied_measure_closes_a_curve_still_positive_at_its_last_quote():
-    # law 0.25 / 0.5 / 0.25 at 0.5 / 1.0 / 1.5, quoted up to 1.25 only: the
-    # curve is continued at its last slope to zero, and the kink there is the
-    # top atom
-    bt = 0.95
-    strikes = bt * np.array([0.5, 1.0, 1.25])
+    # law 0.25 / 0.5 / 0.25 at 0.5 / 1.0 / 1.5 of the discounted price,
+    # quoted up to 1.25 only: the curve is continued at its last slope to
+    # zero, and the kink there is the top atom.  With the discount factor
+    # df = 1/B_T, the atom at x sits at the strike x / df.
+    df = 0.95
+    strikes = np.array([0.5, 1.0, 1.25]) / df
     law = ms.atoms([0.5, 1.0, 1.5], [0.25, 0.5, 0.25])
-    prices = ms.call_prices(law, strikes, bt)
-    q = ms.CallQuotes(strikes=strikes, prices=prices, spot=1.0, discount=bt, maturity=1.0)
+    prices = ms.call_prices(law, strikes, df)
+    q = ms.CallQuotes(strikes=strikes, prices=prices, spot=1.0, discount=df, maturity=1.0)
     mu = ms.implied_measure_from_calls(q)
     s_last = (prices[-1] - prices[-2]) / (strikes[-1] - strikes[-2])
     k_star = strikes[-1] - prices[-1] / s_last
     assert prices[-1] > 0.06
-    assert mu.locations[-1] == pytest.approx(k_star / bt, rel=1e-12)
-    assert mu.weights[-1] == pytest.approx(-bt * s_last, rel=1e-12)
+    assert mu.locations[-1] == pytest.approx(k_star * df, rel=1e-12)
+    assert mu.weights[-1] == pytest.approx(-s_last / df, rel=1e-12)
     assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert mu.mean == pytest.approx(q.spot, abs=1e-12)
     assert np.allclose(mu.locations, law.locations) and np.allclose(mu.weights, law.weights)

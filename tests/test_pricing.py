@@ -18,11 +18,21 @@ def test_swap_bound_matches_log_contract(dense_swap_report, dense_market):
     assert dense_swap_report.lower_bound == pytest.approx(0.04, rel=2e-3)
 
 
+def test_swap_bound_at_a_nonzero_rate():
+    # the quotes discount at 3%: B_T = e^{rT}, and the swap pays
+    # sigma^2 T at T, so it costs e^{-rT} sigma^2 T today
+    market = pr.synthetic_lognormal_quotes(spot=1.0, vol=0.2, maturity=1.0, rate=0.03, n_strikes=301)
+    rep = pr.lower_bound(market, opt.variance_swap())
+    sv = pr.swap_value(market)
+    assert abs(rep.lower_bound - sv) / sv < 1e-4
+    assert rep.lower_bound == pytest.approx(np.exp(-0.03) * 0.04, rel=2e-3)
+
+
 def test_static_portfolio_absolute_value_kink():
     # |x - S0| decomposes into one unit of call plus one of put at the spot
     nodes = np.array([0.5, 1.0, 1.5])
     h = np.abs(nodes - 1.0)
-    cash, fwd, weights = pr.static_portfolio(nodes, h, spot=1.0, discount=1.0)
+    cash, fwd, weights = pr.static_portfolio(nodes, h, spot=1.0, growth=1.0)
     assert cash == pytest.approx(-1.0)      # forward leg rebate
     assert fwd == pytest.approx(1.0)
     assert len(weights) == 1
@@ -34,7 +44,7 @@ def test_static_portfolio_absolute_value_kink():
 def test_static_portfolio_quadratic():
     nodes = np.linspace(0.5, 1.5, 11)
     h = nodes ** 2
-    cash, fwd, weights = pr.static_portfolio(nodes, h, spot=1.0, discount=1.0)
+    cash, fwd, weights = pr.static_portfolio(nodes, h, spot=1.0, growth=1.0)
     dk = nodes[1] - nodes[0]
     assert np.allclose([w for _, w in weights], 2.0 * dk)
 
@@ -175,7 +185,7 @@ def test_market_data_files_round_trip(tmp_path, dense_market):
             fh.write(f"{k},{c}\n")
     side = tmp_path / "market.json"
     side.write_text(json.dumps({"spot": 1.0, "discount_factor": 1.0, "maturity": 1.0}))
-    mkt = pr.MarketData.from_files(str(csv), str(side))
+    mkt = ms.load_quotes(str(csv), str(side))
     assert np.allclose(mkt.strikes, dense_market.strikes)
     assert np.allclose(mkt.prices, dense_market.prices)
 
@@ -191,7 +201,7 @@ def test_delta_handle_scaling(dense_call_report):
     x = np.array([0.95, 1.0, 1.05])
     d_report = dense_call_report.delta(x, 0.01)
     d_hedge = dense_call_report.hedge.delta_at(x, 0.01)
-    assert np.allclose(d_report, d_hedge / dense_call_report.market.discount)
+    assert np.allclose(d_report, d_hedge / dense_call_report.market.growth)
 
 
 def test_delta_read_at_each_paths_own_variance(dense_call_report):

@@ -64,6 +64,21 @@ def test_bit_digest_hashes_exact_bits(capsys, monkeypatch):
     assert [ln.split("  ")[1] for ln in tool.lines("c", {"r": {"a": 1.0, "b": [1, 2]}})] == ["c.r.a", "c.r.b"]
 
 
+def test_bit_digest_reports_a_refused_case_and_goes_on(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))   # main() puts its --src first
+    tool = _load_tool("bit_digest")
+
+    def refused():
+        raise ValueError("refused input")
+
+    monkeypatch.setattr(tool, "CASES", {"refused": refused, "fine": lambda: {"r": 1.0}})
+    assert tool.main(["bit_digest.py"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{tool.digest('ValueError: refused input')}  refused.error",
+        f"{tool.digest(1.0)}  fine.r",
+    ]
+
+
 BRANCHY = '''def sign(x):
     """Docstring: no bytecode of its own."""
     if x >= 0:

@@ -10,8 +10,11 @@ key that only one tree writes shows up as one line of the diff.
 
 The cases follow the inputs of the acceptance suite and the three
 benchmark workloads (perfbench/workloads.py, workload seed 1), plus
-batches on either side of the stepping loop's draw-ahead threshold and
-the five hedge lookups at fixed points off and on the grids.
+batches on either side of the stepping loop's draw-ahead threshold, the
+five hedge lookups at fixed points off and on the grids, and quotes
+discounted at a nonzero rate.  A case that raises prints one line,
+`<sha256>  <case>.error`, the hash of the exception's type and message,
+and the run goes on with the next case.
 
 Usage:
     python3 tools/bit_digest.py [--src DIR] [CASE ...]
@@ -203,6 +206,16 @@ def case_prefetch() -> dict:
             "constant_vol": {**_batch(price), "realized_variance": price.realized_variance}}
 
 
+def case_rate() -> dict:
+    """301 quotes at r = 3%: the implied law and the variance-swap report."""
+    rb = _rb()
+    pr = rb.pricing
+    market = pr.synthetic_lognormal_quotes(spot=1.0, vol=0.2, maturity=1.0, rate=0.03, n_strikes=301)
+    mu = rb.measures.implied_measure_from_calls(market)
+    return {"implied": {"locations": mu.locations, "weights": mu.weights},
+            "swap": _report(pr.lower_bound(market, rb.optimality.variance_swap()))}
+
+
 def _lookups(hf, x: np.ndarray, t: np.ndarray, t_all: float) -> dict:
     """The five hedge lookups at x, with one time t per point and with t_all for all."""
     out = {"H": hf.H_at(x), "Z": hf.Z_at(x)}
@@ -247,6 +260,7 @@ CASES = {
     "two-atom": case_two_atom,
     "prefetch": case_prefetch,
     "lookups": case_lookups,
+    "rate": case_rate,
 }
 
 
@@ -260,7 +274,11 @@ def main(argv: list[str]) -> int:
         ap.error(f"unknown case(s) {sorted(unknown)}; choose from {list(CASES)}")
     sys.path.insert(0, args.src)
     for case in args.cases or CASES:
-        print("\n".join(lines(case, CASES[case]())), flush=True)
+        try:
+            out = lines(case, CASES[case]())
+        except Exception as exc:
+            out = [f"{digest(f'{type(exc).__name__}: {exc}')}  {case}.error"]
+        print("\n".join(out), flush=True)
     return 0
 
 

@@ -18,7 +18,7 @@ if the first one starts with a dash.  Prints one line per module,
 `missed/executable  path  ranges` with the missed lines as ranges such
 as `12-14,30`, then the total, and exits with pytest's exit code.
 Tracing costs little where the time goes to numpy: the tier-1 suite
-(226 tests) took 230 s traced and 209 s untraced on a 2-core Xeon.
+(271 tests) took 137 s traced and 127 s untraced on a 2-core Xeon.
 """
 
 from __future__ import annotations
