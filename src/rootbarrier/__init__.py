@@ -27,7 +27,7 @@ from .simulate import (
 )
 from .optimality import (
     PayoffSpec, HedgeFunctions, variance_call, variance_swap, power_payoff,
-    custom_payoff, compute_M, compute_Z, compute_G_H, build_hedge,
+    custom_payoff, compute_M, build_hedge,
     verify_pathwise, verify_martingale, optimality_gap,
 )
 from .pricing import (

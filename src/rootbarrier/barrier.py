@@ -188,10 +188,8 @@ def from_function(fn, x: np.ndarray, horizon: float) -> Barrier:
 
 def save_barrier(b: Barrier, csv_path: str, meta_path: Optional[str] = None) -> None:
     """CSV `x,R` using the literal `inf` for never-stopping nodes."""
-    with open(csv_path, "w") as fh:
-        fh.write("x,R\n")
-        for xi, ri in zip(b.x, b.R):
-            fh.write(f"{xi:.12g},{'inf' if np.isinf(ri) else format(ri, '.12g')}\n")
+    np.savetxt(csv_path, np.column_stack([b.x, b.R]), fmt="%.12g", delimiter=",",
+               header="x,R", comments="")
     if meta_path:
         meta = {
             "grid": {"lo": float(b.x[0]), "hi": float(b.x[-1]), "n": len(b.x)},

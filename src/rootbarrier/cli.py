@@ -161,15 +161,14 @@ def cmd_price_bound(args, dump_hedge=False) -> int:
         json.dump(doc, fh, indent=2)
     save_barrier(report.barrier, os.path.join(args.out_dir, "barrier.csv"))
     hf = report.hedge
-    # plot-ready gap samples: columns x, t, G+H-F
-    gap = hf.G + hf.H[None, :] - hf.F_grid[:, None]
-    step_t = max(len(hf.t) // 60, 1)
-    step_x = max(len(hf.x) // 120, 1)
-    with open(os.path.join(args.out_dir, "gap_surface.csv"), "w") as fh:
-        fh.write("x,t,gap\n")
-        for j in range(0, len(hf.t), step_t):
-            for i in range(0, len(hf.x), step_x):
-                fh.write(f"{hf.x[i]:.8g},{hf.t[j]:.8g},{gap[j, i]:.8g}\n")
+    # plot-ready gap samples, one row per (t, x), t outer: columns x, t, G+H-F
+    st = slice(None, None, max(len(hf.t) // 60, 1))
+    sx = slice(None, None, max(len(hf.x) // 120, 1))
+    gap = hf.G[st, sx] + hf.H[None, sx] - hf.F_grid[st, None]
+    xs, ts = np.meshgrid(hf.x[sx], hf.t[st])
+    np.savetxt(os.path.join(args.out_dir, "gap_surface.csv"),
+               np.column_stack([xs.ravel(), ts.ravel(), gap.ravel()]), fmt="%.8g",
+               delimiter=",", header="x,t,gap", comments="")
     if dump_hedge:
         header = "t\\x," + ",".join(f"{xi:.10g}" for xi in hf.x)
         for name, mat in (("M", hf.M), ("G", hf.G), ("delta", hf.delta)):
@@ -202,15 +201,14 @@ def cmd_demo_example(args) -> int:
     diff = brownian()
     hf = opt.build_hedge(diff, bar, payoff, x, nt=args.nt, base_point=0.0, t_max=args.t_max)
     win = (hf.x >= -alpha + 0.1) & (hf.x <= beta - 0.1)
-    xs = hf.x[win]
-    errs = {"M": 0.0, "G": 0.0, "gap": 0.0}
-    for j, tv in enumerate(hf.t):
-        errs["M"] = max(errs["M"], float(np.max(np.abs(hf.M[j][win] - parabola.M_exact(xs, tv, alpha, beta, lam)))))
-        errs["G"] = max(errs["G"], float(np.max(np.abs(hf.G[j][win] - parabola.G_exact(xs, tv, alpha, beta, lam)))))
-        g = hf.G[j][win] + hf.H[win] - hf.F_grid[j]
-        errs["gap"] = max(errs["gap"], float(np.max(np.abs(g - parabola.gap_exact(xs, tv, alpha, beta, lam)))))
-    errs["Z"] = float(np.max(np.abs(hf.Z[win] - parabola.Z_exact(xs, alpha, beta, lam))))
-    errs["H"] = float(np.max(np.abs(hf.H[win] - parabola.H_exact(xs, alpha, beta, lam))))
+    xs, ts = hf.x[win], hf.t[:, None]
+    gap = hf.G[:, win] + hf.H[win] - hf.F_grid[:, None]
+    errs = {name: float(np.max(np.abs(num - exact))) for name, num, exact in (
+        ("M", hf.M[:, win], parabola.M_exact(xs, ts, alpha, beta, lam)),
+        ("G", hf.G[:, win], parabola.G_exact(xs, ts, alpha, beta, lam)),
+        ("gap", gap, parabola.gap_exact(xs, ts, alpha, beta, lam)),
+        ("Z", hf.Z[win], parabola.Z_exact(xs, alpha, beta, lam)),
+        ("H", hf.H[win], parabola.H_exact(xs, alpha, beta, lam)))}
     report = {"alpha": alpha, "beta": beta, "curvature": lam,
               "nx": args.nx, "nt": args.nt, "max_errors": errs,
               "all_below_1e-3": bool(max(errs.values()) <= 1e-3)}

@@ -83,7 +83,7 @@ class Measure:
     locations: Optional[np.ndarray] = None   # atoms: positions, ascending
     weights: Optional[np.ndarray] = None     # atoms: masses
     params: Optional[dict] = None            # normal / lognormal parameters
-    support: tuple[float, float] = (-np.inf, np.inf)
+    support: tuple[float, float] = field(init=False)     # set from kind and locations
     cum_weights: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     cum_moments: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 

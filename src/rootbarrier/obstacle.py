@@ -77,33 +77,21 @@ class DiffusionSpec:
     """Diffusion coefficient of dX = sigma(X) dW.
 
     sigma and its closed-form derivative are callables on arrays; a
-    constant sigma may return a scalar, which broadcasts against x.  bounds
-    report the ellipticity window (lo, hi) on the truncated domain; for the
-    geometric flag the solver works in log coordinates instead, where no
-    lower ellipticity bound on sigma itself is needed.
+    constant sigma may return a scalar, which broadcasts against x.
+    `assemble` refuses a sigma that is not positive and finite on the
+    grid; for the geometric flag the solver works in log coordinates
+    instead, where sigma itself is not evaluated.
     """
 
     sigma: Callable[[np.ndarray], np.ndarray]
     dsigma: Callable[[np.ndarray], np.ndarray]
-    bounds: tuple[float, float] = (1e-8, 1e8)
     geometric: bool = False
-
-    def validate_on(self, x: np.ndarray) -> None:
-        if self.geometric:
-            return
-        s = self.sigma(x)
-        lo, hi = self.bounds
-        if np.any(s < lo) or np.any(s > hi):
-            raise SolverError("sigma violates its ellipticity bounds on the domain")
-        if np.any(s <= 0):
-            raise SolverError("sigma must be positive on the domain")
 
 
 def brownian() -> DiffusionSpec:
     return DiffusionSpec(
         sigma=lambda x: 1.0,
         dsigma=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        bounds=(0.5, 2.0),
     )
 
 
@@ -248,8 +236,9 @@ def _operator_rows(x, a, c):
 def assemble(diff: DiffusionSpec, nu: Measure, mu: Measure, cfg: SolverConfig) -> DiscreteProblem:
     """Build the discrete obstacle problem for the pair (nu, mu).
 
-    Refuses to assemble when the ordered-potential condition fails or when
-    the domain truncates more than TAIL_MASS_TOL of either law.  In the
+    Refuses to assemble when the ordered-potential condition fails, when
+    the domain truncates more than TAIL_MASS_TOL of either law, or when
+    sigma is not positive and finite at every grid node.  In the
     geometric case the state variable is log price, both supports must lie
     in (0, inf), and lambda must exceed 1/2.
     """
@@ -300,8 +289,9 @@ def assemble(diff: DiffusionSpec, nu: Measure, mu: Measure, cfg: SolverConfig) -
     else:
         grid = _snap_grid(cfg.x_lo, cfg.x_hi, cfg.nx, snap)
         state = grid
-        diff.validate_on(grid)
         s = np.broadcast_to(diff.sigma(grid), grid.shape)
+        if not np.all((s > 0) & (s < np.inf)):
+            raise SolverError("sigma must be positive and finite on the domain")
         ds = diff.dsigma(grid)
         a = 0.5 * s * s
         sg = np.sign(grid)

@@ -45,8 +45,6 @@ __all__ = [
     "power_payoff",
     "custom_payoff",
     "compute_M",
-    "compute_Z",
-    "compute_G_H",
     "build_hedge",
     "verify_pathwise",
     "verify_martingale",
@@ -295,7 +293,7 @@ def compute_M(
     t = np.linspace(0.0, float(t_max), nt + 1)
     dt = t[1] - t[0]
     f_t = payoff.f(t)
-    a = 0.5 * (x * x if diff.geometric else np.broadcast_to(diff.sigma(x), x.shape) ** 2)
+    a = 0.5 * np.broadcast_to(diff.sigma(x), x.shape) ** 2
     n = len(x)
 
     # regular rows of I + dt A, A = -a d2/dx2; an edge node is pinned
@@ -366,47 +364,39 @@ def _cut(h, r_free, r_pinned, level):
     return np.maximum((1.0 - np.clip(frac, 0.0, 1.0)) * h, 1e-3 * h)
 
 
-def compute_Z(
-    m_at_zero: np.ndarray,
+def build_hedge(
     diff: DiffusionSpec,
-    x: np.ndarray,
-    base_point: float = 0.0,
-) -> np.ndarray:
-    """Z(x) = 2 int int M(.,0)/sigma^2 with value and slope zero at the base.
-
-    Nested trapezoid quadrature on the tabulation grid; the anchoring at
-    the base point interpolates the cumulative integrals, so a base
-    between nodes still gets value and slope zero there.
-    """
-    x = np.asarray(x, dtype=float)
-    sig2 = x * x if diff.geometric else diff.sigma(x) ** 2
-    integrand = 2.0 * np.asarray(m_at_zero, dtype=float) / sig2
-    inner = cumulative_trapezoid(integrand, x, initial=0.0)
-    inner = inner - np.interp(base_point, x, inner)
-    z = cumulative_trapezoid(inner, x, initial=0.0)
-    return z - np.interp(base_point, x, z)
-
-
-def compute_G_H(
-    m: GridFunction,
-    z: np.ndarray,
     barrier: Barrier,
     payoff: PayoffSpec,
+    x_grid: np.ndarray,
+    nt: int,
     base_point: float = 0.0,
+    t_max: Optional[float] = None,
 ) -> HedgeFunctions:
-    """Assemble G, H, the trading delta and the shared payoff quadrature.
+    """M, then Z, G, H, the trading delta and the payoff quadrature on M's grid.
 
-    The same cumulative trapezoid rule is used for G, H and F, which makes
-    the discrete identity G + H - F = -int_t^{T} (M - f) exact at the
-    nodes: the pathwise inequality then holds by construction wherever the
+    The payoff is first checked by PayoffSpec.validate up to the tabulated
+    horizon; a payoff it refuses raises ValueError.  Z(x) = 2 int int
+    M(.,0)/sigma^2 by nested trapezoid quadrature, with value and slope
+    zero at the base point; the anchoring interpolates the cumulative
+    integrals, so a base between nodes still gets both zero there.  The
+    same cumulative trapezoid rule is used for G, H and F, which makes the
+    discrete identity G + H - F = -int_t^{T} (M - f) exact at the nodes:
+    the pathwise inequality then holds by construction wherever the
     tabulated M dominates f, and vanishes identically on the contact set.
     """
+    m = compute_M(diff, barrier, payoff, x_grid, nt, t_max=t_max)
     M, x, t = m.values, m.x, m.t
+    payoff.validate(float(t[-1]))
+    inner = cumulative_trapezoid(2.0 * M[0] / diff.sigma(x) ** 2, x, initial=0.0)
+    inner = inner - np.interp(base_point, x, inner)
+    z = cumulative_trapezoid(inner, x, initial=0.0)
+    z = z - np.interp(base_point, x, z)
+
     f_t = payoff.f(t)
     F_grid = cumulative_trapezoid(f_t, t, initial=0.0)
     G = cumulative_trapezoid(M, t, axis=0, initial=0.0) - z[None, :]
-    tail = np.trapezoid(f_t[:, None] - M, t, axis=0)
-    H = z + tail
+    H = z + np.trapezoid(f_t[:, None] - M, t, axis=0)
 
     delta = np.empty_like(G)
     sl = np.diff(G, axis=1) / np.diff(x)[None, :]
@@ -418,21 +408,6 @@ def compute_G_H(
         x=x, t=t, M=M, Z=z, G=G, H=H, delta=delta, F_grid=F_grid,
         base_point=base_point, payoff=payoff, barrier=barrier, M_clip=m.clip,
     )
-
-
-def build_hedge(
-    diff: DiffusionSpec,
-    barrier: Barrier,
-    payoff: PayoffSpec,
-    x_grid: np.ndarray,
-    nt: int,
-    base_point: float = 0.0,
-    t_max: Optional[float] = None,
-) -> HedgeFunctions:
-    """One-call pipeline M -> Z -> (G, H) on a shared grid."""
-    m = compute_M(diff, barrier, payoff, x_grid, nt, t_max=t_max)
-    z = compute_Z(m.values[0], diff, m.x, base_point)
-    return compute_G_H(m, z, barrier, payoff, base_point=base_point)
 
 
 # -- verification ---------------------------------------------------------------

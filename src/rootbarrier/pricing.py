@@ -240,15 +240,17 @@ def lower_bound(
     sv = swap_value(market, mu)
     horizon = max(HORIZON_SWAPS * sv, 1e-4)
 
-    lo = float(mu.locations.min())
-    hi = float(mu.locations.max())
+    lo, hi = mu.support
     scfg = SolverConfig(
         x_lo=lo * math.exp(-DOMAIN_PAD), x_hi=hi * math.exp(DOMAIN_PAD),
         nx=cfg.nx, horizon=horizon, nt=cfg.nt, lcp_tol=cfg.lcp_tol,
     )
     diff = geometric_brownian()
+    # only the barrier and the residual outlive the solve: its surface v
+    # is freed before the hedge is built
     sol = solve(assemble(diff, nu, mu, scfg))
-    bar = extract_barrier(sol, support=(lo, hi))
+    bar, lcp_max_residual = extract_barrier(sol), sol.max_residual
+    del sol
 
     finite_r = bar.R[np.isfinite(bar.R)]
     r_max = float(finite_r.max()) if len(finite_r) else 0.0
@@ -279,7 +281,7 @@ def lower_bound(
         "swap_value": sv,
         "variance_horizon": horizon,
         "barrier_max_time": r_max,
-        "lcp_max_residual": sol.max_residual,
+        "lcp_max_residual": lcp_max_residual,
         "M_clip": hf.M_clip,
         "G_at_spot": g0,
         "H_at_spot": h0,

@@ -128,20 +128,13 @@ class PriceModel:
     # removes the deposit-spread bias (unlike generic time-barrier checks)
     spikes: Optional[tuple] = None      # (locations, arming times)
 
-    def vol_at(self, t: np.ndarray) -> np.ndarray:
-        return _piecewise_at(self.vol, t)
 
-    def rate_at(self, t: np.ndarray) -> np.ndarray:
-        return _piecewise_at(self.rate, t)
-
-
-def _piecewise_at(spec: Union[float, tuple], t: np.ndarray) -> np.ndarray:
-    """A constant, or (breakpoints, values) right-continuous in time, at times t."""
+def _piecewise_at(spec: Union[float, tuple], t: float) -> float:
+    """A constant, or (breakpoints, values) right-continuous in time, at a time t."""
     if isinstance(spec, tuple):
         bp, vals = spec
-        idx = np.searchsorted(np.asarray(bp), t, side="right")
-        return np.asarray(vals)[np.minimum(idx, len(vals) - 1)]
-    return np.full_like(np.asarray(t, dtype=float), float(spec))
+        return np.asarray(vals)[min(np.searchsorted(bp, t, side="right"), len(vals) - 1)]
+    return float(spec)
 
 
 # -- the stepping kernel ----------------------------------------------------------
@@ -266,17 +259,18 @@ def _additive(sigma):
     return lambda x, z, k, dt: (x + sigma(x) * math.sqrt(dt) * z, None)
 
 
-def _geometric(vol=lambda t: 1.0, rate=None):
-    """Exact log-normal step at the volatility vol(t) of the step's start.
+def _geometric(vol=1.0, rate=None):
+    """Exact log-normal step at the volatility of the step's start.
 
-    The log returns are those of the undiscounted price: the discounted
-    step plus rate(t) dt.
+    vol and rate are PriceModel specs, read by _piecewise_at.  The log
+    returns are those of the undiscounted price: the discounted step plus
+    rate(t) dt.
     """
     def move(x, z, k, dt):
         t0 = (k - 1) * dt
-        sig = vol(t0)
+        sig = _piecewise_at(vol, t0)
         dlog = sig * math.sqrt(dt) * z - 0.5 * sig * sig * dt
-        return x * np.exp(dlog), dlog if rate is None else dlog + rate(t0) * dt
+        return x * np.exp(dlog), dlog if rate is None else dlog + _piecewise_at(rate, t0) * dt
     return move
 
 
@@ -406,14 +400,12 @@ def _price_batch(model: PriceModel, n: int, dt: float, seed: int,
     variance accrued up to the start of the step.
     """
     if model.kind in ("constant", "piecewise"):
-        at = lambda path: lambda t: path(np.array([t]))[0]
-
         def steps(dt):
             if not _divides(dt, model.maturity):
                 raise ValueError(f"dt {dt!r} does not divide the maturity {model.maturity!r}")
             return int(round(model.maturity / dt))
 
-        move, stop = _geometric(at(model.vol_at), at(model.rate_at)), None
+        move, stop = _geometric(model.vol, model.rate), None
     elif model.kind == "time-change-to-barrier":
         b = model.barrier
         if b is None:

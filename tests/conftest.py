@@ -57,3 +57,15 @@ def two_atom_market():
     prices = np.array([0.3, 3.0 / 7.0 * 0.35, 0.0])
     return pr.MarketData(spot=1.0, discount=1.0, maturity=1.0,
                          strikes=strikes, prices=prices)
+
+
+@pytest.fixture(scope="session")
+def falling_payoff():
+    """F(t) = min(t, 0.05) + 0.5 (t - 0.05)_+: f falls from 1 to 1/2, so F is not convex.
+
+    The shape of the complement f_bound t - L of a convex L.
+    """
+    return opt.custom_payoff(
+        lambda t: np.minimum(t, 0.05) + 0.5 * np.maximum(np.asarray(t, dtype=float) - 0.05, 0.0),
+        lambda t: np.where(np.asarray(t, dtype=float) < 0.05, 1.0, 0.5),
+        f_bound=1.0, cap_time=0.05)

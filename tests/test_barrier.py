@@ -40,7 +40,7 @@ def test_immediate_barrier_when_target_equals_start():
 
 def test_contact_indicator_monotone(gaussian_solution):
     sol = gaussian_solution
-    tol = 10 * sol.cfg.lcp_tol * np.maximum(1.0, np.abs(sol.psi))
+    tol = ob.CONTACT_REL * sol.cfg.lcp_tol * np.maximum(1.0, np.abs(sol.psi))
     contact = (sol.v - sol.psi[None, :]) <= tol[None, :]
     assert np.all(np.diff(contact.astype(int), axis=0) >= 0)
 
@@ -57,7 +57,7 @@ def test_extract_barrier_matches_full_matrix(gaussian_solution, coarse_gaussian_
     lognormal = ob.solve(ob.assemble(ob.geometric_brownian(), ms.point_mass(1.0),
                                      ms.lognormal(-0.02, 0.04), cfg))
     for sol in (gaussian_solution, two_atom, lognormal, coarse_gaussian_solution):
-        tol = 10 * sol.cfg.lcp_tol * np.maximum(1.0, np.abs(sol.psi))
+        tol = ob.CONTACT_REL * sol.cfg.lcp_tol * np.maximum(1.0, np.abs(sol.psi))
         contact = (sol.v - sol.psi[None, :]) <= tol[None, :]
         first = np.where(contact.any(axis=0), contact.argmax(axis=0), -1)
         assert np.array_equal(sol.contact_step, first)
@@ -140,12 +140,14 @@ def test_grid_index_matches_searchsorted(grid):
 
 
 def test_barrier_io_round_trip(tmp_path):
-    b = br.Barrier(x=np.array([-1.0, 0.0, 1.0]),
-                   R=np.array([0.0, np.inf, 2.0]), horizon=3.0)
+    b = br.Barrier(x=np.array([-1.0, 0.0, 1.25]),
+                   R=np.array([-0.0, np.inf, 2.5e-7]), horizon=3.0)
     csv = tmp_path / "b.csv"
     meta = tmp_path / "b.json"
     br.save_barrier(b, str(csv), str(meta))
     text = csv.read_text()
+    assert text == "x,R\n" + "".join(f"{xi:.12g},{'inf' if np.isinf(ri) else format(ri, '.12g')}\n"
+                                     for xi, ri in zip(b.x, b.R))
     assert "inf" in text
     back = br.load_barrier(str(csv), horizon=3.0)
     assert np.array_equal(back.x, b.x)
@@ -171,12 +173,12 @@ def test_resolution_independent_stopping_distribution():
     from rootbarrier import parabola as pb
 
     nu = ms.point_mass(0.0)
+    x = np.linspace(-2.5, 3.5, 601)
+    b_true = br.from_function(pb.barrier_fn, x, horizon=4.0)
+    batch = sim.simulate_stopped(ob.brownian(), nu, b_true, n=150_000, dt=2e-3, seed=9)
+    mu_hat = ms.empirical(batch.stopped_values, recenter_to=0.0)
     taus = {}
     for nx, nt in [(311, 700), (621, 1400)]:
-        x = np.linspace(-2.5, 3.5, 601)
-        b_true = br.from_function(pb.barrier_fn, x, horizon=4.0)
-        batch = sim.simulate_stopped(ob.brownian(), nu, b_true, n=150_000, dt=2e-3, seed=9)
-        mu_hat = ms.empirical(batch.stopped_values, recenter_to=0.0)
         cfg = ob.SolverConfig(x_lo=-2.6, x_hi=3.6, nx=nx, horizon=3.5, nt=nt)
         b_hat = br.extract_barrier(ob.solve(ob.assemble(ob.brownian(), nu, mu_hat, cfg)))
         out = sim.simulate_stopped(ob.brownian(), nu, b_hat, n=50_000, dt=2e-3, seed=5)

@@ -6,7 +6,9 @@ import pytest
 from rootbarrier import barrier as br
 from rootbarrier import cli
 from rootbarrier import measures as ms
+from rootbarrier import obstacle as ob
 from rootbarrier import optimality as opt
+from rootbarrier import parabola as pb
 from rootbarrier import pricing as pr
 from rootbarrier import simulate as sim
 
@@ -146,6 +148,15 @@ def test_price_bound_swap_consistency(tmp_path):
         assert (out / "barrier.csv").exists()
 
 
+def test_price_bound_refused_payoff_exit_code(tmp_path, monkeypatch, capsys, falling_payoff):
+    # a payoff whose derivative falls is refused by the hedge construction: exit 2
+    monkeypatch.setattr(cli, "_payoff_from_args", lambda args: falling_payoff)
+    rc = run(["--out-dir", str(tmp_path / "out"), "--quiet", "price-bound",
+              "--bs-vol", "0.2", "--nx", "201", "--nt", "200"])
+    assert rc == 2
+    assert "non-decreasing" in capsys.readouterr().err
+
+
 def test_price_bound_reads_the_sidecar_discount_factor(tmp_path):
     # quotes discounted at 0.97 = 1/B_T: the swap costs 0.97 sigma^2 T
     market = pr.synthetic_lognormal_quotes(vol=0.2, rate=-np.log(0.97))
@@ -176,6 +187,13 @@ def test_price_bound_check_reports_ks_of_the_subhedge_paths(tmp_path):
                          pr.PricingConfig(nx=301, nt=400))
     batch = sim.simulate_price_model(rep.attaining_model(), n=1000, dt=1e-4, seed=4)
     assert report["diagnostics"]["ks"] == sim.ks_statistic(batch.stopped_values, rep.implied_measure)
+    # the gap samples, row by row: every step_t-th time, every step_x-th node
+    hf = rep.hedge
+    gap = hf.G + hf.H[None, :] - hf.F_grid[:, None]
+    rows = [f"{hf.x[i]:.8g},{hf.t[j]:.8g},{gap[j, i]:.8g}\n"
+            for j in range(0, len(hf.t), max(len(hf.t) // 60, 1))
+            for i in range(0, len(hf.x), max(len(hf.x) // 120, 1))]
+    assert (out / "gap_surface.csv").read_text() == "x,t,gap\n" + "".join(rows)
 
 
 def test_price_bound_degenerate_quotes(tmp_path):
@@ -285,6 +303,21 @@ def test_demo_example_golden(tmp_path):
     report = json.loads((out / "demo_report.json").read_text())
     assert report["all_below_1e-3"]
     assert max(report["max_errors"].values()) <= 1e-3
+    # the same hedge, its errors taken row by row
+    x = ob._snap_grid(-2.5, 3.5, 601, np.array([-2.0, 3.0]))
+    hf = opt.build_hedge(ob.brownian(), br.from_function(pb.barrier_fn, x, horizon=4.0),
+                         opt.power_payoff(2.0, cap=6.0), x, nt=2400, base_point=0.0, t_max=6.0)
+    win = (hf.x >= -1.9) & (hf.x <= 2.9)
+    xs = hf.x[win]
+    errs = {"M": 0.0, "G": 0.0, "gap": 0.0}
+    for j, tv in enumerate(hf.t):
+        errs["M"] = max(errs["M"], float(np.max(np.abs(hf.M[j][win] - pb.M_exact(xs, tv)))))
+        errs["G"] = max(errs["G"], float(np.max(np.abs(hf.G[j][win] - pb.G_exact(xs, tv)))))
+        g = hf.G[j][win] + hf.H[win] - hf.F_grid[j]
+        errs["gap"] = max(errs["gap"], float(np.max(np.abs(g - pb.gap_exact(xs, tv)))))
+    errs["Z"] = float(np.max(np.abs(hf.Z[win] - pb.Z_exact(xs))))
+    errs["H"] = float(np.max(np.abs(hf.H[win] - pb.H_exact(xs))))
+    assert report["max_errors"] == errs
 
 
 def test_demo_example_martingale_and_optimality_checks(tmp_path):

@@ -56,7 +56,7 @@ def _price_atomic_solution(market, nx=201, nt=400):
 def test_solution_invariants(gaussian_solution, two_atom_market):
     sol = gaussian_solution
     scale = max(1.0, np.abs(sol.psi).max())
-    tol = 10 * sol.cfg.lcp_tol * scale
+    tol = ob.CONTACT_REL * sol.cfg.lcp_tol * scale
     assert np.min(sol.v - sol.psi[None, :]) >= -tol
     u_nu = ms.potential(ms.point_mass(0.0), sol.x).values
     assert np.array_equal(sol.v[0], np.maximum(u_nu, sol.psi))
@@ -66,7 +66,7 @@ def test_solution_invariants(gaussian_solution, two_atom_market):
     # v does not rise in time on the kinked data of two quoted atoms either;
     # Crank-Nicolson without its implicit start rises there by 3e-5
     atomic = _price_atomic_solution(two_atom_market)
-    tol = 10 * atomic.cfg.lcp_tol * max(1.0, np.abs(atomic.psi).max())
+    tol = ob.CONTACT_REL * atomic.cfg.lcp_tol * max(1.0, np.abs(atomic.psi).max())
     assert np.max(np.diff(atomic.v, axis=0)) <= tol
 
 
@@ -129,6 +129,31 @@ def test_unreachable_tolerance_raises_with_node():
         ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg))
     assert abs(err.value.residual) > cfg.lcp_tol
     assert 0 < err.value.node < 40
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_assemble_refuses_sigma_not_positive_and_finite(bad):
+    # sigma is 1 except on the right of x = 1, where it takes the bad value
+    diff = ob.DiffusionSpec(sigma=lambda x: np.where(x > 1.0, bad, 1.0),
+                            dsigma=lambda x: np.zeros_like(x))
+    cfg = ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=101, horizon=1.0, nt=10)
+    with pytest.raises(ob.SolverError, match="sigma must be positive and finite"):
+        ob.assemble(diff, ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg)
+
+
+def test_oracle_agrees_with_the_geometric_solve():
+    # the trinomial oracle in log price against the geometric solve of
+    # acceptance 5, every 40th row, within acceptance 6's combined budget
+    cfg = ob.SolverConfig(x_lo=0.3, x_hi=3.0, nx=401, horizon=0.25, nt=400)
+    gbm, nu, mu = ob.geometric_brownian(), ms.point_mass(1.0), ms.lognormal(-0.02, 0.04)
+    sol = ob.solve(ob.assemble(gbm, nu, mu, cfg))
+    oracle = ob.optimal_stopping_oracle(gbm, nu, mu, cfg)
+    assert oracle.x[0] == math.log(0.3) and oracle.x[-1] == math.log(3.0)
+    h_dp = oracle.x[1] - oracle.x[0]
+    tol_dp = 2.0 * (0.8 * h_dp * h_dp) * 0.5 + 2.0 * h_dp * h_dp * 0.5
+    err = max(float(np.max(np.abs(np.interp(oracle.x, sol.x, sol.v[j]) - oracle.values[j])))
+              for j in range(0, len(sol.t), 40))
+    assert err <= 2.0 * (sol.scheme_tolerance() + tol_dp)
 
 
 def test_target_equals_start_gives_obstacle():

@@ -75,6 +75,11 @@ def test_lower_bound_rejects_an_uncapped_payoff_on_open_nodes(two_atom_market):
         pr.lower_bound(two_atom_market, unbounded, pr.PricingConfig(nx=201, nt=200))
 
 
+def test_lower_bound_refuses_a_payoff_that_is_not_convex(two_atom_market, falling_payoff):
+    with pytest.raises(ValueError, match="payoff derivative must be non-decreasing"):
+        pr.lower_bound(two_atom_market, falling_payoff, pr.PricingConfig(nx=201, nt=200))
+
+
 def test_variance_call_bounds_sandwich_and_monotone(dense_market):
     sv = pr.swap_value(dense_market)
     bounds = {}

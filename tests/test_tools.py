@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import re
 import sys
@@ -62,6 +63,8 @@ def test_bit_digest_hashes_exact_bits(capsys, monkeypatch):
     assert tool.digest(m) != out["open-capped.M"]
     # a report spreads over one line per key
     assert [ln.split("  ")[1] for ln in tool.lines("c", {"r": {"a": 1.0, "b": [1, 2]}})] == ["c.r.a", "c.r.b"]
+    # a file's bytes hash as they are
+    assert tool.digest(b"x,R\n0,inf\n") == hashlib.sha256(b"x,R\n0,inf\n").hexdigest()
 
 
 def test_bit_digest_reports_a_refused_case_and_goes_on(capsys, monkeypatch):

@@ -11,8 +11,9 @@ key that only one tree writes shows up as one line of the diff.
 The cases follow the inputs of the acceptance suite and the three
 benchmark workloads (perfbench/workloads.py, workload seed 1), plus
 batches on either side of the stepping loop's draw-ahead threshold, the
-five hedge lookups at fixed points off and on the grids, and quotes
-discounted at a nonzero rate.  A case that raises prints one line,
+five hedge lookups at fixed points off and on the grids, quotes
+discounted at a nonzero rate, and the files the CLI commands write, by
+their bytes.  A case that raises prints one line,
 `<sha256>  <case>.error`, the hash of the exception's type and message,
 and the run goes on with the next case.
 
@@ -21,7 +22,7 @@ Usage:
 
 DIR is the source tree `rootbarrier` is imported from (default: the
 `src` directory of this repository).  With no CASE every case runs;
-the full list takes about 15 s and peaks at 270 MiB on a 2-core Xeon.
+the full list takes about 15 s and peaks at 255 MiB on a 2-core Xeon.
 Prints lines `<sha256>  <case>.<result>`.  To compare two trees:
 
     python3 tools/bit_digest.py --src A/src > a.txt
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,8 @@ def _feed(h, value) -> None:
             _feed(h, item)
     elif value is None or isinstance(value, (str, bool, int)):
         h.update(repr(value).encode())
+    elif isinstance(value, bytes):
+        h.update(value)
     else:
         a = np.ascontiguousarray(value)
         h.update(f"{a.dtype.str}{a.shape}".encode())
@@ -80,7 +84,8 @@ def lines(case: str, results: dict) -> list[str]:
 
 def _rb():
     import rootbarrier as rb
-    import rootbarrier.parabola  # noqa: F401  (the package does not import it)
+    import rootbarrier.cli  # noqa: F401  (the package imports neither module)
+    import rootbarrier.parabola  # noqa: F401
     return rb
 
 
@@ -251,6 +256,41 @@ def case_lookups() -> dict:
     return out
 
 
+# small grids for every CLI command: one run per command, and three for
+# solve-barrier (a barrier that never stops inside two atoms writes `inf`);
+# the case writes the start and target laws
+CLI_RUNS = {
+    "solve-barrier-bm": ["solve-barrier", "--nu", "{dir}/delta0.json", "--mu", "{dir}/normal.json",
+                         "--nx", "201", "--nt", "200", "--horizon", "1.5"],
+    "solve-barrier-atoms": ["solve-barrier", "--nu", "{dir}/delta0.json", "--mu", "{dir}/two_atoms.json",
+                            "--nx", "201", "--nt", "200", "--horizon", "1.0"],
+    "solve-barrier-gbm": ["solve-barrier", "--sigma", "gbm", "--nu", "{dir}/delta1.json",
+                          "--mu", "{dir}/lognormal.json", "--x-lo", "0.3", "--x-hi", "3.0",
+                          "--nx", "201", "--nt", "200", "--horizon", "0.25"],
+    "price-bound": ["price-bound", "--bs-vol", "0.2", "--payoff", "variance-call", "--strike", "0.02",
+                    "--nx", "201", "--nt", "400"],
+    "hedge-report": ["hedge-report", "--bs-vol", "0.2", "--rate", "0.03", "--nx", "201", "--nt", "400"],
+    "demo-example": ["demo-example", "--nx", "301", "--nt", "600"],
+}
+
+
+def case_cli() -> dict:
+    """The bytes of every file each CLI command writes, and its exit code."""
+    rb = _rb()
+    cli, ms = rb.cli, rb.measures
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, law in (("delta0", ms.point_mass(0.0)), ("normal", ms.normal(0.0, 1.0)),
+                          ("two_atoms", ms.atoms([-1.0, 1.0], [0.5, 0.5])),
+                          ("delta1", ms.point_mass(1.0)), ("lognormal", ms.lognormal(-0.02, 0.04))):
+            ms.save_measure(law, f"{tmp}/{name}.json")
+        for run, argv in CLI_RUNS.items():
+            run_dir = Path(tmp) / run
+            code = cli.main(["--out-dir", str(run_dir), "--quiet"] + [a.format(dir=tmp) for a in argv])
+            out[run] = {"exit": code, **{f.name: f.read_bytes() for f in sorted(run_dir.iterdir())}}
+    return out
+
+
 CASES = {
     "normal": case_normal,
     "parabola": case_parabola,
@@ -261,6 +301,7 @@ CASES = {
     "prefetch": case_prefetch,
     "lookups": case_lookups,
     "rate": case_rate,
+    "cli": case_cli,
 }
 
 
