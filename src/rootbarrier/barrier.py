@@ -153,29 +153,26 @@ class Barrier:
         return (np.searchsorted(edges, s, side="right") & 1) == 0
 
 
-def extract_barrier(
-    sol: ObstacleSolution,
-    support: Optional[tuple[float, float]] = None,
-) -> Barrier:
+def extract_barrier(sol: ObstacleSolution) -> Barrier:
     """Read the barrier off the contact set of an obstacle solution.
 
     R(x_i) is the grid time of sol.contact_step[i], the first step at which
     v(x_i, .) touches the obstacle (within obstacle.CONTACT_REL * lcp_tol,
     scaled by the local size of the obstacle); +inf if no contact occurs
-    before the solver horizon.  Because v is non-increasing in time the
-    contact indicator is monotone and the extracted set is a genuine
-    barrier.  Outside the support of the target law R is set to 0.
+    before the march stopped, that is before the horizon or before the
+    closed nodes carried the target law.  Because v is non-increasing in
+    time the contact indicator is monotone and the extracted set is a
+    genuine barrier.  Outside the support of the target law R is set to 0.
+    The horizon is the configured one, sol.cfg.horizon, wherever the march
+    stopped.
     """
     x = sol.price_x
     R = np.where(sol.contact_step >= 0, sol.t[sol.contact_step], np.inf)
-
-    if support is None:
-        support = sol.mu.support
-    lo, hi = support
+    lo, hi = sol.mu.support
     pad = 1e-12 * max(1.0, abs(hi - lo))
     off = (x < lo - pad) | (x > hi + pad)
     R = np.where(off, 0.0, R)
-    return Barrier(x=x, R=R, horizon=float(sol.t[-1]))
+    return Barrier(x=x, R=R, horizon=float(sol.cfg.horizon))
 
 
 def from_function(fn, x: np.ndarray, horizon: float) -> Barrier:

@@ -19,6 +19,8 @@ round-off.  Dirichlet rows pin the solution to the obstacle at the
 truncated edges.  The march records, per node, the first step at which v
 comes within CONTACT_REL * lcp_tol (relative) of the obstacle: that
 contact set carries the barrier, so the surface is never scanned again.
+The march ends once the closed nodes carry the target law: from then on
+every path has stopped and the solution no longer changes.
 
 For the geometric case sigma(x) = x the problem is solved in log-price
 coordinates, where the operator becomes -1/2 d2/dy2 + 1/2 d/dy with
@@ -147,8 +149,8 @@ class DiscreteProblem:
 @dataclass(frozen=True)
 class ObstacleSolution:
     x: np.ndarray
-    t: np.ndarray
-    v: np.ndarray            # (nt+1, nx)
+    t: np.ndarray            # the marched times, a prefix of the problem's nt + 1
+    v: np.ndarray            # (steps marched + 1, nx): the rows up to where the march stopped
     psi: np.ndarray
     contact_step: np.ndarray  # (nx,) first step in contact with psi, -1 if none
     max_residual: float       # worst complementarity residual over all steps
@@ -387,7 +389,7 @@ def _active_set_lcp(lower, diag, upper, rhs, psi, active, tol, scale):
 
 
 def solve(problem: DiscreteProblem) -> ObstacleSolution:
-    """Time-march the projected Crank-Nicolson scheme; return the full surface.
+    """Time-march the projected Crank-Nicolson scheme until the barrier carries mu.
 
     With M = I + dt/2 A, step j solves min(v - psi, M v - rhs) = 0
     componentwise for rhs = (I - dt/2 A) v_{j-1} = 2 v_{j-1} - M v_{j-1}.
@@ -400,7 +402,14 @@ def solve(problem: DiscreteProblem) -> ObstacleSolution:
     counts their tridiagonal solves.  contact_step[i] is the first step j
     (step 0 included) with v[j, i] - psi[i] <= CONTACT_REL * lcp_tol *
     max(1, |psi[i]|), or -1 if node i never touches the obstacle before the
-    horizon.
+    march stops.
+
+    The march stops at the horizon, or earlier: after the first step j >= 1
+    at which the nodes still open carry at most TAIL_MASS_TOL of mu's
+    discrete mass, m_i = max(0, -1/2 the change of psi's slope at node i)
+    in price coordinates.  Every path has stopped by then, so v would not
+    change on the steps after.  The solution's t and v hold the marched
+    rows only, as views of the march buffer.
     """
     cfg = problem.cfg
     x, t, psi = problem.x, problem.t, problem.psi
@@ -421,6 +430,12 @@ def solve(problem: DiscreteProblem) -> ObstacleSolution:
     band = (CONTACT_REL * cfg.lcp_tol) * np.maximum(1.0, np.abs(psi))
     first = np.where(problem.v0 - psi <= band, 0, -1)
     open_ = first < 0
+    # mu's discrete mass per interior node, -1/2 the slope change of psi in
+    # price coordinates: the march ends once the closed nodes carry it
+    slope = np.diff(psi) / np.diff(np.exp(x) if problem.diff.geometric else x)
+    mass = np.zeros(n)
+    mass[1:-1] = np.maximum(0.0, -0.5 * np.diff(slope))
+    open_mass, open_mass_tol = float(mass[open_].sum()), TAIL_MASS_TOL * float(mass.sum())
     max_residual = 0.0
     cur = problem.v0
     scale = max(1.0, float(np.max(np.abs(problem.v0))))
@@ -450,8 +465,11 @@ def solve(problem: DiscreteProblem) -> ObstacleSolution:
         if hit.any():
             first[hit] = j
             open_ &= ~hit
+            open_mass = float(mass[open_].sum())
+        if open_mass <= open_mass_tol:
+            break
     return ObstacleSolution(
-        x=x, t=t, v=v, psi=psi, contact_step=first, max_residual=max_residual,
+        x=x, t=t[:j + 1], v=v[:j + 1], psi=psi, contact_step=first, max_residual=max_residual,
         cfg=cfg, diff=problem.diff, nu=problem.nu, mu=problem.mu,
         iterations=total_solves,
     )
@@ -532,7 +550,7 @@ def save_solution(sol: ObstacleSolution, prefix: str) -> None:
     meta = {
         "grid": {
             "x_lo": float(sol.x[0]), "x_hi": float(sol.x[-1]), "nx": len(sol.x),
-            "t_hi": float(sol.t[-1]), "nt": len(sol.t) - 1,
+            "t_hi": float(sol.t[-1]), "nt": sol.cfg.nt, "steps_marched": len(sol.t) - 1,
             "geometric": sol.diff.geometric,
         },
         "config": {

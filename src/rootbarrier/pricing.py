@@ -246,10 +246,10 @@ def lower_bound(
         nx=cfg.nx, horizon=horizon, nt=cfg.nt, lcp_tol=cfg.lcp_tol,
     )
     diff = geometric_brownian()
-    # only the barrier and the residual outlive the solve: its surface v
-    # is freed before the hedge is built
+    # only the barrier, the residual and the steps marched outlive the
+    # solve: its surface v is freed before the hedge is built
     sol = solve(assemble(diff, nu, mu, scfg))
-    bar, lcp_max_residual = extract_barrier(sol), sol.max_residual
+    bar, lcp_max_residual, obstacle_steps = extract_barrier(sol), sol.max_residual, len(sol.t) - 1
     del sol
 
     finite_r = bar.R[np.isfinite(bar.R)]
@@ -258,8 +258,9 @@ def lower_bound(
     if open_nodes and not np.isfinite(payoff.cap_time):
         raise measures.MeasureError(
             f"{open_nodes} grid nodes never reach the obstacle within the "
-            f"variance horizon {horizon:.4g} and the payoff derivative never "
-            "flattens; cap the payoff derivative"
+            f"variance horizon {horizon:.4g}, or before the barrier carries "
+            "the implied law, and the payoff derivative never flattens; cap "
+            "the payoff derivative"
         )
 
     cap = payoff.cap_time if np.isfinite(payoff.cap_time) else 0.0
@@ -276,17 +277,23 @@ def lower_bound(
     e_h = float(np.dot(mu.weights, hf.H_at(mu.locations)))
     bound = (g0 + e_h) / bt
     option_cost = (e_h - h0) / bt
+    # every UI embedding has E tau = -2 E ln(X / S0) = B_T sv, so by Jensen
+    # no convex F can be worth less than F(B_T sv) / B_T
+    jensen_floor = float(payoff.F(np.array([bt * sv]))[0]) / bt
 
     diagnostics = {
         "swap_value": sv,
         "variance_horizon": horizon,
         "barrier_max_time": r_max,
         "lcp_max_residual": lcp_max_residual,
+        "obstacle_steps": obstacle_steps,
         "M_clip": hf.M_clip,
         "G_at_spot": g0,
         "H_at_spot": h0,
         "option_cost": option_cost,
         "n_strike_weights": len(weights),
+        "jensen_floor": jensen_floor,
+        "below_jensen_floor": bool(bound < jensen_floor),
     }
     return HedgeReport(
         lower_bound=float(bound), cash=float(cash), forward_units=float(forward_units),

@@ -62,8 +62,12 @@ def test_extract_barrier_matches_full_matrix(gaussian_solution, coarse_gaussian_
         first = np.where(contact.any(axis=0), contact.argmax(axis=0), -1)
         assert np.array_equal(sol.contact_step, first)
         R = np.where(contact.any(axis=0), sol.t[contact.argmax(axis=0)], np.inf)
-        b = br.extract_barrier(sol, support=(-np.inf, np.inf))
-        assert np.array_equal(b.R, R)
+        b = br.extract_barrier(sol)
+        lo, hi = sol.mu.support
+        on = (b.x >= lo) & (b.x <= hi)
+        assert np.array_equal(b.R[on], R[on])
+        assert np.all(b.R[~on] == 0.0)
+        assert b.horizon == sol.cfg.horizon
 
 
 def test_value_at_conventions():

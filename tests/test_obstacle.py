@@ -16,11 +16,17 @@ def closed_form_gaussian(x, t, t0=1.0):
     return -ms.normal(0.0, s).mean_abs_dev(x)
 
 
+def marched_row(sol, j):
+    """v at step j of the configured time grid: past the stop it no longer changes."""
+    return sol.v[min(j, len(sol.t) - 1)]
+
+
 def sup_error_vs_closed_form(sol, rows=None):
-    """Worst row of |v - closed form| over the given rows (default: every row from step 2)."""
+    """Worst step of |v - closed form| over the given steps (default: every step from 2)."""
+    t = np.linspace(0.0, sol.cfg.horizon, sol.cfg.nt + 1)
     if rows is None:
-        rows = range(2, len(sol.t))
-    return max(np.max(np.abs(sol.v[j] - closed_form_gaussian(sol.x, sol.t[j]))) for j in rows)
+        rows = range(2, len(t))
+    return max(np.max(np.abs(marched_row(sol, j) - closed_form_gaussian(sol.x, t[j]))) for j in rows)
 
 
 def test_gaussian_closed_form(gaussian_solution, coarse_gaussian_solution):
@@ -38,7 +44,7 @@ def test_refinement_order():
     for nx, nt in [(401, 400), (801, 800)]:
         cfg = ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=nx, horizon=2.0, nt=nt)
         sol = ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg))
-        errs[nx] = sup_error_vs_closed_form(sol, range(0, len(sol.t), max(nt // 10, 1)))
+        errs[nx] = sup_error_vs_closed_form(sol, range(0, nt + 1, max(nt // 10, 1)))
     order = np.log2(errs[401] / errs[801])
     assert order >= 0.9
 
@@ -151,8 +157,8 @@ def test_oracle_agrees_with_the_geometric_solve():
     assert oracle.x[0] == math.log(0.3) and oracle.x[-1] == math.log(3.0)
     h_dp = oracle.x[1] - oracle.x[0]
     tol_dp = 2.0 * (0.8 * h_dp * h_dp) * 0.5 + 2.0 * h_dp * h_dp * 0.5
-    err = max(float(np.max(np.abs(np.interp(oracle.x, sol.x, sol.v[j]) - oracle.values[j])))
-              for j in range(0, len(sol.t), 40))
+    err = max(float(np.max(np.abs(np.interp(oracle.x, sol.x, marched_row(sol, j)) - oracle.values[j])))
+              for j in range(0, len(oracle.t), 40))
     assert err <= 2.0 * (sol.scheme_tolerance() + tol_dp)
 
 
@@ -253,8 +259,8 @@ def test_oracle_agrees_with_solver_on_random_pair():
     sol = ob.solve(ob.assemble(ob.brownian(), nu, mu, cfg))
     val = ob.optimal_stopping_oracle(ob.brownian(), nu, mu, cfg)
     worst = 0.0
-    for j in range(0, len(sol.t), 30):
-        vi = np.interp(val.x, sol.x, sol.v[j])
+    for j in range(0, len(val.t), 30):
+        vi = np.interp(val.x, sol.x, marched_row(sol, j))
         worst = max(worst, np.max(np.abs(vi - val.values[j])))
     assert worst < sol.scheme_tolerance() + 4e-3
 
@@ -269,6 +275,36 @@ def test_solution_dump(tmp_path, gaussian_solution):
     assert set(meta["config"]) == {"lcp_tol", "lambda"}
     data = np.genfromtxt(tmp_path / "sol_v.csv", delimiter=",", skip_header=1)
     assert data.shape == (len(gaussian_solution.t), len(gaussian_solution.x) + 1)
+    # R = 1 closes one step after t = 1, of the horizon 2
+    assert meta["grid"]["nt"] == gaussian_solution.cfg.nt == 1600
+    assert meta["grid"]["steps_marched"] == len(gaussian_solution.t) - 1 == 801
+
+
+def test_march_stops_once_the_closed_nodes_carry_mu(gaussian_solution, two_atom_market):
+    # the first step after which the open nodes carry at most TAIL_MASS_TOL
+    # of mu's discrete mass, -1/2 the slope change of psi in price units
+    atomic = _price_atomic_solution(two_atom_market)
+    for sol in (gaussian_solution, atomic):
+        slope = np.diff(sol.psi) / np.diff(sol.price_x)
+        mass = np.concatenate(([0.0], np.maximum(0.0, -0.5 * np.diff(slope)), [0.0]))
+        last = len(sol.t) - 1
+        assert 1 <= last < sol.cfg.nt
+        assert np.array_equal(sol.t, np.linspace(0.0, sol.cfg.horizon, sol.cfg.nt + 1)[:last + 1])
+        step = np.where(sol.contact_step < 0, last + 1, sol.contact_step)
+        assert mass[step > last].sum() <= ob.TAIL_MASS_TOL * mass.sum()
+        if last > 1:
+            assert mass[step > last - 1].sum() > ob.TAIL_MASS_TOL * mass.sum()
+    # both quoted atoms touch at step 0: the march ends after step 1
+    assert len(atomic.t) == 2
+
+
+def test_fine_dense_solve_takes_few_solves_per_step(dense_market):
+    # at nx = 3601 the active sets of the dense 301-quote problem cycle
+    # with periods of 2 to 10 on steps after the barrier has closed; a
+    # march to the horizon ran 437,863 tridiagonal solves there
+    sol = _price_atomic_solution(dense_market, nx=3601, nt=pr.PricingConfig().nt)
+    assert sol.iterations <= 2 * (len(sol.t) - 1)
+    assert sol.max_residual <= sol.cfg.lcp_tol
 
 
 def test_geometric_solve_matches_lognormal_closed_form():
@@ -283,13 +319,14 @@ def test_geometric_solve_matches_lognormal_closed_form():
     sol = ob.solve(ob.assemble(ob.geometric_brownian(), nu, mu, cfg))
     prices = sol.price_x
     worst = 0.0
-    for j in range(0, len(sol.t), 160):
-        s = min(sol.t[j], t0)
+    t = np.linspace(0.0, cfg.horizon, cfg.nt + 1)
+    for j in range(0, len(t), 160):
+        s = min(t[j], t0)
         if s == 0:
             cf = -np.abs(prices - 1.0)
         else:
             cf = -ms.lognormal(-s / 2.0, s).mean_abs_dev(prices)
-        worst = max(worst, np.max(np.abs(sol.v[j] - cf)))
+        worst = max(worst, np.max(np.abs(marched_row(sol, j) - cf)))
     assert worst < 2e-3
     from rootbarrier import barrier as br
     bar = br.extract_barrier(sol)

@@ -84,7 +84,18 @@ def test_variance_call_bounds_sandwich_and_monotone(dense_market):
     sv = pr.swap_value(dense_market)
     bounds = {}
     for k in (0.01, 0.04, 0.08):
-        bounds[k] = pr.lower_bound(dense_market, opt.variance_call(k)).lower_bound
+        rep = pr.lower_bound(dense_market, opt.variance_call(k))
+        bounds[k] = rep.lower_bound
+        # Jensen: E tau = B_T sv for every UI embedding, so the bound of a
+        # convex F is at least F(B_T sv) / B_T; reported, not clamped
+        d = rep.diagnostics
+        assert d["jensen_floor"] == max(sv - k, 0.0)
+        assert d["below_jensen_floor"] == (bounds[k] < d["jensen_floor"])
+        if k == 0.04:
+            # K sits at the flat barrier time, where R is read a step late
+            # on the default grid: the bound 1.26e-5 reads below the floor
+            assert d["jensen_floor"] == pytest.approx(1.828e-5, rel=1e-3)
+            assert d["below_jensen_floor"]
     # under the generating model realized variance is deterministic 0.04
     assert bounds[0.04] <= 1e-4
     assert bounds[0.08] <= bounds[0.04] + 1e-12
@@ -112,6 +123,37 @@ def test_subhedge_zero_vol_model(dense_call_report):
     assert out["fraction_subhedged"] == 1.0
     # zero realized variance: portfolio cannot exceed F(0) = 0
     assert out["mean_portfolio_discounted"] <= out["allowance"]
+
+
+def _exit_time_call(a, b, y0, drift, k, terms=100_000):
+    """E (tau - k)^+ for the exit time of (a, b) by Y = y0 + W + drift t.
+
+    The eigenfunction series of the killed process: P(tau > t) is a sum of
+    c_n exp(-lam_n t), lam_n = (drift^2 + (n pi / L)^2) / 2 with L = b - a,
+    so the call is the sum of c_n exp(-lam_n k) / lam_n.
+    """
+    n = np.arange(1, terms + 1)
+    length = b - a
+    kn = n * np.pi / length
+    lam = 0.5 * (drift ** 2 + kn ** 2)
+    c = (2.0 / length) * np.exp(drift * (a - y0)) * np.sin(kn * (y0 - a)) \
+        * kn * (1.0 - (-1.0) ** n * np.exp(drift * length)) / (drift ** 2 + kn ** 2)
+    return float(np.sum(c * np.exp(-lam * k) / lam))
+
+
+def test_two_atom_bound_matches_the_exit_time_series(two_atom_market):
+    # delta_1 -> {0.7, 1.4} has one UI embedding, the exit from (0.7, 1.4),
+    # so the bound is exact: E (tau - 0.05)^+ for Y = ln X, dY = dW - dt/2.
+    # The default grid reads +6.0e-5 relative; a march that runs on past
+    # the barrier's closure to the horizon read +8.8e-4
+    a, b = np.log(0.7), np.log(1.4)
+    exact = _exit_time_call(a, b, 0.0, -0.5, 0.05)
+    assert exact == pytest.approx(0.0732499592, rel=1e-9)
+    rep = pr.lower_bound(two_atom_market, opt.variance_call(0.05))
+    # E tau from the same series is the swap value
+    assert _exit_time_call(a, b, 0.0, -0.5, 0.0) == pytest.approx(
+        rep.diagnostics["swap_value"], rel=1e-9)
+    assert abs(rep.lower_bound / exact - 1.0) <= 1e-4
 
 
 def test_attaining_model_is_tight(two_atom_market):
@@ -200,6 +242,11 @@ def test_hedge_report_serializes(dense_swap_report):
     blob = json.dumps(doc)
     assert "lower_bound" in doc and "strike_weights" in doc
     assert len(blob) > 100
+    # the march stops once the barrier carries the implied law, near the
+    # swap value 0.04 of a horizon of 8 swap values
+    steps = doc["diagnostics"]["obstacle_steps"]
+    assert 0 < steps < pr.PricingConfig().nt // 4
+    assert dense_swap_report.barrier.horizon == doc["diagnostics"]["variance_horizon"]
 
 
 def test_delta_handle_scaling(dense_call_report):
