@@ -13,16 +13,17 @@ rank among the paths still running, not to the path.  Step 0 draws the
 start states, in amounts that depend on n.  A batch is therefore
 bit-identical for a fixed (seed, n), but a slice of its paths run on its
 own gets other draws; streams keyed so that a batch can be split are
-ROADMAP.md item 8.
+ROADMAP.md item 11.
 
-While step k runs, step k + 1's normals may be drawn ahead on one worker
-thread, whose fill releases the GIL and so runs on a second core: one
-normal per path running at step k, into one of two buffers that the walk
-allocates once.  Step k + 1 reads the prefix it needs, as long as the
-paths it runs.  A generator's first m normals do not depend on how many
-it draws, so the bits are those of drawing exactly m, on any number of
-cores; the cost is at most one unused normal per path, for the paths
-that stop at step k.  The draw ahead is taken only when the stopping rule
+While step k runs, the normals of steps k + 1 and k + 2 may be drawn
+ahead on two worker threads, whose fills release the GIL and so run on
+other cores: step k submits step k + 2's fill, one normal per path
+running at step k, into one of three buffers that the walk allocates
+once.  Step j reads the prefix it needs, as long as the paths it runs.
+A generator's first m normals do not depend on how many it draws, so the
+bits are those of drawing exactly m, on any number of cores; the cost is
+at most two unused normals per path, for the paths that stop at step
+j - 1 or j - 2.  The draw ahead is taken only when the stopping rule
 draws nothing after the normals (its `draws` is False; otherwise the
 extra normals would move its uniforms) and at least _PREFETCH_MIN paths
 are running.
@@ -69,10 +70,18 @@ __all__ = [
 ]
 
 
-# running paths at a step from which the next step's normals are drawn ahead.
-# Per step of a walk in which every path runs, on a 2-core Xeon: +18% at
-# 1e4 paths, within noise from 4e4 to 1e5, -23% at 1.5e5 and -20% at 6e5.
-_PREFETCH_MIN = 1 << 16
+# running paths at a step from which the next two steps' normals are drawn ahead.
+# Microseconds per step of a stopped walk in which every path runs (R = 1,
+# dt 1e-3), inline -> two ahead, by tools/draw_ahead_crossover.py on a
+# 2-core Xeon; the ranges are over runs, and a run whose workers share a
+# core with the walk reads at the slow end:
+#   1e3 paths  42-73 -> 65-152      1e4 paths  192-386 -> 160-294
+#   4e3 paths  95-154 -> 110-194    2e4 paths  381-624 -> 266-535
+#   8192 paths 160-339 -> 147-251   6e5 paths  12,300-17,000 -> 7,000-10,000
+# Below 2e4 paths the gain is unsure, and it is a loss where observers do
+# most of a step's work: one verify_subhedge of the dense market at 1e4
+# paths took 0.368 s inline and 0.408 s ahead (medians of 8 each).
+_PREFETCH_MIN = 1 << 14
 
 
 def step_rng(seed: int, step: int) -> np.random.Generator:
@@ -160,29 +169,36 @@ class _WalkResult(NamedTuple):
 
 
 class _Normals:
-    """Each step's generator and normals, the next step's drawn ahead on pool for big batches."""
+    """Each step's generator and normals, the next two steps' drawn ahead on pool for big batches."""
 
     def __init__(self, seed: int, n_steps: int, pool: Optional[ThreadPoolExecutor]):
         self.seed, self.n_steps, self.pool = seed, n_steps, pool
-        self.bufs = self.pending = None
+        self.bufs = None
+        self.pending = {}       # step -> (generator, fill, buffer)
 
     def draw(self, k: int, m: int) -> tuple[np.random.Generator, np.ndarray]:
         """Step k's generator and its first m normals, for m running paths."""
-        if self.pending is None:
-            g = step_rng(self.seed, k)
-            z = g.standard_normal(m)
-        else:
-            g, fill, buf = self.pending
+        if k in self.pending:
+            g, fill, buf = self.pending.pop(k)
             fill.result()
             z = buf[:m]
-            self.pending = None
-        if self.pool is not None and k < self.n_steps and m >= _PREFETCH_MIN:
+        else:
+            g = step_rng(self.seed, k)
+            z = g.standard_normal(m)
+        if self.pool is not None and m >= _PREFETCH_MIN:
             if self.bufs is None:
-                self.bufs = (np.empty(m), np.empty(m))
-            buf = self.bufs[k % 2]      # z, if drawn ahead, is in bufs[(k - 1) % 2]
-            g_next = step_rng(self.seed, k + 1)     # on this thread: perfbench wraps step_rng
-            self.pending = (g_next, self.pool.submit(g_next.standard_normal, out=buf[:m]), buf)
+                self.bufs = (np.empty(m), np.empty(m), np.empty(m))
+            for j in range(k + 1, min(k + 2, self.n_steps) + 1):
+                if j not in self.pending:
+                    buf = self.bufs[j % 3]      # z, if drawn ahead, is in bufs[k % 3]
+                    g_j = step_rng(self.seed, j)    # on this thread: perfbench wraps step_rng
+                    self.pending[j] = (g_j, self.pool.submit(g_j.standard_normal, out=buf[:m]), buf)
         return g, z
+
+    def drain(self) -> None:
+        """Wait for the draws that no step read, and raise what any of their fills raised."""
+        for _, fill, _ in self.pending.values():
+            fill.result()
 
 
 def _check_paths(n, dt) -> None:
@@ -211,11 +227,14 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     stopping time and make up the horizon mass.
 
     When the stopping rule draws nothing after the normals and at least
-    _PREFETCH_MIN paths are running, step k builds step_rng(seed, k + 1)
-    on this thread and has the worker thread fill one of two buffers with
-    one normal per running path while step k moves, stops, observes and
-    compacts; step k + 1 takes the prefix of its length.  The draws, and so the bits, are the same as without it.
-    A draw still pending when the paths run out is awaited and dropped.
+    _PREFETCH_MIN paths are running, step k builds step_rng(seed, k + 2)
+    (and step_rng(seed, k + 1), if that is not yet in flight) on this
+    thread and has one of two worker threads fill one of three buffers
+    with one normal per running path, while step k moves, stops, observes
+    and compacts; step k + 2 takes the prefix of its length.  The draws,
+    and so the bits, are the same as without it.  Draws that no step
+    reads, because the paths ran out, are awaited and dropped, and the
+    workers are joined before the walk returns.
     """
     _check_paths(n, dt)
     n_steps = steps(dt)
@@ -229,8 +248,8 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     ids = np.flatnonzero(live)
     x = x0[ids]     # the hot loop works on compacted state, not full-size fancy indexing
     k = 0
-    # the pool starts its thread at the first draw ahead; leaving the block waits for one pending
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    # the pool starts its threads at the first draw ahead; leaving the block joins them
+    with ThreadPoolExecutor(max_workers=2) as pool:
         normals = _Normals(seed, n_steps, pool if stop is None or not stop.draws else None)
         while k < n_steps and len(ids):
             k += 1
@@ -245,6 +264,7 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
                 val[ids[hit]] = x_new[hit]
                 x_new, ids = x_new[~hit], ids[~hit]
             x = x_new
+        normals.drain()
     val[ids] = x    # horizon sentinel paths keep their current state
     return _WalkResult(tau, val, len(ids) / n if stop is not None else 0.0, n_steps)
 

@@ -158,7 +158,7 @@ def test_bad_horizon_is_a_value_error(horizon):
                              seed=1, horizon=horizon)
 
 
-# -- the next step's normals drawn ahead on a worker thread ---------------------
+# -- the next two steps' normals drawn ahead on worker threads -------------------
 
 PREFETCH_N = 70_000     # above simulate._PREFETCH_MIN running paths at step 1
 
@@ -185,17 +185,32 @@ class _ThreadLog:
         return sum(t is not threading.main_thread() for t in threads)
 
 
+def fills_ahead(batch) -> int:
+    """Steps whose normals a batch draws ahead: k + 1 and k + 2 for each step k with enough running paths.
+
+    Reads the running paths of step k off the stopping times: a path runs
+    step k if it stops at k dt or later.
+    """
+    n_steps = round(batch.horizon / batch.dt)
+    running = [np.sum(batch.stop_times > (k - 0.5) * batch.dt) for k in range(1, n_steps + 1)]
+    last = sum(m >= sim._PREFETCH_MIN for m in running)     # running paths never grow
+    return min(n_steps, last + 2) - 1 if last else 0
+
+
 PREFETCH_CASES = {
     # the running paths fall below the threshold as they stop at the parabola
     "stopped-crossing": lambda: sim.simulate_stopped(
         ob.brownian(), ms.point_mass(0.0), br.from_function(pb.barrier_fn, np.linspace(-2.5, 3.5, 601), 4.0),
         n=PREFETCH_N, dt=1e-2, seed=5),
     "constant-vol": lambda: sim.simulate_price_model(CONSTANT_VOL, n=PREFETCH_N, dt=1e-2, seed=5),
-    # every path stops at step 1, so the draw for step 2 is never read
+    # every path stops at step 1, so the draws for steps 2 and 3 are never read
     "all-stop-at-step-1": lambda: sim.simulate_stopped(
         ob.brownian(), ms.point_mass(0.0), br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([0.01, 0.01]),
                                                       horizon=1.0),
         n=PREFETCH_N, dt=1e-2, seed=5),
+    # a smaller batch, above the threshold all the way: every path runs all 100 steps and stops at R = 1
+    "flat-20k": lambda: sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), UNIT_BARRIER,
+                                             n=20_000, dt=1e-2, seed=5),
     # stopping rules that draw uniforms after the normals are never drawn ahead
     "spiked-time-change": lambda: sim.simulate_price_model(spiked_time_change(), n=PREFETCH_N, dt=1e-2, seed=5),
 }
@@ -205,8 +220,12 @@ DRAWS_AFTER_NORMALS = {"spiked-time-change"}
 @pytest.mark.parametrize("case", PREFETCH_CASES)
 def test_prefetch_is_bit_identical(monkeypatch, case):
     log, threshold = _ThreadLog(monkeypatch), sim._PREFETCH_MIN
+    threads = set(threading.enumerate())
     ahead = PREFETCH_CASES[case]()
-    assert (log.off_main(log.drawn) > 0) == (case not in DRAWS_AFTER_NORMALS)
+    assert set(threading.enumerate()) == threads     # the walk joins its workers before it returns
+    expected = 0 if case in DRAWS_AFTER_NORMALS else fills_ahead(ahead)
+    assert log.off_main(log.drawn) == expected
+    assert (expected > 0) == (case not in DRAWS_AFTER_NORMALS)
     monkeypatch.setattr(sim, "_PREFETCH_MIN", 1 << 62)
     log.drawn.clear()
     plain = PREFETCH_CASES[case]()
@@ -218,15 +237,19 @@ def test_prefetch_is_bit_identical(monkeypatch, case):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert ahead.horizon_mass == plain.horizon_mass
     if case == "stopped-crossing":
+        # the running paths cross the threshold midway, so the last fills are drawn inline
         assert ahead.horizon_mass * PREFETCH_N < threshold <= np.sum(ahead.stop_times > 0)
+        assert 2 <= expected < round(ahead.horizon / ahead.dt) - 1
     if case == "all-stop-at-step-1":
-        assert np.all(ahead.stop_times == 0.01)
+        assert np.all(ahead.stop_times == 0.01) and expected == 2
+    if case == "flat-20k":
+        assert np.all(ahead.stop_times == 1.0) and expected == 101    # steps 2 to 102 of 200
 
 
 def test_draw_ahead_leaves_the_moving_step_alone(monkeypatch):
-    # a slow move gives the worker time to finish the next draw before z is read
+    # a slow move gives both pending fills time to finish before z is read
     def slow_move(x, z, k, dt):
-        time.sleep(0.005)
+        time.sleep(0.02)
         return x + z, None
 
     def walk():

@@ -9,6 +9,7 @@ import numpy as np
 from rootbarrier import barrier as br
 from rootbarrier import obstacle as ob
 from rootbarrier import optimality as opt
+from rootbarrier import simulate as sim
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -45,6 +46,17 @@ def test_code_lines_counts_code_only(tmp_path, capsys):
     assert tool.code_lines(src) == 7
     assert tool.main(["code_lines.py", str(src.parent)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["7", "total"]
+
+
+def test_draw_ahead_crossover_times_both_ways_and_restores_the_threshold(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))   # main() puts its --src first
+    tool = _load_tool("draw_ahead_crossover")
+    threshold = sim._PREFETCH_MIN
+    assert tool.main(["draw_ahead_crossover.py", "--sizes", "200,300", "--steps", "5", "--repeats", "2"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["200", "300"]
+    assert all(0.0 < float(lo) <= float(hi) for r in rows for lo, hi in (c.split("-") for c in r[1:]))
+    assert sim._PREFETCH_MIN == threshold
 
 
 def test_bit_digest_hashes_exact_bits(capsys, monkeypatch):
