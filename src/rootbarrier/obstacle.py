@@ -357,12 +357,17 @@ def _active_set_lcp(lower, diag, upper, rhs, psi, active, tol, scale):
     system once, and moves to the set of active nodes whose multiplier
     M v - rhs is nonnegative plus inactive nodes where v < psi.  For an
     M-matrix this terminates from any starting set.  The loop ends when the
-    set repeats or when the residual reaches round-off (1e-3 * tol): on
-    flat obstacles round-off alone flips nodes in and out of the set, so a
-    repeat may never come.  At most len(rhs) solves.  The product M v that
-    the residual check formed is returned for the next right-hand side.
+    residual reaches round-off (1e-3 * tol), or when the next set is one
+    this call has already solved with: on flat obstacles round-off alone
+    flips nodes in and out of the set, and the sets may then cycle, with
+    periods of 2 to 10 seen, rather than repeat at once.  The bytes of
+    every set seen are kept for that check.  At most len(rhs) solves; a
+    stop with a residual above tol raises SolverError.  The product M v
+    that the residual check formed is returned for the next right-hand
+    side.
     """
     n = len(rhs)
+    seen = {active.tobytes()}
     for solves in range(1, n + 1):
         v = _tridiag_solve(np.where(active, 0.0, lower), np.where(active, 1.0, diag),
                            np.where(active, 0.0, upper), np.where(active, psi, rhs))
@@ -376,8 +381,10 @@ def _active_set_lcp(lower, diag, upper, rhs, psi, active, tol, scale):
         # on active rows v == psi, so r == 0 exactly when the multiplier is >= 0
         new = np.where(active, r == 0.0, v < psi)
         new[0] = new[-1] = False
-        if np.array_equal(new, active):
+        key = new.tobytes()
+        if key in seen:
             break
+        seen.add(key)
         active = new
     if worst > tol:
         k = int(np.argmax(np.abs(r)))

@@ -298,6 +298,18 @@ def _diffusion_move(diff: DiffusionSpec):
     return _geometric() if diff.geometric else _additive(diff.sigma)
 
 
+# The square of the half-width m of the log-price zone around each armed
+# spike, in units of dt: m = sqrt(_SPIKE_ZONE dt).  A path whose old and
+# new log states lie in one gap between the merged zones has, for every
+# armed spike, both ends on the same side and at least m away, so a b >=
+# 25 dt and the bridge probability exp(-2 a b / dt) <= e^-50 < 2^-53; the
+# three candidates together stay below 2^-53 too.  A positive uniform is a
+# multiple of 2^-53 and so never selects such a spike: only u == 0 could,
+# and those paths are always tested.  Unarmed spikes carry probability 0.
+# The zone is not a setting: any width past this bound gives the same hits.
+_SPIKE_ZONE = 25.0
+
+
 class _TimeBarrier:
     """Stop at the first sample with t >= R(X_t).
 
@@ -309,6 +321,15 @@ class _TimeBarrier:
     then read at the larger of the bracketing nodes, leaving narrow
     features to the spike test.  The log states of the running paths are
     carried from step to step for that test.
+
+    Every step draws one uniform per running path, but only the paths
+    that can reach an armed spike go to spike_crossings: those with an end
+    in a zone [l - m, l + m] around an armed log location l, m =
+    sqrt(_SPIKE_ZONE dt), or with the two ends in different gaps between
+    the merged zones, or with u == 0.  Every other path would get no hit
+    from the full test (see _SPIKE_ZONE), so the hits are the same.  The
+    zones are rebuilt only at the steps that arm another spike, and
+    spike_path_steps counts the path steps sent to the test.
     """
 
     def __init__(self, barrier: Barrier, spikes: Optional[tuple] = None):
@@ -325,7 +346,30 @@ class _TimeBarrier:
             self.l_spike = np.pad(np.log(at), (1, 2), mode="edge")
             self.arm = np.pad(np.asarray(arm, dtype=float), (1, 2), constant_values=np.inf)
             self.l_x = np.log(x0[live])
+            self.arm_sorted = np.sort(self.arm)
+            self.n_armed, self.zones = 0, np.empty(0)
+            self.spike_path_steps = 0
         return live
+
+    def _near(self, t, dt, l_new, u) -> np.ndarray:
+        """Indices of the running paths that an armed spike could stop in this step."""
+        n_armed = int(np.searchsorted(self.arm_sorted, t, side="right"))
+        if n_armed != self.n_armed:
+            # armed log locations are sorted, so the zone ends are too
+            m = math.sqrt(_SPIKE_ZONE * dt)
+            lk = self.l_spike[t >= self.arm]
+            lo, hi = lk - m, lk + m
+            opens = np.concatenate(([True], lo[1:] > hi[:-1]))     # a zone apart from the last
+            closes = np.concatenate((opens[1:], [True]))
+            self.n_armed, self.zones = n_armed, np.column_stack((lo[opens], hi[closes])).ravel()
+        far = u != 0.0
+        if len(self.zones):
+            # an even count of zone ends below a state puts it in a gap
+            g_old = np.searchsorted(self.zones, self.l_x)
+            g_new = np.searchsorted(self.zones, l_new)
+            far &= g_old == g_new
+            far &= (g_old & 1) == 0
+        return np.flatnonzero(~far)
 
     def __call__(self, s: _Step) -> np.ndarray:
         t = s.k * s.dt
@@ -333,11 +377,16 @@ class _TimeBarrier:
         if self.spikes is not None:
             at = self.spikes[0]
             l_new = np.log(s.x_new)
-            sp_hit, which = spike_crossings(s.x_old, self.l_x, l_new, t, s.dt, at,
-                                            self.l_spike, self.arm, s.g.random(len(s.ids)))
-            # the spike is touched en route, before the endpoint region
-            s.x_new[sp_hit] = at[which[sp_hit]]
-            hit |= sp_hit
+            u = s.g.random(len(s.ids))
+            near = self._near(t, s.dt, l_new, u)
+            self.spike_path_steps += len(near)
+            if len(near):
+                sp_hit, which = spike_crossings(s.x_old[near], self.l_x[near], l_new[near], t, s.dt,
+                                                at, self.l_spike, self.arm, u[near])
+                # the spike is touched en route, before the endpoint region
+                sp = near[sp_hit]
+                s.x_new[sp] = at[which[sp_hit]]
+                hit[sp] = True
             self.l_x = l_new[~hit]
         return hit
 
@@ -442,11 +491,13 @@ def _price_batch(model: PriceModel, n: int, dt: float, seed: int,
             stopped_values=w.stopped_values, realized_variance=rv.values,
             diagnostics={"kind": model.kind},
         )
+    diagnostics = {"kind": model.kind, "horizon-warning": bool(w.horizon_mass > 0.01)}
+    if model.spikes is not None:
+        diagnostics["spike_path_steps"] = stop.spike_path_steps
     return PathBatch(
         n=n, dt=dt, horizon=float(w.n_steps * dt), seed=seed,
         stop_times=w.stop_times, stopped_values=w.stopped_values,
-        realized_variance=rv.values, horizon_mass=w.horizon_mass,
-        diagnostics={"kind": model.kind, "horizon-warning": bool(w.horizon_mass > 0.01)},
+        realized_variance=rv.values, horizon_mass=w.horizon_mass, diagnostics=diagnostics,
     )
 
 
@@ -463,6 +514,10 @@ def spike_crossings(x_old, l_old, l_new, t_k, dt, spike_x, l_spike, arm, u):
     uniform selects among candidates, whose combined probability is
     ~disjoint for steps smaller than the spike spacing.  Returns (hit
     mask, spike index).
+
+    The test is elementwise: a path's answer does not depend on the other
+    paths passed with it, so a caller may pass only the paths that can be
+    hit.  _TimeBarrier passes those near an armed spike (see _SPIKE_ZONE).
     """
     n = len(x_old)
     hit = np.zeros(n, dtype=bool)

@@ -128,6 +128,38 @@ def test_active_set_stops_at_round_off():
         assert sol.iterations <= 2 * cfg.nt
 
 
+@pytest.mark.parametrize("eps, converged", [(1e-10, True), (1e-6, False)])
+def test_active_set_stops_on_a_cycle(monkeypatch, eps, converged):
+    # M = I on 5 nodes, psi = 0 and rhs = 1e-10 inside: the stubbed solve
+    # puts v below psi at one node only, so the active set runs {1} ->
+    # {2} -> {3} -> {1}, and the residual eps + 1e-10 stays above the
+    # round-off stop.  Waiting for the set to repeat at once would run to
+    # the cap of 5 solves.
+    n, tol = 5, 1e-8
+    zeros, psi = np.zeros(n), np.zeros(n)
+    rhs = np.full(n, 1e-10)
+    rhs[[0, -1]] = 0.0
+    calls = []
+
+    def cycling_solve(lower, diag, upper, b):
+        v = b.copy()
+        v[(1, 2, 3)[(len(calls) + 1) % 3]] = -eps
+        calls.append(1)
+        return v
+
+    monkeypatch.setattr(ob, "_tridiag_solve", cycling_solve)
+    active = np.array([False, True, False, False, False])
+    if converged:
+        v, mv, active, solves, worst = ob._active_set_lcp(zeros, np.ones(n), zeros, rhs, psi, active,
+                                                           tol, 1.0)
+        assert solves == 3 < n and worst == pytest.approx(eps + 1e-10)
+        assert 1e-3 * tol < worst <= tol
+    else:
+        with pytest.raises(ob.SolverError, match="did not converge"):
+            ob._active_set_lcp(zeros, np.ones(n), zeros, rhs, psi, active, tol, 1.0)
+    assert len(calls) == 3
+
+
 def test_unreachable_tolerance_raises_with_node():
     # a tolerance below round-off cannot be met: the error names the worst node
     cfg = ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=41, horizon=1.0, nt=5, lcp_tol=1e-20)

@@ -402,3 +402,114 @@ def test_full_chain_empirical_potential_band(gaussian_solution):
     target = ms.potential(ms.normal(0.0, 1.0), grid)
     band = 3.0 * 1.2 / np.sqrt(batch.n) + 0.01   # MC plus grid/step bias
     assert np.max(np.abs(emp.values - target.values)) < band
+
+
+# -- the bridge test only for paths near an armed spike ---------------------------
+
+OPEN_BARRIER = br.Barrier(x=np.array([1e-6, 1e6]), R=np.array([np.inf, np.inf]), horizon=1.0)
+
+
+def spike_inputs(at, dt, n=4000, seed=0):
+    """Random steps around and beyond the spikes at, with straddles, NaN new states and zero uniforms.
+
+    The uniforms are drawn as U^4, so that crossings of small probability
+    show up; every 97th is 0.
+    """
+    rng = np.random.default_rng(seed)
+    l_at = np.log(at)
+    l_old = rng.uniform(l_at[0] - 0.3, l_at[-1] + 0.3, n)
+    l_new = l_old + 3.0 * np.sqrt(dt) * rng.standard_normal(n)
+    jump = rng.random(n) < 0.05     # straddles of one spike or more
+    l_new[jump] += rng.choice([-1.0, 1.0], jump.sum()) * rng.uniform(0.0, 0.3, jump.sum())
+    l_new[rng.random(n) < 0.02] = np.nan
+    u = rng.random(n) ** 4
+    u[::97] = 0.0
+    return np.exp(l_old), l_old, l_new, u
+
+
+def near_and_full(at, arm, t, dt, seed):
+    """_TimeBarrier's near set for spike_inputs, and spike_crossings over every path and over that set."""
+    x_old, l_old, l_new, u = spike_inputs(at, dt, seed=seed)
+    tb = sim._TimeBarrier(OPEN_BARRIER, (at, arm))
+    assert tb.start(x_old, None).all()
+    near = tb._near(t, dt, l_new, u)
+    full = sim.spike_crossings(x_old, l_old, l_new, t, dt, at, tb.l_spike, tb.arm, u)
+    sub = sim.spike_crossings(x_old[near], l_old[near], l_new[near], t, dt, at, tb.l_spike, tb.arm, u[near])
+    return near, full, sub, u, tb.zones
+
+
+SPIKE_SETS = {
+    # some armed, some armed later, some never; the armed spikes 0.9 and 1.0 share a zone
+    "mixed": (np.array([0.6, 0.9, 1.0, 1.2, 1.5]), np.array([0.0, 0.05, 0.1, 0.3, np.inf]), 0.2, 1e-3),
+    # 301 spikes 0.0055 apart, armed by turns: the zones merge across unarmed ones
+    "dense-merged": (0.2 + 0.0055 * np.arange(301), np.resize([0.0, 0.5, np.inf], 301), 0.1, 1e-4),
+    "none-armed": (np.array([0.8, 1.25]), np.array([0.3, np.inf]), 0.2, 1e-3),
+    # m = 5 in log price: every path is in a zone
+    "all-near": (np.array([0.8, 1.25]), np.array([0.0, 0.0]), 0.2, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", SPIKE_SETS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spike_cull_sends_every_possible_hit(case, seed):
+    at, arm, t, dt = SPIKE_SETS[case]
+    near, (hit, which), (sub_hit, sub_which), u, zones = near_and_full(at, arm, t, dt, seed=seed)
+    culled = np.ones(len(u), dtype=bool)
+    culled[near] = False
+    assert not hit[culled].any()
+    assert np.array_equal(hit[near], sub_hit) and np.array_equal(which[near], sub_which)
+    assert np.all(np.isin(np.flatnonzero(u == 0.0), near))
+    if case == "none-armed":
+        assert not hit.any() and np.array_equal(near, np.flatnonzero(u == 0.0))
+    elif case == "all-near":
+        assert len(near) == len(u) and hit.any()
+    elif case == "dense-merged":
+        # one zone over all 301 spikes: only paths beyond it are left out
+        assert len(zones) == 2 and hit.any() and np.any(hit & (u > 0.0)) and len(near) < 0.9 * len(u)
+    else:
+        # the cull leaves out most paths, and some near paths are hit with u > 0
+        assert hit.any() and np.any(hit & (u > 0.0)) and len(near) < 0.8 * len(u)
+
+
+def test_spike_zones_are_rebuilt_as_spikes_arm():
+    at, arm, t, dt = SPIKE_SETS["mixed"]
+    tb = sim._TimeBarrier(OPEN_BARRIER, (at, arm))
+    tb.start(np.ones(3), None)
+    m = np.sqrt(sim._SPIKE_ZONE * dt)
+    l_at, step = np.log(at), (np.zeros(3), np.full(3, 0.5))     # new log states and uniforms
+    tb._near(0.06, dt, *step)
+    # 0.6 alone (0.41 from 0.9 in log, above 2 m = 0.32), then 0.9 and 1.0
+    # (0.105 apart) in one zone; 1.2 arms only after t
+    assert np.allclose(tb.zones, [l_at[0] - m, l_at[0] + m, l_at[1] - m, l_at[1] + m])
+    tb._near(0.1, dt, *step)
+    assert np.allclose(tb.zones, [l_at[0] - m, l_at[0] + m, l_at[1] - m, l_at[2] + m])
+    tb._near(t, dt, *step)
+    assert len(tb.zones) == 4 and tb.n_armed == 3
+
+
+@pytest.fixture(scope="module")
+def two_atom_call(two_atom_market):
+    """The price-atomic benchmark's bound: a variance call at K = 0.05 on a 201-node grid."""
+    return pr.lower_bound(two_atom_market, opt.variance_call(0.05),
+                          pr.PricingConfig(nx=201, nt=400, nt_hedge=500))
+
+
+# report fixture, dt, path steps sent to the bridge test, all path steps
+SPIKED_BATCHES = {
+    "dense": ("dense_call_report", 1e-4, 10_553, 4_010_544),
+    "two-atom": ("two_atom_call", 4e-4, 294_664, 2_973_291),
+}
+
+
+@pytest.mark.parametrize("case", SPIKED_BATCHES)
+def test_spike_cull_is_bit_identical(request, monkeypatch, case):
+    fixture, dt, near_steps, all_steps = SPIKED_BATCHES[case]
+    model = request.getfixturevalue(fixture).attaining_model()
+    culled = sim.simulate_price_model(model, n=10_000, dt=dt, seed=9)
+    assert culled.diagnostics["spike_path_steps"] == near_steps
+    monkeypatch.setattr(sim._TimeBarrier, "_near", lambda self, t, dt, l_new, u: np.arange(len(u)))
+    full = sim.simulate_price_model(model, n=10_000, dt=dt, seed=9)
+    assert full.diagnostics["spike_path_steps"] == all_steps
+    for name in ("stop_times", "stopped_values", "realized_variance"):
+        assert getattr(culled, name).tobytes() == getattr(full, name).tobytes()
+    assert culled.horizon_mass == full.horizon_mass

@@ -10,10 +10,10 @@ key that only one tree writes shows up as one line of the diff.
 
 The cases follow the inputs of the acceptance suite and the three
 benchmark workloads (perfbench/workloads.py, workload seed 1), plus
-batches on either side of the stepping loop's draw-ahead threshold, the
-five hedge lookups at fixed points off and on the grids, quotes
-discounted at a nonzero rate, and the files the CLI commands write, by
-their bytes.  A case that raises prints one line,
+batches on either side of the stepping loop's draw-ahead threshold, a
+time change whose spike zones merge as the spikes arm, the five hedge
+lookups at fixed points off and on the grids, quotes discounted at a
+nonzero rate, and the files the CLI commands write, by their bytes.  A case that raises prints one line,
 `<sha256>  <case>.error`, the hash of the exception's type and message,
 and the run goes on with the next case.
 
@@ -211,6 +211,25 @@ def case_prefetch() -> dict:
             "constant_vol": {**_batch(price), "realized_variance": price.realized_variance}}
 
 
+def case_spikes() -> dict:
+    """A time change whose spikes arm at staggered times, 0.2 to 0.4 apart in log price.
+
+    At dt = 1e-3 the bridge test's zone reaches sqrt(0.025) = 0.158 to
+    either side of an armed spike, so the zones of spikes closer than
+    0.316 merge as the second one arms, and the others stay apart.
+    """
+    rb = _rb()
+    sim = rb.simulate
+    l_spike = np.array([-0.9, -0.5, -0.25, 0.1, 0.3, 0.7])
+    arm = np.array([0.0, 0.15, 0.05, 0.3, 0.0, 0.1])
+    x = np.exp(np.linspace(-1.2, 1.0, 221))
+    bar = rb.barrier.Barrier(x=x, R=np.where(np.abs(np.log(x) + 0.1) < 1.0, np.inf, 0.0), horizon=1.0)
+    model = sim.PriceModel(kind="time-change-to-barrier", s0=1.0, maturity=1.0, barrier=bar,
+                           spikes=(np.exp(l_spike), arm))
+    b = sim.simulate_price_model(model, n=20_000, dt=1e-3, seed=13)
+    return {**_batch(b), "realized_variance": b.realized_variance}
+
+
 def case_rate() -> dict:
     """301 quotes at r = 3%: the implied law and the variance-swap report."""
     rb = _rb()
@@ -299,6 +318,7 @@ CASES = {
     "price-dense": case_price_dense,
     "two-atom": case_two_atom,
     "prefetch": case_prefetch,
+    "spikes": case_spikes,
     "lookups": case_lookups,
     "rate": case_rate,
     "cli": case_cli,
