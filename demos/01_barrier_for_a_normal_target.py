@@ -15,8 +15,8 @@ import numpy as np
 
 from rootbarrier import (
     SolverConfig, assemble, brownian, solve,
-    extract_barrier, point_mass, normal, potential,
-    simulate_stopped, empirical_potential, ks_statistic, ks_critical_value,
+    extract_barrier, point_mass, normal, potential, empirical,
+    simulate_stopped, ks_statistic, ks_critical_value,
 )
 
 nu = point_mass(0.0)
@@ -42,7 +42,7 @@ print(f"mean stopping time {batch.stop_times.mean():.4f} (target variance 1.0)")
 
 # The empirical potential of the stopped sample should hug the target's.
 grid = np.linspace(-4, 4, 161)
-emp = empirical_potential(batch, grid)
+emp = potential(empirical(batch.stopped_values), grid)
 tgt = potential(mu, grid)
 print(f"empirical vs target potential, sup gap "
       f"{np.max(np.abs(emp.values - tgt.values)):.5f} "

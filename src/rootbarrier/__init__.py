@@ -18,11 +18,11 @@ from .measures import (
 from .obstacle import (
     DiffusionSpec, SolverConfig, DiscreteProblem, ObstacleSolution,
     GridFunction, SolverError, brownian, geometric_brownian,
-    assemble, solve, optimal_stopping_oracle, save_solution,
+    assemble, solve, save_solution,
 )
 from .barrier import Barrier, extract_barrier, from_function, save_barrier, load_barrier
 from .simulate import (
-    PathBatch, PriceModel, simulate_stopped, empirical_potential,
+    PathBatch, PriceModel, simulate_stopped,
     simulate_price_model, hall_competitor, ks_statistic, ks_critical_value,
 )
 from .optimality import (

@@ -75,8 +75,9 @@ class Barrier:
     Between nodes the barrier is evaluated piecewise-constant taking the
     minimum of the two neighbouring values, which errs toward earlier
     stopping by at most one cell and preserves lower semi-continuity.
-    Outside the grid R = 0 (immediate stopping).  The nodes x must be
-    finite and R nonnegative; R = +inf (never stop) is allowed, NaN is not.
+    Outside the grid R = 0 (immediate stopping).  x and R are 1-D arrays
+    of one length, with at least one node; the nodes must be finite and R
+    nonnegative; R = +inf (never stop) is allowed, NaN is not.
     The horizon, the default end of a path batch, is finite and nonnegative.
 
     value_at looks R up per state.  A path loop instead asks, once per
@@ -90,6 +91,9 @@ class Barrier:
     horizon: float
 
     def __post_init__(self):
+        if np.ndim(self.x) != 1 or np.shape(self.x) != np.shape(self.R) or np.size(self.x) == 0:
+            raise ValueError(f"barrier needs one value R per node x, at least one node, got "
+                             f"{np.shape(self.x)} nodes and {np.shape(self.R)} values")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("barrier grid nodes must be finite")
         if not np.all(self.R >= 0):

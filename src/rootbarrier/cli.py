@@ -103,7 +103,7 @@ def cmd_verify_embed(args) -> int:
     ks = sim.ks_statistic(batch.stopped_values, mu.cdf)
     crit = sim.ks_critical_value(args.n, 0.01)
     grid = np.unique(np.linspace(bar.x[0], bar.x[-1], 201))   # one point for a one-node barrier
-    emp = sim.empirical_potential(batch, grid)
+    emp = measures.potential(measures.empirical(batch.stopped_values), grid)
     target = measures.potential(mu, grid)
     gap = float(np.max(np.abs(emp.values - target.values)))
     summary = batch.summary()

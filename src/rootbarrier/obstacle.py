@@ -54,7 +54,6 @@ __all__ = [
     "geometric_brownian",
     "assemble",
     "solve",
-    "optimal_stopping_oracle",
     "save_solution",
 ]
 
@@ -137,7 +136,7 @@ class DiscreteProblem:
     t: np.ndarray
     psi: np.ndarray          # obstacle
     v0: np.ndarray           # initial values (start-law potential)
-    lower: np.ndarray        # tridiagonal rows of the spatial operator A
+    lower: np.ndarray        # tridiagonal rows of the spatial operator A, zero at the edges
     diag: np.ndarray
     upper: np.ndarray
     cfg: SolverConfig
@@ -222,14 +221,16 @@ def _snap_grid(lo: float, hi: float, nx: int, snap_points: np.ndarray) -> np.nda
 
 
 def _operator_rows(x, a, c):
-    """Tridiagonal rows of A u = -a u_xx + c u_x on a non-uniform grid."""
+    """Tridiagonal rows of A u = -a u_xx + c u_x on a non-uniform grid.
+
+    The edge rows are zero, so M = I + dt/2 A is the identity there: the
+    Dirichlet rows, whose right-hand side `solve` sets to the obstacle.
+    """
     h = np.diff(x)
     lower = np.zeros_like(x)
     diag = np.zeros_like(x)
     upper = np.zeros_like(x)
     lower[1:-1], diag[1:-1], upper[1:-1] = _stencil(h[:-1], h[1:], a[1:-1], c[1:-1])
-    # Dirichlet rows at the edges
-    diag[0] = diag[-1] = 1.0
     if np.any(lower[1:-1] > 0) or np.any(upper[1:-1] > 0):
         raise SolverError("operator stencil not monotone; refine the grid")
     return lower, diag, upper
@@ -426,10 +427,6 @@ def solve(problem: DiscreteProblem) -> ObstacleSolution:
     m_lower = half_dt * problem.lower
     m_diag = 1.0 + half_dt * problem.diag
     m_upper = half_dt * problem.upper
-    # Dirichlet rows stay pure identity
-    m_lower[0] = m_lower[-1] = 0.0
-    m_diag[0] = m_diag[-1] = 1.0
-    m_upper[0] = m_upper[-1] = 0.0
 
     v = np.empty((cfg.nt + 1, n))
     v[0] = problem.v0
@@ -480,71 +477,6 @@ def solve(problem: DiscreteProblem) -> ObstacleSolution:
         cfg=cfg, diff=problem.diff, nu=problem.nu, mu=problem.mu,
         iterations=total_solves,
     )
-
-
-# -- independent cross-check: optimal stopping by dynamic programming ---------
-
-def optimal_stopping_oracle(
-    diff: DiffusionSpec,
-    nu: Measure,
-    mu: Measure,
-    cfg: SolverConfig,
-) -> GridFunction:
-    """Value surface from backward dynamic programming on a trinomial tree.
-
-    The same surface as `solve` arises as the value of stopping for the
-    obstacle reward before the horizon versus the start-law potential at
-    the horizon; with time-homogeneous rewards the whole (x, t) surface
-    comes out of a single recursion over the number of remaining steps.
-    Used only as an independent cross-check of the PDE path.
-    """
-    report = measures.check_embeddable(nu, mu)
-    if not report.passed:
-        raise SolverError("nu cannot be embedded into mu (oracle)")
-    if diff.geometric:
-        lo, hi = math.log(cfg.x_lo), math.log(cfg.x_hi)
-    else:
-        lo, hi = cfg.x_lo, cfg.x_hi
-    grid = np.linspace(lo, hi, cfg.nx)
-    h = grid[1] - grid[0]
-    state = np.exp(grid) if diff.geometric else grid
-
-    # unit diffusion and drift -1/2 in log space
-    sig2, drift = (1.0, -0.5) if diff.geometric else (diff.sigma(grid) ** 2, 0.0)
-    sig2 = np.broadcast_to(sig2, grid.shape)
-    # steps of 0.8 times the explicit stability limit, or finer to reach nt
-    dt_stab = 0.8 * h * h / float(np.max(sig2))
-    n_steps = max(int(math.ceil(cfg.horizon / dt_stab)), cfg.nt)
-    dt = cfg.horizon / n_steps
-
-    p_up = sig2 * dt / (2 * h * h) + drift * dt / (2 * h)
-    p_dn = sig2 * dt / (2 * h * h) - drift * dt / (2 * h)
-    if np.any(p_up < 0) or np.any(p_dn < 0) or np.any(p_up + p_dn > 1.0):
-        raise SolverError("trinomial probabilities out of range; refine the grid")
-
-    psi = measures.potential(mu, state).values
-    value = measures.potential(nu, state).values.copy()
-    value = np.maximum(value, psi)
-
-    # record the surface on the configured time grid
-    t_out = np.linspace(0.0, cfg.horizon, cfg.nt + 1)
-    out = np.empty((cfg.nt + 1, cfg.nx))
-    out[0] = value
-    next_record = 1
-    p_mid = 1.0 - p_up - p_dn
-    for k in range(1, n_steps + 1):
-        cont = p_mid * value
-        cont[1:-1] += p_up[1:-1] * value[2:] + p_dn[1:-1] * value[:-2]
-        cont[0] = psi[0]
-        cont[-1] = psi[-1]
-        value = np.maximum(psi, cont)
-        while next_record <= cfg.nt and next_record * (n_steps / cfg.nt) <= k + 1e-12:
-            out[next_record] = value
-            next_record += 1
-    while next_record <= cfg.nt:
-        out[next_record] = value
-        next_record += 1
-    return GridFunction(x=grid, t=t_out, values=out)
 
 
 # -- artifacts ----------------------------------------------------------------

@@ -265,8 +265,10 @@ def compute_M(
     t >= R and writes in its crossing rows.  The solution is clipped onto
     M >= f; `clip` on the result is the largest amount that clip raised M
     by.  A NaN or inf in the march (sigma, the barrier or f) raises
-    ValueError.
+    ValueError, and so does nt < 1.
     """
+    if nt < 1:
+        raise ValueError(f"nt must be at least 1 time step, got {nt!r}")
     x = np.asarray(x_grid, dtype=float)
     r = barrier.value_at(x)
     r_finite = r[np.isfinite(r)]
@@ -439,7 +441,7 @@ class _LadderSnapshots:
 
     def start(self, x0, n_steps, dt):
         self.targets = {int(round(tv / dt)): tv for tv in self.ladder}
-        self.tau = np.where(self.rule.start(x0, None), np.inf, 0.0)
+        self.tau = np.where(self.rule.start(x0), np.inf, 0.0)
         self.val = x0.copy()
 
     def __call__(self, s) -> None:

@@ -53,8 +53,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.special import erfc, erfcinv, expit
 
-from . import measures
-from .measures import Measure, Potential
+from .measures import Measure
 from .barrier import Barrier
 from .obstacle import DiffusionSpec
 
@@ -62,7 +61,6 @@ __all__ = [
     "PathBatch",
     "PriceModel",
     "simulate_stopped",
-    "empirical_potential",
     "simulate_price_model",
     "hall_competitor",
     "ks_statistic",
@@ -219,7 +217,7 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     paths with move(x, z, k, dt), which returns the new states and, for a
     geometric step, the log returns.  The stopping rule (None or a
     _TimeBarrier) names the paths running at time 0 through
-    stop.start(x0, g0) and then marks which running paths stop; they stop
+    stop.start(x0) and then marks which running paths stop; they stop
     at k dt at their state after the step, and drop out of later steps.
     Observers are started with obs.start(x0, n_steps, dt) and see every
     step after the stopping rule, in the order given.
@@ -240,7 +238,7 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     n_steps = steps(dt)
     g0 = step_rng(seed, 0)
     x0 = np.asarray(start(g0), dtype=float)
-    live = np.ones(n, dtype=bool) if stop is None else stop.start(x0, g0)
+    live = np.ones(n, dtype=bool) if stop is None else stop.start(x0)
     for obs in observers:
         obs.start(x0, n_steps, dt)
     tau = np.where(live, n_steps * dt, 0.0)
@@ -336,7 +334,7 @@ class _TimeBarrier:
         self.barrier, self.spikes = barrier, spikes
         self.draws = spikes is not None     # the spike test draws uniforms after the normals
 
-    def start(self, x0, g0):
+    def start(self, x0):
         # starts already inside the barrier stop at once (closed, regular set)
         live = self.barrier.value_at(x0, conservative=self.spikes is None) > 0.0
         if self.spikes is not None:
@@ -435,11 +433,6 @@ def simulate_stopped(
         horizon_mass=w.horizon_mass,
         diagnostics={"horizon-warning": bool(w.horizon_mass > 0.01)},
     )
-
-
-def empirical_potential(batch: PathBatch, grid: np.ndarray) -> Potential:
-    """Potential of the empirical stopped law: -mean |X_tau - x| on a grid."""
-    return measures.potential(measures.empirical(batch.stopped_values), grid)
 
 
 # -- price models ---------------------------------------------------------------
@@ -642,8 +635,6 @@ def _hall_intervals(mu: Measure, n: int, rng: np.random.Generator) -> tuple[np.n
     m = mu.mean
     if mu.kind == "normal":
         s = math.sqrt(mu.params["variance"])
-        if s == 0:
-            return np.full(n, m), np.full(n, m)
         # plain one-sided part: half-normal; size-biased part: Rayleigh
         pick_minus = rng.random(n) < 0.5
         plain = np.abs(s * rng.standard_normal(n))

@@ -19,6 +19,8 @@ from rootbarrier import parabola as pb
 from rootbarrier import pricing as pr
 from rootbarrier import simulate as sim
 
+from oracle import optimal_stopping_oracle
+
 
 def verdict(num, ok, text):
     print(f"ACCEPTANCE {num:02d} [{'PASS' if ok else 'FAIL'}] {text}")
@@ -137,8 +139,8 @@ def test_criterion_5_complementarity(gaussian_solution):
 def test_criterion_6_oracle_agreement(gaussian_solution):
     sol = gaussian_solution
     cfg = sol.cfg
-    oracle = ob.optimal_stopping_oracle(ob.brownian(), ms.point_mass(0.0),
-                                        ms.normal(0.0, 1.0), cfg)
+    oracle = optimal_stopping_oracle(ob.brownian(), ms.point_mass(0.0),
+                                     ms.normal(0.0, 1.0), cfg)
     # budgets: first order in dt, second in h (generous for Crank-Nicolson)
     h_dp = oracle.x[1] - oracle.x[0]
     dt_dp = 0.8 * h_dp * h_dp

@@ -163,6 +163,25 @@ def test_negative_barrier_rejected():
         br.Barrier(x=np.array([0.0, 1.0]), R=np.array([-0.1, 1.0]), horizon=1.0)
 
 
+@pytest.mark.parametrize("x, R, message", [
+    # one value short: value_at([0.5, 1.5]) would read [1, 0] and a path
+    # started at 1.5 would stop at t = 0
+    ([0.0, 1.0, 2.0], [1.0, 1.0], "one value R per node"),
+    ([[0.0, 1.0]], [[1.0, 1.0]], "one value R per node"),
+    ([], [], "at least one node"),
+    ([0.0, np.inf], [1.0, 1.0], "finite"),
+    ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
+], ids=["short-R", "not-1d", "empty", "infinite-node", "unsorted"])
+def test_malformed_barrier_rejected(x, R, message):
+    with pytest.raises(ValueError, match=message):
+        br.Barrier(x=np.array(x), R=np.array(R), horizon=1.0)
+
+
+def test_grid_index_refuses_non_finite_nodes():
+    with pytest.raises(ValueError, match="finite"):
+        br.GridIndex(np.array([0.0, np.inf]))
+
+
 @pytest.mark.parametrize("horizon", [-1.0, np.nan, np.inf])
 def test_bad_horizon_rejected(horizon):
     with pytest.raises(ValueError, match="^barrier horizon must be finite and nonnegative"):

@@ -1,4 +1,6 @@
 import json
+import runpy
+import warnings
 
 import numpy as np
 import pytest
@@ -97,8 +99,10 @@ def test_non_finite_horizon_exit_code(tmp_path, measure_files, capsys):
     {"kind": "normal", "params": [0.0, 1.0]},
     {"kind": "lognormal", "params": {"log_mean": 0.0, "log_variance": None}},
     {"kind": "lognormal", "params": {"log_mean": float("nan"), "log_variance": 0.04}},
+    {"kind": "cauchy", "params": {"loc": 0.0, "scale": 1.0}},
+    {"kind": "normal", "params": {"mean": 0.0, "variance": -1.0}},
 ], ids=["nan-mass", "not-pairs", "normal-no-params", "normal-missing-key", "normal-non-numeric",
-        "normal-params-list", "lognormal-null", "lognormal-nan"])
+        "normal-params-list", "lognormal-null", "lognormal-nan", "unknown-kind", "normal-negative-variance"])
 def test_malformed_measure_file_exit_code(tmp_path, measure_files, capsys, doc):
     mu = tmp_path / "bad.json"
     mu.write_text(json.dumps(doc))
@@ -106,6 +110,47 @@ def test_malformed_measure_file_exit_code(tmp_path, measure_files, capsys, doc):
               "--nu", measure_files[0], "--mu", str(mu), "--nx", "41", "--nt", "5"])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["solve-barrier", "--sigma", "levy", "--nx", "41", "--nt", "5"], None, "unknown sigma spec"),
+    (["price-bound", "--bs-vol", "0.2"], {"payoff": "variance-put"}, "unknown payoff"),
+    (["price-bound", "--quotes", "quotes.csv"], None, "--bs-vol"),
+    (["demo-example", "--nt", "0"], None, "nt must be at least 1"),
+], ids=["unknown-sigma", "unknown-payoff-in-config", "no-market-source", "demo-no-time-steps"])
+def test_bad_arguments_exit_code(tmp_path, measure_files, capsys, args, config, message):
+    if args[0] == "solve-barrier":
+        args = args + ["--nu", measure_files[0], "--mu", measure_files[1]]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["--config", str(cfg)] + args
+    out = tmp_path / "out"
+    rc = run(["--out-dir", str(out), "--quiet"] + args)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_progress_line_unless_quiet(tmp_path, measure_files, capsys):
+    nu, mu = measure_files
+    for quiet in ([], ["--quiet"]):
+        rc = run(["--out-dir", str(tmp_path / "out")] + quiet + ["solve-barrier", "--nu", nu, "--mu", mu,
+                                                                 "--nx", "41", "--nt", "5"])
+        assert rc == 0
+        assert ("barrier written to" in capsys.readouterr().out) == (not quiet)
+
+
+def test_module_entry_point_exits_with_the_code(tmp_path, monkeypatch):
+    # python -m rootbarrier.cli: the exit code of main() becomes the process's
+    monkeypatch.setattr("sys.argv", ["rootbarrier", "--quiet", "solve-barrier",
+                                     "--nu", str(tmp_path / "missing.json"), "--mu", str(tmp_path / "missing.json")])
+    with warnings.catch_warnings():
+        # runpy notes that the package already imported the module
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("rootbarrier.cli", run_name="__main__")
+    assert exc.value.code == 2
 
 
 def test_verify_embed_round_trip(tmp_path, measure_files):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from rootbarrier import measures as ms
+from rootbarrier import simulate as sim
 
 # high-resolution quadrature of -int |y| phi(y) dy, frozen
 U_N01_AT_ZERO = -0.7978845608028654
@@ -19,6 +20,11 @@ def quad_potential(pdf, x, lo, hi):
 def test_point_mass_potential():
     u = ms.potential(ms.point_mass(0.0), np.array([-1.0, 0.0, 1.0]))
     assert np.allclose(u.values, [-1.0, 0.0, -1.0])
+
+
+def test_potential_refuses_a_grid_that_is_not_increasing():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ms.potential(ms.point_mass(0.0), np.array([1.0, 0.0]))
 
 
 def test_two_atom_potential_at_origin():
@@ -175,7 +181,20 @@ def test_embeddable_check_memory_on_a_large_empirical_law():
     lambda: ms.atoms([], []),
     lambda: ms.atoms([[0.0, 1.0]], [[0.5, 0.5]]),
     lambda: ms.tabulated_density([0.0, 1.0, 2.0], [1.0, 1.0]),
-], ids=["nan-mass", "extra-mass", "missing-mass", "empty", "not-1d", "density-lengths"])
+    lambda: ms.atoms([0.0, 1.0], [0.5, 0.6]),
+    lambda: ms.atoms([0.0, 1.0, 2.0], [0.5, 0.6, -0.1]),
+    lambda: ms.atoms([0.0, np.inf], [0.5, 0.5]),
+    lambda: ms.tabulated_density([0.0, 2.0, 1.0], [0.5, 0.5, 0.5]),
+    lambda: ms.tabulated_density([0.0, 1.0, 2.0], [1.0, -0.5, 1.0]),
+    lambda: ms.tabulated_density([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),
+    lambda: ms.normal(0.0, -1.0),
+    lambda: ms.Measure(kind="normal", params={"mean": 0.0, "variance": 0.0}),
+    lambda: ms.Measure(kind="lognormal", params={"log_mean": 0.0, "log_variance": 0.0}),
+    lambda: ms.Measure(kind="cauchy"),
+], ids=["nan-mass", "extra-mass", "missing-mass", "empty", "not-1d", "density-lengths",
+        "total-mass", "negative-mass", "infinite-location", "density-unsorted", "density-negative",
+        "density-mass", "normal-negative-variance", "normal-zero-variance",
+        "lognormal-zero-variance", "unknown-kind"])
 def test_malformed_discrete_law_is_a_measure_error(make):
     with pytest.raises(ms.MeasureError):
         make()
@@ -290,6 +309,24 @@ def test_measure_json_round_trip(tmp_path):
     for maker in (lambda: ms.normal(0.1, 2.0), lambda: ms.lognormal(-0.1, 0.2)):
         ms.save_measure(maker(), str(path))
         assert ms.load_measure(str(path)).params == maker().params
+
+
+def test_zero_variance_laws_are_point_masses(tmp_path):
+    # normal(m, 0) and lognormal(a, 0) are the point masses at m and e^a,
+    # from the constructors and from a measure file alike
+    path = tmp_path / "m.json"
+    for kind, params, at in (("normal", {"mean": 0.3, "variance": 0.0}, 0.3),
+                             ("lognormal", {"log_mean": -0.2, "log_variance": 0.0}, np.exp(-0.2))):
+        path.write_text(json.dumps({"kind": kind, "params": params}))
+        for m in (ms.load_measure(str(path)), getattr(ms, kind)(*params.values())):
+            assert m.kind == "atoms" and m.locations.tolist() == [at] and m.weights.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("law", [ms.normal(0.4, 2.0), ms.lognormal(-0.08, 0.16)], ids=["normal", "lognormal"])
+def test_samples_match_the_mean_and_law(law):
+    x = law.sample(40_000, np.random.default_rng(5))
+    assert abs(x.mean() - law.mean) <= 4.0 * x.std() / np.sqrt(len(x))
+    assert sim.ks_statistic(x, law) <= sim.ks_critical_value(len(x), 0.01)
 
 
 def test_tabulated_density_file_loads_and_saves_as_atoms(tmp_path):

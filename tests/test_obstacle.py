@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from rootbarrier import measures as ms
 from rootbarrier import obstacle as ob
 from rootbarrier import pricing as pr
+
+from oracle import optimal_stopping_oracle
 
 
 def closed_form_gaussian(x, t, t0=1.0):
@@ -83,9 +86,8 @@ def test_complementarity_residual_reported(gaussian_solution):
     sol = gaussian_solution
     prob = ob.assemble(sol.diff, sol.nu, sol.mu, sol.cfg)
     half_dt = 0.5 * (sol.t[1] - sol.t[0])
+    # the edge rows of A are zero, so those of M are the identity
     lower, diag, upper = half_dt * prob.lower, 1.0 + half_dt * prob.diag, half_dt * prob.upper
-    lower[[0, -1]] = upper[[0, -1]] = 0.0
-    diag[[0, -1]] = 1.0
     scale = max(1.0, float(np.max(np.abs(prob.v0))))
     # step 1: two implicit half steps from v[0], warm-started from its contact set
     active = prob.v0 <= sol.psi
@@ -185,7 +187,7 @@ def test_oracle_agrees_with_the_geometric_solve():
     cfg = ob.SolverConfig(x_lo=0.3, x_hi=3.0, nx=401, horizon=0.25, nt=400)
     gbm, nu, mu = ob.geometric_brownian(), ms.point_mass(1.0), ms.lognormal(-0.02, 0.04)
     sol = ob.solve(ob.assemble(gbm, nu, mu, cfg))
-    oracle = ob.optimal_stopping_oracle(gbm, nu, mu, cfg)
+    oracle = optimal_stopping_oracle(gbm, nu, mu, cfg)
     assert oracle.x[0] == math.log(0.3) and oracle.x[-1] == math.log(3.0)
     h_dp = oracle.x[1] - oracle.x[0]
     tol_dp = 2.0 * (0.8 * h_dp * h_dp) * 0.5 + 2.0 * h_dp * h_dp * 0.5
@@ -256,6 +258,58 @@ def test_config_refuses_non_finite_values(field, value):
         ob.SolverConfig(**kw)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("nx", 2, "nx >= 3"), ("nt", 0, "nt >= 1"), ("lam", 0.0, "lambda must be positive"),
+    ("lcp_tol", 0.0, "tolerance must be positive"), ("x_hi", -6.0, "bad domain"), ("horizon", 0.0, "bad domain"),
+])
+def test_config_refuses_out_of_range_values(field, value, message):
+    kw = dict(x_lo=-6.0, x_hi=6.0, nx=101, horizon=1.0, nt=10, lam=1.0, lcp_tol=1e-8)
+    kw[field] = value
+    with pytest.raises(ValueError, match=message):
+        ob.SolverConfig(**kw)
+
+
+@pytest.mark.parametrize("points, nodes", [
+    # nothing inside (lo, hi): the uniform grid
+    ([], np.linspace(0.0, 1.0, 11)),
+    ([0.0, 1.0, 2.0], np.linspace(0.0, 1.0, 11)),
+    # two points a rounding apart snap to neighbouring nodes: one of them stays
+    ([0.15 - 1e-16, 0.15 + 1e-16], np.delete(np.where(np.arange(11) == 1, 0.15 - 1e-16, np.linspace(0.0, 1.0, 11)), 2)),
+], ids=["none", "outside", "near-coincident"])
+def test_snap_grid(points, nodes):
+    assert np.array_equal(ob._snap_grid(0.0, 1.0, 11, np.array(points)), nodes)
+
+
+def test_assemble_refuses_a_geometric_grid_coarser_than_the_drift():
+    # log-price cells of width 6.9 > 2 make the drift stencil's upper entry positive
+    cfg = ob.SolverConfig(x_lo=1e-3, x_hi=1e3, nx=3, horizon=0.1, nt=10)
+    with pytest.raises(ob.SolverError, match="not monotone"):
+        ob.assemble(ob.geometric_brownian(), ms.point_mass(1.0), ms.lognormal(-0.02, 0.04), cfg)
+
+
+def test_geometric_requires_a_positive_price_domain():
+    cfg = ob.SolverConfig(x_lo=0.0, x_hi=3.0, nx=101, horizon=0.1, nt=10)
+    with pytest.raises(ValueError, match="positive price domain"):
+        ob.assemble(ob.geometric_brownian(), ms.point_mass(1.0), ms.lognormal(-0.02, 0.04), cfg)
+
+
+def test_grid_potentials_back_up_the_embedding_check(monkeypatch):
+    # with the ordered-potential test passed by force, the grid comparison
+    # still refuses start data below the obstacle
+    real = ms.check_embeddable
+    monkeypatch.setattr(ob.measures, "check_embeddable",
+                        lambda nu, mu: dataclasses.replace(real(nu, mu), passed=True))
+    cfg = ob.SolverConfig(x_lo=-6, x_hi=6, nx=101, horizon=1.0, nt=10)
+    with pytest.raises(ob.SolverError, match="drops below the obstacle"):
+        ob.assemble(ob.brownian(), ms.atoms([-1, 1], [0.5, 0.5]), ms.point_mass(0.0), cfg)
+
+
+def test_singular_tridiagonal_system_raises():
+    zeros = np.zeros(4)
+    with pytest.raises(ob.SolverError, match="singular"):
+        ob._tridiag_solve(zeros.copy(), zeros.copy(), zeros.copy(), np.ones(4))
+
+
 def test_domain_truncation_guard():
     cfg = ob.SolverConfig(x_lo=-1.5, x_hi=1.5, nx=101, horizon=1.0, nt=10)
     with pytest.raises(ob.SolverError, match="truncates"):
@@ -265,14 +319,14 @@ def test_domain_truncation_guard():
 def test_oracle_target_equals_start():
     m = ms.atoms([-1.0, 1.0], [0.5, 0.5])
     cfg = ob.SolverConfig(x_lo=-6, x_hi=6, nx=201, horizon=0.5, nt=50)
-    val = ob.optimal_stopping_oracle(ob.brownian(), m, m, cfg)
+    val = optimal_stopping_oracle(ob.brownian(), m, m, cfg)
     psi = ms.potential(m, val.x).values
     assert np.max(np.abs(val.values - psi[None, :])) < 1e-10
 
 
 def test_oracle_gaussian_closed_form():
     cfg = ob.SolverConfig(x_lo=-6.2, x_hi=6.2, nx=401, horizon=2.0, nt=400)
-    val = ob.optimal_stopping_oracle(ob.brownian(), ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg)
+    val = optimal_stopping_oracle(ob.brownian(), ms.point_mass(0.0), ms.normal(0.0, 1.0), cfg)
     errs = [np.max(np.abs(val.values[j] - closed_form_gaussian(val.x, val.t[j])))
             for j in range(0, len(val.t), 20)]
     assert max(errs) < 2e-3
@@ -289,7 +343,7 @@ def test_oracle_agrees_with_solver_on_random_pair():
     mu = ms.atoms(locs, w)
     cfg = ob.SolverConfig(x_lo=-8, x_hi=8, nx=321, horizon=1.5, nt=300)
     sol = ob.solve(ob.assemble(ob.brownian(), nu, mu, cfg))
-    val = ob.optimal_stopping_oracle(ob.brownian(), nu, mu, cfg)
+    val = optimal_stopping_oracle(ob.brownian(), nu, mu, cfg)
     worst = 0.0
     for j in range(0, len(val.t), 30):
         vi = np.interp(val.x, sol.x, marched_row(sol, j))
@@ -386,7 +440,7 @@ def test_solution_matches_stopped_path_monte_carlo():
     for t_probe in (0.5, 1.5, 3.0):
         probe = sim.simulate_stopped(ob.brownian(), nu, b_true, n=n, dt=1e-3,
                                      seed=17, horizon=t_probe)
-        emp = sim.empirical_potential(probe, grid)
+        emp = ms.potential(ms.empirical(probe.stopped_values), grid)
         j = int(round(t_probe / (sol.t[1] - sol.t[0])))
         row = np.interp(grid, sol.x, sol.v[j])
         band = 3.0 * 1.6 / np.sqrt(n) + 3e-2

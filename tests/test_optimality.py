@@ -32,6 +32,18 @@ def test_payoff_rejects_decreasing_derivative():
         bad.validate(1.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: opt.custom_payoff(lambda t: 2.0 * np.asarray(t), lambda t: np.full(np.shape(t), 2.0), 1.0),
+     "out of"),
+    (lambda: opt.custom_payoff(lambda t: np.asarray(t), lambda t: np.full(np.shape(t), 2.0), 2.0),
+     "inconsistent"),
+    (lambda: opt.power_payoff(1.0, cap=1.0), "p > 1"),
+], ids=["derivative-above-bound", "F-not-the-integral", "power-not-above-1"])
+def test_payoff_refusals(make, message):
+    with pytest.raises(ValueError, match=message):
+        make().validate(1.0)
+
+
 def test_parabola_closed_forms(parabola_hedge):
     hf, bar, payoff = parabola_hedge
     window = (hf.x >= -1.9) & (hf.x <= 2.9)
@@ -53,6 +65,8 @@ def test_parabola_point_values(parabola_hedge):
     hf, _, _ = parabola_hedge
     # arithmetic on the closed forms at alpha=2, beta=3, lam=1/2
     assert hf.M_at(np.array([0.0]), 0.0)[0] == pytest.approx(2.0, abs=2e-3)
+    # f(s) = s here below the cap, so M(0, 0) is E tau = lam alpha beta / (1 + lam)
+    assert pb.mean_stop_time() == pytest.approx(2.0) == float(pb.M_exact(0.0, 0.0))
     assert hf.Z_at(np.array([1.0]))[0] == pytest.approx(37.0 / 18.0, abs=1e-3)
     assert hf.Z_at(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
     gh = hf.G_at(np.array([0.0]), 0.0)[0] + hf.H_at(np.array([0.0]))[0]

@@ -12,6 +12,8 @@ from rootbarrier import simulate as sim
 
 def test_swap_bound_matches_log_contract(dense_swap_report, dense_market):
     sv = pr.swap_value(dense_market)
+    # at B_T = 1 and S0 = 1 the swap is -2 E ln X, twice the log contract's short
+    assert sv == pytest.approx(-2.0 * pr.log_contract_value(dense_market), rel=1e-12)
     rel = abs(dense_swap_report.lower_bound - sv) / sv
     assert rel < 1e-4
     # and the Black-Scholes reference sigma^2 T up to quote discretization
@@ -47,6 +49,21 @@ def test_static_portfolio_quadratic():
     cash, fwd, weights = pr.static_portfolio(nodes, h, spot=1.0, growth=1.0)
     dk = nodes[1] - nodes[0]
     assert np.allclose([w for _, w in weights], 2.0 * dk)
+
+
+@pytest.mark.parametrize("nodes, h, message", [
+    ([0.5, 1.2, 1.5], [0.5, 0.2, 0.5], "spot must be one of the portfolio nodes"),
+    ([0.5, 1.0, 1.0 + 1e-12, 1.5], [0.0, 0.0, 1.0, 1.0], "finite cost"),
+], ids=["spot-off-the-nodes", "unbounded-weights"])
+def test_static_portfolio_refusals(nodes, h, message):
+    with pytest.raises(ValueError, match=message):
+        pr.static_portfolio(np.array(nodes), np.array(h), spot=1.0, growth=1.0)
+
+
+def test_black_scholes_call_at_zero_vol_is_discounted_intrinsic():
+    c = pr.black_scholes_call(1.0, np.array([0.9, 1.0, 1.2]), vol=0.0, maturity=1.0, rate=0.05)
+    assert np.allclose(c, np.exp(-0.05) * np.maximum(np.exp(0.05) - np.array([0.9, 1.0, 1.2]), 0.0),
+                       rtol=0.0, atol=1e-15)
 
 
 def test_replication_identity_at_nodes(dense_swap_report):

@@ -89,13 +89,13 @@ def test_zero_barrier_stops_at_start():
     batch = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), b, n=100, dt=0.01, seed=1)
     assert np.all(batch.stop_times == 0.0)
     assert np.all(batch.stopped_values == 0.0)
-    ep = sim.empirical_potential(batch, np.array([-1.0, 0.0, 1.0]))
+    ep = ms.potential(ms.empirical(batch.stopped_values), np.array([-1.0, 0.0, 1.0]))
     assert np.allclose(ep.values, [-1.0, 0.0, -1.0])
 
 
 def test_empirical_potential_band(unit_time_batch):
     grid = np.linspace(-4, 4, 81)
-    emp = sim.empirical_potential(unit_time_batch, grid)
+    emp = ms.potential(ms.empirical(unit_time_batch.stopped_values), grid)
     target = ms.potential(ms.normal(0.0, 1.0), grid)
     assert np.max(np.abs(emp.values - target.values)) < 3.0 / np.sqrt(unit_time_batch.n)
     # concavity up to noise
@@ -368,6 +368,19 @@ def test_exit_time_inverse_is_exact():
     assert abs(np.trapezoid(t * t * w, s) - 5.0 / 3.0) <= 1e-10
 
 
+def test_unknown_price_model_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown price model kind 'jump'"):
+        sim.simulate_price_model(sim.PriceModel(kind="jump", s0=1.0, maturity=1.0), n=10, dt=0.1, seed=0)
+
+
+def test_ks_critical_value_between_the_tabulated_levels():
+    # off the table the asymptotic formula sqrt(-ln(level / 2) / 2) applies
+    tab = [sim.ks_critical_value(100, lv) for lv in (0.10, 0.05, 0.01)]
+    assert tab == pytest.approx([0.122, 0.136, 0.163])
+    assert tab[1] < sim.ks_critical_value(100, 0.02) < tab[2]
+    assert sim.ks_critical_value(100, 0.02) == pytest.approx(np.sqrt(-0.5 * np.log(0.01)) / 10.0)
+
+
 def test_ks_statistic_handles_atomic_ties():
     rng = np.random.default_rng(1)
     m = ms.atoms([-1.0, 1.0], [0.5, 0.5])
@@ -398,7 +411,7 @@ def test_full_chain_empirical_potential_band(gaussian_solution):
     batch = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), b,
                                  n=50_000, dt=1e-3, seed=19)
     grid = np.linspace(-4.0, 4.0, 81)
-    emp = sim.empirical_potential(batch, grid)
+    emp = ms.potential(ms.empirical(batch.stopped_values), grid)
     target = ms.potential(ms.normal(0.0, 1.0), grid)
     band = 3.0 * 1.2 / np.sqrt(batch.n) + 0.01   # MC plus grid/step bias
     assert np.max(np.abs(emp.values - target.values)) < band
@@ -431,7 +444,7 @@ def near_and_full(at, arm, t, dt, seed):
     """_TimeBarrier's near set for spike_inputs, and spike_crossings over every path and over that set."""
     x_old, l_old, l_new, u = spike_inputs(at, dt, seed=seed)
     tb = sim._TimeBarrier(OPEN_BARRIER, (at, arm))
-    assert tb.start(x_old, None).all()
+    assert tb.start(x_old).all()
     near = tb._near(t, dt, l_new, u)
     full = sim.spike_crossings(x_old, l_old, l_new, t, dt, at, tb.l_spike, tb.arm, u)
     sub = sim.spike_crossings(x_old[near], l_old[near], l_new[near], t, dt, at, tb.l_spike, tb.arm, u[near])
@@ -474,7 +487,7 @@ def test_spike_cull_sends_every_possible_hit(case, seed):
 def test_spike_zones_are_rebuilt_as_spikes_arm():
     at, arm, t, dt = SPIKE_SETS["mixed"]
     tb = sim._TimeBarrier(OPEN_BARRIER, (at, arm))
-    tb.start(np.ones(3), None)
+    tb.start(np.ones(3))
     m = np.sqrt(sim._SPIKE_ZONE * dt)
     l_at, step = np.log(at), (np.zeros(3), np.full(3, 0.5))     # new log states and uniforms
     tb._near(0.06, dt, *step)
