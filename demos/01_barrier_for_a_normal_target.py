@@ -45,7 +45,7 @@ grid = np.linspace(-4, 4, 161)
 emp = potential(empirical(batch.stopped_values), grid)
 tgt = potential(mu, grid)
 print(f"empirical vs target potential, sup gap "
-      f"{np.max(np.abs(emp.values - tgt.values)):.5f} "
+      f"{np.max(np.abs(emp - tgt)):.5f} "
       f"(3/sqrt(n) = {3/np.sqrt(batch.n):.5f})")
 
 try:

@@ -9,7 +9,7 @@ price bounds and subhedges for options on realized variance.
 """
 
 from .measures import (
-    Measure, Potential, CallQuotes, EmbeddingReport,
+    Measure, CallQuotes, EmbeddingReport,
     atoms, point_mass, normal, lognormal, tabulated_density, empirical,
     potential, check_embeddable, implied_measure_from_calls, call_prices,
     load_measure, save_measure, load_quotes,

@@ -105,7 +105,7 @@ def cmd_verify_embed(args) -> int:
     grid = np.unique(np.linspace(bar.x[0], bar.x[-1], 201))   # one point for a one-node barrier
     emp = measures.potential(measures.empirical(batch.stopped_values), grid)
     target = measures.potential(mu, grid)
-    gap = float(np.max(np.abs(emp.values - target.values)))
+    gap = float(np.max(np.abs(emp - target)))
     summary = batch.summary()
     summary.update({
         "ks-statistics": {"stopped-vs-target": ks, "critical-1pct": crit},

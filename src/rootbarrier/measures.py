@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 MASS_TOL = 1e-12
 EMBED_TOL = 1e-10
@@ -36,10 +36,11 @@ CONVEXITY_TOL = 1e-9
 # largest atom at zero a call curve may imply; it is folded into the
 # lowest strike
 ZERO_ATOM_TOL = 1e-6
+# standard normal z with 0.5e-9 of the mass beyond it in each tail
+_TAIL_Z = -ndtri(0.5e-9)
 
 __all__ = [
     "Measure",
-    "Potential",
     "EmbeddingReport",
     "CallQuotes",
     "atoms",
@@ -152,7 +153,8 @@ class Measure:
             m = self.params["mean"]
             s = math.sqrt(self.params["variance"])
             z = (x - m) / s
-            return s * (2.0 * norm.pdf(z) + z * (2.0 * norm.cdf(z) - 1.0))
+            pdf = np.exp(-z**2 / 2.0) / math.sqrt(2.0 * math.pi)
+            return s * (2.0 * pdf + z * (2.0 * ndtr(z) - 1.0))
         # lognormal: E|Y - x| = 2 E(Y - x)_+ - (EY - x), with E(Y-x)_+ the
         # undiscounted Black-Scholes call value
         a = self.params["log_mean"]
@@ -164,7 +166,7 @@ class Measure:
         xp = x[~neg]
         d1 = (a + b * b - np.log(xp)) / b
         d2 = d1 - b
-        call = ey * norm.cdf(d1) - xp * norm.cdf(d2)
+        call = ey * ndtr(d1) - xp * ndtr(d2)
         out[~neg] = 2.0 * call - (ey - xp)
         return out
 
@@ -175,12 +177,12 @@ class Measure:
         if self.kind == "normal":
             m = self.params["mean"]
             s = math.sqrt(self.params["variance"])
-            return norm.cdf((x - m) / s)
+            return ndtr((x - m) / s)
         a = self.params["log_mean"]
         b = math.sqrt(self.params["log_variance"])
         out = np.zeros_like(x)
         pos = x > 0
-        out[pos] = norm.cdf((np.log(x[pos]) - a) / b)
+        out[pos] = ndtr((np.log(x[pos]) - a) / b)
         return out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,14 +196,6 @@ class Measure:
         a = self.params["log_mean"]
         b = math.sqrt(self.params["log_variance"])
         return np.exp(a + b * rng.standard_normal(n))
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Tabulated potential U(x) = -E|Y - x| on a strictly increasing grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -308,8 +302,8 @@ def empirical(samples: np.ndarray, recenter_to: Optional[float] = None) -> Measu
 
 # -- potentials -------------------------------------------------------------
 
-def potential(m: Measure, grid: np.ndarray) -> Potential:
-    """Tabulate U_m(x) = -E|Y - x| on the given grid.
+def potential(m: Measure, grid: np.ndarray) -> np.ndarray:
+    """U_m(x) = -E|Y - x| at each point of a strictly increasing grid.
 
     Exact for atomic measures (prefix sums of the sorted atoms), closed
     forms for the normal and lognormal families; tabulated densities were
@@ -318,8 +312,7 @@ def potential(m: Measure, grid: np.ndarray) -> Potential:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    vals = -m.mean_abs_dev(grid)
-    return Potential(grid=grid, values=vals)
+    return -m.mean_abs_dev(grid)
 
 
 def check_embeddable(nu: Measure, mu: Measure) -> EmbeddingReport:
@@ -363,12 +356,11 @@ def _measure_range(m: Measure) -> tuple[float, float]:
     """Interval carrying all but 1e-9 of the measure."""
     if m.kind == "atoms":
         return m.support
-    z = -norm.ppf(0.5e-9)
     if m.kind == "normal":
         mm, s = m.params["mean"], math.sqrt(m.params["variance"])
-        return mm - z * s, mm + z * s
+        return mm - _TAIL_Z * s, mm + _TAIL_Z * s
     a, b = m.params["log_mean"], math.sqrt(m.params["log_variance"])
-    return math.exp(a - z * b), math.exp(a + z * b)
+    return math.exp(a - _TAIL_Z * b), math.exp(a + _TAIL_Z * b)
 
 
 # -- implied law from call quotes -------------------------------------------

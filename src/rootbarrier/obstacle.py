@@ -301,8 +301,8 @@ def assemble(diff: DiffusionSpec, nu: Measure, mu: Measure, cfg: SolverConfig) -
         b = s * ds - cfg.lam * s * s * sg
         c = b + 2.0 * cfg.lam * a * sg - s * ds  # = 0 after cancellation
 
-    psi = measures.potential(mu, state).values
-    v0 = measures.potential(nu, state).values
+    psi = measures.potential(mu, state)
+    v0 = measures.potential(nu, state)
     # the initial data must dominate the obstacle; clip fp-level violations
     if np.any(v0 - psi < -1e-9 * max(1.0, float(np.max(np.abs(psi))))):
         raise SolverError("initial potential drops below the obstacle on the grid")

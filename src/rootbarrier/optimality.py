@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import simulate as sim
 from .barrier import Barrier, GridIndex
@@ -50,6 +49,13 @@ __all__ = [
     "verify_martingale",
     "optimality_gap",
 ]
+
+
+def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral of y along axis 0 over the nodes x, from 0."""
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    s = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate((np.zeros((1,) + s.shape[1:]), s))
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class PayoffSpec:
             raise ValueError("payoff derivative must be non-decreasing")
         if np.any(fv < -tol) or np.any(fv > self.f_bound + tol):
             raise ValueError("payoff derivative out of [0, f_bound]")
-        quad = cumulative_trapezoid(fv, ts, initial=0.0)
+        quad = _cumtrapz(fv, ts)
         gap = np.max(np.abs(quad - self.F(ts)))
         scale = max(1.0, float(np.max(np.abs(self.F(ts)))))
         # derivative jumps cost half a cell under the trapezoid rule
@@ -390,14 +396,14 @@ def build_hedge(
     m = compute_M(diff, barrier, payoff, x_grid, nt, t_max=t_max)
     M, x, t = m.values, m.x, m.t
     payoff.validate(float(t[-1]))
-    inner = cumulative_trapezoid(2.0 * M[0] / diff.sigma(x) ** 2, x, initial=0.0)
+    inner = _cumtrapz(2.0 * M[0] / diff.sigma(x) ** 2, x)
     inner = inner - np.interp(base_point, x, inner)
-    z = cumulative_trapezoid(inner, x, initial=0.0)
+    z = _cumtrapz(inner, x)
     z = z - np.interp(base_point, x, z)
 
     f_t = payoff.f(t)
-    F_grid = cumulative_trapezoid(f_t, t, initial=0.0)
-    G = cumulative_trapezoid(M, t, axis=0, initial=0.0) - z[None, :]
+    F_grid = _cumtrapz(f_t, t)
+    G = _cumtrapz(M, t) - z[None, :]
     H = z + np.trapezoid(f_t[:, None] - M, t, axis=0)
 
     delta = np.empty_like(G)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import measures, simulate as sim
 from .barrier import Barrier, extract_barrier
@@ -131,7 +131,7 @@ def black_scholes_call(spot, strike, vol, maturity, rate=0.0):
     if sd == 0:
         return df * np.maximum(fwd - strike, 0.0)
     d1 = (np.log(fwd / strike) + 0.5 * sd * sd) / sd
-    return df * (fwd * norm.cdf(d1) - strike * norm.cdf(d1 - sd))
+    return df * (fwd * ndtr(d1) - strike * ndtr(d1 - sd))
 
 
 def synthetic_lognormal_quotes(

@@ -272,6 +272,11 @@ def _divides(dt: float, horizon: float) -> bool:
     return abs(round(horizon / dt) * dt - horizon) <= 1e-9 * max(1.0, horizon)
 
 
+def _steps_to(horizon: float, dt: float) -> int:
+    """Steps of dt that reach the horizon; one more when it is off the step grid."""
+    return int(round(horizon / dt)) if _divides(dt, horizon) else int(math.ceil(horizon / dt))
+
+
 def _additive(sigma):
     """Euler step of dX = sigma(X) dW, exact for constant sigma."""
     return lambda x, z, k, dt: (x + sigma(x) * math.sqrt(dt) * z, None)
@@ -422,11 +427,8 @@ def simulate_stopped(
     elif not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
-    # a horizon off the step grid gets one more step
-    steps = lambda dt: int(round(horizon / dt)) if _divides(dt, horizon) else int(math.ceil(horizon / dt))
-
-    w = _walk(n, dt, seed, steps, lambda g: nu.sample(n, g), _diffusion_move(diff),
-              _TimeBarrier(barrier))
+    w = _walk(n, dt, seed, lambda dt: _steps_to(horizon, dt), lambda g: nu.sample(n, g),
+              _diffusion_move(diff), _TimeBarrier(barrier))
     return PathBatch(
         n=n, dt=dt, horizon=float(w.n_steps * dt), seed=seed,
         stop_times=w.stop_times, stopped_values=w.stopped_values,
@@ -472,7 +474,7 @@ def _price_batch(model: PriceModel, n: int, dt: float, seed: int,
         b = model.barrier
         if b is None:
             raise ValueError("time-change model needs a barrier")
-        steps = lambda dt: int(math.ceil(b.horizon / dt))
+        steps = lambda dt: _steps_to(b.horizon, dt)
         move, stop = _geometric(), _TimeBarrier(b, model.spikes)
     else:
         raise ValueError(f"unknown price model kind {model.kind!r}")

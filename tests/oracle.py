@@ -52,8 +52,8 @@ def optimal_stopping_oracle(
     if np.any(p_up < 0) or np.any(p_dn < 0) or np.any(p_up + p_dn > 1.0):
         raise SolverError("trinomial probabilities out of range; refine the grid")
 
-    psi = measures.potential(mu, state).values
-    value = measures.potential(nu, state).values.copy()
+    psi = measures.potential(mu, state)
+    value = measures.potential(nu, state)
     value = np.maximum(value, psi)
 
     # record the surface on the configured time grid

@@ -1,10 +1,15 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import rootbarrier
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rootbarrier.__path__))
 
 
@@ -19,3 +24,12 @@ def test_every_exported_name_resolves(name):
     namespace = {}
     exec(f"from rootbarrier.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_library_imports_neither_scipy_stats_nor_integrate():
+    # a fresh interpreter: the test modules import both subpackages themselves
+    probe = ("import sys, rootbarrier, rootbarrier.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

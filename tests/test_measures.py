@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from rootbarrier import measures as ms
+from rootbarrier import pricing as pr
 from rootbarrier import simulate as sim
 
 # high-resolution quadrature of -int |y| phi(y) dy, frozen
@@ -19,7 +21,7 @@ def quad_potential(pdf, x, lo, hi):
 
 def test_point_mass_potential():
     u = ms.potential(ms.point_mass(0.0), np.array([-1.0, 0.0, 1.0]))
-    assert np.allclose(u.values, [-1.0, 0.0, -1.0])
+    assert np.allclose(u, [-1.0, 0.0, -1.0])
 
 
 def test_potential_refuses_a_grid_that_is_not_increasing():
@@ -29,15 +31,15 @@ def test_potential_refuses_a_grid_that_is_not_increasing():
 
 def test_two_atom_potential_at_origin():
     m = ms.atoms([-1.0, 1.0], [0.5, 0.5])
-    assert ms.potential(m, np.array([0.0])).values[0] == pytest.approx(-1.0)
+    assert ms.potential(m, np.array([0.0]))[0] == pytest.approx(-1.0)
 
 
 def test_normal_potential_matches_quadrature():
     m = ms.normal(0.0, 1.0)
-    assert ms.potential(m, np.array([0.0])).values[0] == pytest.approx(U_N01_AT_ZERO, abs=1e-12)
+    assert ms.potential(m, np.array([0.0]))[0] == pytest.approx(U_N01_AT_ZERO, abs=1e-12)
     xs = np.linspace(-4.0, 4.0, 9)
     oracle = np.array([quad_potential(norm.pdf, x, -14, 14) for x in xs])
-    assert np.max(np.abs(ms.potential(m, xs).values - oracle)) < 1e-9
+    assert np.max(np.abs(ms.potential(m, xs) - oracle)) < 1e-9
 
 
 def test_lognormal_potential_matches_quadrature():
@@ -50,7 +52,58 @@ def test_lognormal_potential_matches_quadrature():
 
     xs = np.linspace(0.2, 3.0, 8)
     oracle = np.array([quad_potential(pdf, x, 1e-9, 60) for x in xs])
-    assert np.max(np.abs(ms.potential(m, xs).values - oracle)) < 1e-8
+    assert np.max(np.abs(ms.potential(m, xs) - oracle)) < 1e-8
+
+
+# standard scores at the edges of the float range and of the normal law's tails
+Z_PROBES = np.concatenate(([-np.inf, np.inf, np.nan, -0.0, 0.0, -40.0, 40.0, -38.5, 37.5],
+                           np.linspace(-40.0, 40.0, 801)))
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, NaN matching NaN (a NaN's sign bit is no result)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+@pytest.mark.parametrize("mean, variance", [(0.0, 1.0), (0.3, 2.5), (-4.0, 1e-6)])
+def test_normal_law_is_bit_identical_to_scipy_stats(mean, variance):
+    s = np.sqrt(variance)
+    x = mean + s * Z_PROBES
+    z = (x - mean) / s
+    law = ms.normal(mean, variance)
+    assert _same_bits(law.mean_abs_dev(x), s * (2.0 * norm.pdf(z) + z * (2.0 * norm.cdf(z) - 1.0)))
+    assert _same_bits(law.cdf(x), norm.cdf(z))
+    assert _same_bits(ms._TAIL_Z, -norm.ppf(0.5e-9))
+
+
+@pytest.mark.parametrize("log_mean, log_variance", [(0.0, 0.04), (-0.02, 0.5), (1.0, 4.0)])
+def test_lognormal_law_is_bit_identical_to_scipy_stats(log_mean, log_variance):
+    a, b = log_mean, np.sqrt(log_variance)
+    with np.errstate(invalid="ignore"):
+        x = np.concatenate(([-np.inf, -1.0, -0.0, 0.0, np.nan, np.inf], np.exp(a + b * Z_PROBES[5:])))
+        law = ms.lognormal(log_mean, log_variance)
+        ey, xp = law.mean, np.where(x > 0.0, x, 1.0)
+        d1 = (a + b * b - np.log(xp)) / b
+        call = ey * norm.cdf(d1) - xp * norm.cdf(d1 - b)
+        mad = np.where(x > 0.0, 2.0 * call - (ey - x), ey - x)
+        assert _same_bits(law.mean_abs_dev(x), mad)
+    assert _same_bits(law.cdf(x), np.where(x > 0.0, norm.cdf((np.log(xp) - a) / b), 0.0))
+
+
+@pytest.mark.parametrize("spot, vol, maturity, rate", [
+    (1.0, 0.2, 1.0, 0.0), (100.0, 0.35, 0.5, 0.03), (1.0, 2.5, 40.0, 0.01)])
+def test_black_scholes_call_is_bit_identical_to_scipy_stats(spot, vol, maturity, rate):
+    # |d1| runs to thousands at the extreme strikes
+    strikes = np.concatenate(([0.0, np.inf, np.nan, 1e-300, 1e300], spot * np.exp(np.linspace(-12, 12, 401))))
+    df = math.exp(-rate * maturity)
+    fwd, sd = spot / df, vol * math.sqrt(maturity)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (np.log(fwd / strikes) + 0.5 * sd * sd) / sd
+        ref = df * (fwd * norm.cdf(d1) - strikes * norm.cdf(d1 - sd))
+        assert _same_bits(pr.black_scholes_call(spot, strikes, vol, maturity, rate), ref)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -61,7 +114,7 @@ def test_potential_shape_properties(seed):
     w = rng.random(12)
     m = ms.atoms(locs, w / w.sum())
     grid = np.linspace(locs.min() - 6, locs.max() + 6, 400)
-    u = ms.potential(m, grid).values
+    u = ms.potential(m, grid)
     slopes = np.diff(u) / np.diff(grid)
     assert np.all(slopes <= 1.0 + 1e-12) and np.all(slopes >= -1.0 - 1e-12)
     assert np.max(np.diff(slopes)) <= 1e-10
@@ -103,7 +156,7 @@ def test_convex_order_monotone_potentials(seed):
     rep = ms.check_embeddable(nu, mu)
     assert rep.passed
     grid = np.linspace(-8, 8, 500)
-    assert np.all(ms.potential(nu, grid).values >= ms.potential(mu, grid).values - 1e-12)
+    assert np.all(ms.potential(nu, grid) >= ms.potential(mu, grid) - 1e-12)
 
 
 def _dense_reference(nu, mu):
@@ -111,8 +164,8 @@ def _dense_reference(nu, mu):
     lo = min(nu.support[0], mu.support[0]) - 1.0
     hi = max(nu.support[1], mu.support[1]) + 1.0
     grid = np.union1d(np.linspace(lo, hi, 4001), np.concatenate((nu.locations, mu.locations)))
-    u_mu = ms.potential(mu, grid).values
-    diff = u_mu - ms.potential(nu, grid).values
+    u_mu = ms.potential(mu, grid)
+    diff = u_mu - ms.potential(nu, grid)
     scale = max(1.0, float(np.max(np.abs(u_mu))))
     passed = (diff.max() <= ms.EMBED_TOL * scale
               and abs(nu.mean - mu.mean) <= 1e-7 * max(1.0, abs(mu.mean)))
@@ -234,8 +287,8 @@ def test_implied_measure_black_scholes_round_trip():
         assert np.max(np.abs(ms.call_prices(mu, ks, df) - q.prices)) < 1e-6
         # and the law is the lognormal one up to quote discretization
         grid = np.linspace(0.05, 4.0, 401)
-        gap = np.abs(ms.potential(mu, grid).values
-                     - ms.potential(ms.lognormal(-0.02, 0.04), grid).values)
+        gap = np.abs(ms.potential(mu, grid)
+                     - ms.potential(ms.lognormal(-0.02, 0.04), grid))
         assert np.max(gap) < 1e-4
 
 

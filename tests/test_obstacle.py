@@ -67,7 +67,7 @@ def test_solution_invariants(gaussian_solution, two_atom_market):
     scale = max(1.0, np.abs(sol.psi).max())
     tol = ob.CONTACT_REL * sol.cfg.lcp_tol * scale
     assert np.min(sol.v - sol.psi[None, :]) >= -tol
-    u_nu = ms.potential(ms.point_mass(0.0), sol.x).values
+    u_nu = ms.potential(ms.point_mass(0.0), sol.x)
     assert np.array_equal(sol.v[0], np.maximum(u_nu, sol.psi))
     assert np.max(np.diff(sol.v, axis=0)) <= tol
     assert np.max(sol.v - np.maximum(u_nu, sol.psi)[None, :]) <= tol
@@ -320,7 +320,7 @@ def test_oracle_target_equals_start():
     m = ms.atoms([-1.0, 1.0], [0.5, 0.5])
     cfg = ob.SolverConfig(x_lo=-6, x_hi=6, nx=201, horizon=0.5, nt=50)
     val = optimal_stopping_oracle(ob.brownian(), m, m, cfg)
-    psi = ms.potential(m, val.x).values
+    psi = ms.potential(m, val.x)
     assert np.max(np.abs(val.values - psi[None, :])) < 1e-10
 
 
@@ -444,7 +444,7 @@ def test_solution_matches_stopped_path_monte_carlo():
         j = int(round(t_probe / (sol.t[1] - sol.t[0])))
         row = np.interp(grid, sol.x, sol.v[j])
         band = 3.0 * 1.6 / np.sqrt(n) + 3e-2
-        assert np.max(np.abs(emp.values - row)) < band, t_probe
+        assert np.max(np.abs(emp - row)) < band, t_probe
 
 
 def test_atom_on_the_domain_edge_is_not_truncated():

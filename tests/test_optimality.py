@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from rootbarrier import barrier as br
 from rootbarrier import measures as ms
@@ -7,6 +8,17 @@ from rootbarrier import obstacle as ob
 from rootbarrier import optimality as opt
 from rootbarrier import parabola as pb
 from rootbarrier import simulate as sim
+
+
+@pytest.mark.parametrize("shape", [(301,), (301, 7)], ids=["1-D", "2-D"])
+@pytest.mark.parametrize("nodes", ["uniform", "uneven"])
+def test_cumulative_trapezoid_is_scipys(shape, nodes):
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 2.5, shape[0])
+    if nodes == "uneven":
+        x = np.cumsum(rng.exponential(0.01, shape[0]))
+    y = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    assert np.array_equal(opt._cumtrapz(y, x), cumulative_trapezoid(y, x, axis=0, initial=0.0))
 
 
 def test_payoff_specs_validate():

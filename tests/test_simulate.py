@@ -90,16 +90,16 @@ def test_zero_barrier_stops_at_start():
     assert np.all(batch.stop_times == 0.0)
     assert np.all(batch.stopped_values == 0.0)
     ep = ms.potential(ms.empirical(batch.stopped_values), np.array([-1.0, 0.0, 1.0]))
-    assert np.allclose(ep.values, [-1.0, 0.0, -1.0])
+    assert np.allclose(ep, [-1.0, 0.0, -1.0])
 
 
 def test_empirical_potential_band(unit_time_batch):
     grid = np.linspace(-4, 4, 81)
     emp = ms.potential(ms.empirical(unit_time_batch.stopped_values), grid)
     target = ms.potential(ms.normal(0.0, 1.0), grid)
-    assert np.max(np.abs(emp.values - target.values)) < 3.0 / np.sqrt(unit_time_batch.n)
+    assert np.max(np.abs(emp - target)) < 3.0 / np.sqrt(unit_time_batch.n)
     # concavity up to noise
-    slopes = np.diff(emp.values) / np.diff(grid)
+    slopes = np.diff(emp) / np.diff(grid)
     assert np.max(np.diff(slopes)) < 1e-2
 
 
@@ -303,6 +303,17 @@ def test_fixed_maturity_step_must_divide_the_maturity(dt, ok):
             sim.simulate_price_model(CONSTANT_VOL, n=10, dt=dt, seed=1)
 
 
+@pytest.mark.parametrize("horizon, steps", [(0.07, 7), (0.075, 8), (0.0, 0)])
+def test_barrier_walks_take_the_same_steps(horizon, steps):
+    # 0.07 / 0.01 reads 7.000000000000001, yet 7 steps of 0.01 end at 0.07
+    b = br.Barrier(x=np.array([0.01, 100.0]), R=np.array([np.inf, np.inf]), horizon=horizon)
+    model = sim.PriceModel(kind="time-change-to-barrier", s0=1.0, maturity=1.0, barrier=b)
+    changed = sim.simulate_price_model(model, n=10, dt=0.01, seed=1)
+    stopped = sim.simulate_stopped(ob.geometric_brownian(), ms.point_mass(1.0), b, n=10, dt=0.01, seed=1)
+    assert changed.horizon == stopped.horizon == steps * 0.01
+    assert np.all(changed.stop_times == changed.horizon)
+
+
 def test_hall_competitor_embeds_standard_normal():
     mu = ms.normal(0.0, 1.0)
     batch = sim.hall_competitor(mu, n=N_PATHS, dt=1e-3, seed=11)
@@ -414,7 +425,7 @@ def test_full_chain_empirical_potential_band(gaussian_solution):
     emp = ms.potential(ms.empirical(batch.stopped_values), grid)
     target = ms.potential(ms.normal(0.0, 1.0), grid)
     band = 3.0 * 1.2 / np.sqrt(batch.n) + 0.01   # MC plus grid/step bias
-    assert np.max(np.abs(emp.values - target.values)) < band
+    assert np.max(np.abs(emp - target)) < band
 
 
 # -- the bridge test only for paths near an armed spike ---------------------------

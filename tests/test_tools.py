@@ -136,3 +136,26 @@ def test_line_coverage_reports_the_branch_not_taken(tmp_path, capsys, monkeypatc
     out = capsys.readouterr().out.splitlines()
     assert out[-2].split() == ["1/4", "lc_branchy.py", "6"]
     assert out[-1].split() == ["1/4", "total"]
+
+
+def test_line_coverage_reports_the_code_that_ran(tmp_path, capsys, monkeypatch):
+    # the traced run rewrites the module it imported: the report still
+    # holds the lines of the code that ran, not those of the new file
+    monkeypatch.setattr(sys, "path", list(sys.path))   # main() puts its --src first
+    tool = _load_tool("line_coverage")
+    module = tmp_path / "src" / "lc_edited.py"
+    module.parent.mkdir()
+    module.write_text(BRANCHY)
+    test = tmp_path / "tests" / "test_edited.py"
+    test.parent.mkdir()
+    test.write_text("from pathlib import Path\n\nfrom lc_edited import sign\n\n\n"
+                    "def test_positive_then_edit():\n    assert sign(2) == 1\n"
+                    f"    Path({str(module)!r}).write_text('\\n' * 20 + 'x = 1\\n')\n")
+    try:
+        assert tool.main(["line_coverage.py", "--src", str(module.parent), "--", "-q", "-p", "no:cacheprovider",
+                          str(test)]) == 0
+    finally:
+        sys.modules.pop("lc_edited", None)
+    assert module.read_text().endswith("x = 1\n")
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].split() == ["1/4", "lc_edited.py", "6"]

@@ -5,8 +5,9 @@ that records line events in files under the source root, and nowhere
 else, is installed around `pytest.main` in the same process.  The
 executable lines of a module are the line starts (`dis.findlinestarts`)
 of every code object compiled from it; function docstrings and comments
-have none.  Modules of the tree that no test imports are reported with
-every executable line missed.
+have none.  They are read before the run, so a file edited while it
+goes is reported against the code that ran.  Modules of the tree that
+no test imports are reported with every executable line missed.
 
 Usage:
     python3 tools/line_coverage.py [--src DIR] [PYTEST_ARG ...]
@@ -87,13 +88,9 @@ def ranges(lines) -> str:
     return ",".join(f"{a}" if a == b else f"{a}-{b}" for a, b in out)
 
 
-def missed_lines(root: Path, hits: dict[str, set[int]]) -> dict[Path, tuple[set[int], set[int]]]:
-    """{module: (executable lines, those not executed)} for every module under root."""
-    out = {}
-    for path in sorted(root.resolve().rglob("*.py")):
-        exe = executable_lines(path)
-        out[path] = (exe, exe - hits.get(str(path), set()))
-    return out
+def tree_lines(root: Path) -> dict[Path, set[int]]:
+    """{module: executable lines} for every module under root."""
+    return {path: executable_lines(path) for path in sorted(root.resolve().rglob("*.py"))}
 
 
 def main(argv: list[str]) -> int:
@@ -105,9 +102,11 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(root))
     import pytest
 
+    lines = tree_lines(root)
     code, hits = run_traced(root, lambda: pytest.main(args.pytest_args or ["-q"]))
     total_exe = total_missed = 0
-    for path, (exe, missed) in missed_lines(root, hits).items():
+    for path, exe in lines.items():
+        missed = exe - hits.get(str(path), set())
         total_exe += len(exe)
         total_missed += len(missed)
         print(f"{len(missed):5d}/{len(exe):<5d} {path.relative_to(root.resolve())}  {ranges(missed)}")
