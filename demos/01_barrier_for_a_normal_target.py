@@ -58,8 +58,8 @@ try:
     ax1.plot(bar.x, bar.R)
     ax1.set(xlabel="x", ylabel="R(x)", title="stopping boundary (constant = variance)")
     ax1.set_ylim(0, 2)
-    ax2.plot(grid, emp.values, label="empirical stopped law")
-    ax2.plot(grid, tgt.values, "--", label="target")
+    ax2.plot(grid, emp, label="empirical stopped law")
+    ax2.plot(grid, tgt, "--", label="target")
     ax2.set(xlabel="x", ylabel="potential", title="potential match")
     ax2.legend()
     fig.tight_layout()
