@@ -52,10 +52,24 @@ __all__ = [
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral of y along axis 0 over the nodes x, from 0."""
-    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    s = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
-    return np.concatenate((np.zeros((1,) + s.shape[1:]), s))
+    """Cumulative trapezoid integral of y along axis 0 over the nodes x, from 0.
+
+    The terms d (y[1:] + y[:-1]) / 2 are formed in the output and summed in
+    place: a vector by np.cumsum, a surface row by row, since a cumsum down
+    the columns of a C-ordered surface strides through memory.  Both add in
+    np.cumsum's order, so the bits are its own.
+    """
+    out = np.zeros(y.shape)
+    s = out[1:]
+    np.add(y[1:], y[:-1], out=s)
+    s *= np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    s /= 2.0
+    if y.ndim == 1:
+        np.cumsum(s, out=s)
+    else:
+        for j in range(2, len(out)):
+            np.add(out[j - 1], out[j], out=out[j])
+    return out
 
 
 @dataclass(frozen=True)
@@ -267,8 +281,11 @@ def compute_M(
     LAPACK gtsv solve.  The regular rows are built once, and so are the
     rows of every step's free nodes next to a crossing, whose spacing to
     that neighbour is cut back to the crossing (found per node by a
-    binary search of the time grid).  Each step then pins the nodes with
-    t >= R and writes in its crossing rows.  The solution is clipped onto
+    binary search of the time grid).  Going back in time the pinned set
+    {t >= R} only shrinks, so the march keeps one set of rows with the
+    pinned ones written in and each step restores the regular rows of the
+    nodes it frees.  A step copies those rows, writes in its crossing
+    rows, if it has any, and solves.  The solution is clipped onto
     M >= f; `clip` on the result is the largest amount that clip raised M
     by.  A NaN or inf in the march (sigma, the barrier or f) raises
     ValueError, and so does nt < 1.
@@ -333,25 +350,33 @@ def compute_M(
     c_left_f, c_right_f = np.where(left, lo * f_c, 0.0), np.where(right, up * f_c, 0.0)
     rows = np.searchsorted(step, np.arange(nt + 1))
 
+    # every row starts pinned; step j frees the nodes with first[i] == j + 1,
+    # order[freed[j + 1]:freed[j + 2]], and restores their regular rows
+    pinned, b_lower, b_diag, b_upper = np.ones(n, dtype=bool), np.zeros(n), np.ones(n), np.zeros(n)
+    order = np.argsort(first, kind="stable")
+    freed = np.searchsorted(first, np.arange(nt + 2), sorter=order)
+
     M = np.empty((nt + 1, n))
     M[-1] = f_t[-1]
     clip = 0.0
     for j in range(nt - 1, -1, -1):
         fv = f_t[j]
-        pinned = t[j] >= r
-        c = slice(rows[j], rows[j + 1])
-        i_j = i[c]
-        m_lower = np.where(pinned, 0.0, lower)
-        m_diag = np.where(pinned, 1.0, diag)
-        m_upper = np.where(pinned, 0.0, upper)
-        m_lower[i_j], m_diag[i_j], m_upper[i_j] = c_lower[c], c_diag[c], c_upper[c]
+        k = order[freed[j + 1]:freed[j + 2]]
+        if len(k):
+            pinned[k] = False
+            b_lower[k], b_diag[k], b_upper[k] = lower[k], diag[k], upper[k]
+        m_lower, m_diag, m_upper = b_lower.copy(), b_diag.copy(), b_upper.copy()
         rhs = np.where(pinned, fv, M[j + 1])
-        rhs[[0, -1]] = np.where(pinned[[0, -1]], fv, 0.0)
-        rhs[i_j] -= c_left_f[c]
-        rhs[i_j] -= c_right_f[c]
+        rhs[0], rhs[-1] = (fv if pinned[0] else 0.0), (fv if pinned[-1] else 0.0)
+        if rows[j] < rows[j + 1]:
+            c = slice(rows[j], rows[j + 1])
+            i_j = i[c]
+            m_lower[i_j], m_diag[i_j], m_upper[i_j] = c_lower[c], c_diag[c], c_upper[c]
+            rhs[i_j] -= c_left_f[c]
+            rhs[i_j] -= c_right_f[c]
         sol = _tridiag_solve(m_lower, m_diag, m_upper, rhs)
         clip = max(clip, fv - float(sol.min()))
-        M[j] = np.maximum(sol, fv)
+        np.maximum(sol, fv, out=M[j])
     if not np.all(np.isfinite(M)):
         raise ValueError("M is not finite: sigma, the barrier or f is NaN or inf "
                          "in the continuation region")
@@ -392,6 +417,9 @@ def build_hedge(
     discrete identity G + H - F = -int_t^{T} (M - f) exact at the nodes:
     the pathwise inequality then holds by construction wherever the
     tabulated M dominates f, and vanishes identically on the contact set.
+    G is formed in the array of its running sums (see _cumtrapz); H takes
+    np.trapezoid's arithmetic, and delta the one-sided slopes, in one
+    shared scratch surface.
     """
     m = compute_M(diff, barrier, payoff, x_grid, nt, t_max=t_max)
     M, x, t = m.values, m.x, m.t
@@ -403,14 +431,27 @@ def build_hedge(
 
     f_t = payoff.f(t)
     F_grid = _cumtrapz(f_t, t)
-    G = _cumtrapz(M, t) - z[None, :]
-    H = z + np.trapezoid(f_t[:, None] - M, t, axis=0)
+    G = _cumtrapz(M, t)
+    G -= z
 
+    # H = z + np.trapezoid(f_t[:, None] - M, t, axis=0), by its arithmetic
+    # in one scratch surface: pair sums from the last row back, times d / 2, summed
+    w = np.subtract(f_t[:, None], M)
+    for j in range(len(t) - 1, 0, -1):
+        np.add(w[j], w[j - 1], out=w[j])
+    s = w[1:]
+    s *= np.diff(t)[:, None]
+    s /= 2.0
+    H = s.sum(axis=0)
+    H += z
+
+    # one-sided slopes in the scratch, their midpoints in delta
+    sl = np.subtract(G[:, 1:], G[:, :-1], out=w[:, :-1])
+    sl /= np.diff(x)
     delta = np.empty_like(G)
-    sl = np.diff(G, axis=1) / np.diff(x)[None, :]
-    delta[:, 1:-1] = 0.5 * (sl[:, :-1] + sl[:, 1:])
-    delta[:, 0] = sl[:, 0]
-    delta[:, -1] = sl[:, -1]
+    np.add(sl[:, :-1], sl[:, 1:], out=delta[:, 1:-1])
+    delta[:, 1:-1] *= 0.5
+    delta[:, 0], delta[:, -1] = sl[:, 0], sl[:, -1]
 
     return HedgeFunctions(
         x=x, t=t, M=M, Z=z, G=G, H=H, delta=delta, F_grid=F_grid,

@@ -331,7 +331,9 @@ class _TimeBarrier:
     sqrt(_SPIKE_ZONE dt), or with the two ends in different gaps between
     the merged zones, or with u == 0.  Every other path would get no hit
     from the full test (see _SPIKE_ZONE), so the hits are the same.  The
-    zones are rebuilt only at the steps that arm another spike, and
+    zones are rebuilt only at the steps that arm another spike.  Each
+    running path's place among the zone ends is carried from step to step
+    next to its log state, and recomputed only when the zones are rebuilt.
     spike_path_steps counts the path steps sent to the test.
     """
 
@@ -349,6 +351,7 @@ class _TimeBarrier:
             self.l_spike = np.pad(np.log(at), (1, 2), mode="edge")
             self.arm = np.pad(np.asarray(arm, dtype=float), (1, 2), constant_values=np.inf)
             self.l_x = np.log(x0[live])
+            self.g_x = np.zeros(len(self.l_x), dtype=np.intp)
             self.arm_sorted = np.sort(self.arm)
             self.n_armed, self.zones = 0, np.empty(0)
             self.spike_path_steps = 0
@@ -365,13 +368,14 @@ class _TimeBarrier:
             opens = np.concatenate(([True], lo[1:] > hi[:-1]))     # a zone apart from the last
             closes = np.concatenate((opens[1:], [True]))
             self.n_armed, self.zones = n_armed, np.column_stack((lo[opens], hi[closes])).ravel()
+            self.g_x = np.searchsorted(self.zones, self.l_x)
         far = u != 0.0
         if len(self.zones):
             # an even count of zone ends below a state puts it in a gap
-            g_old = np.searchsorted(self.zones, self.l_x)
             g_new = np.searchsorted(self.zones, l_new)
-            far &= g_old == g_new
-            far &= (g_old & 1) == 0
+            far &= self.g_x == g_new
+            far &= (self.g_x & 1) == 0
+            self.g_x = g_new
         return np.flatnonzero(~far)
 
     def __call__(self, s: _Step) -> np.ndarray:
@@ -390,7 +394,7 @@ class _TimeBarrier:
                 sp = near[sp_hit]
                 s.x_new[sp] = at[which[sp_hit]]
                 hit[sp] = True
-            self.l_x = l_new[~hit]
+            self.l_x, self.g_x = l_new[~hit], self.g_x[~hit]
         return hit
 
 

@@ -1,7 +1,14 @@
-"""Independent cross-check of the obstacle solve: optimal stopping on a trinomial tree.
+"""Independent cross-checks that no library path uses.
 
-Test-only: acceptance 6 and the oracle tests of test_obstacle.py compare
-`obstacle.solve` against this value surface, which no library path uses.
+`optimal_stopping_oracle` is the obstacle solve as optimal stopping on a
+trinomial tree; acceptance 6 and the oracle tests of test_obstacle.py
+compare `obstacle.solve` against its value surface.
+
+`hedge_reference` is the hedge build in its plainest form: the M march
+rebuilds every step's rows with np.where over all nodes, and the surfaces
+come from np.cumsum, np.trapezoid and np.diff over whole-surface
+temporaries.  test_optimality.py asserts that `optimality.build_hedge`
+gives its bytes.
 """
 
 from __future__ import annotations
@@ -11,8 +18,11 @@ import math
 import numpy as np
 
 from rootbarrier import measures
+from rootbarrier import optimality as opt
+from rootbarrier.barrier import Barrier
 from rootbarrier.measures import Measure
-from rootbarrier.obstacle import DiffusionSpec, GridFunction, SolverConfig, SolverError
+from rootbarrier.obstacle import (DiffusionSpec, GridFunction, SolverConfig, SolverError,
+                                  _stencil, _tridiag_solve)
 
 
 def optimal_stopping_oracle(
@@ -75,3 +85,89 @@ def optimal_stopping_oracle(
         out[next_record] = value
         next_record += 1
     return GridFunction(x=grid, t=t_out, values=out)
+
+
+def cumtrapz_reference(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral along axis 0, by np.cumsum over the whole array."""
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    s = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate((np.zeros((1,) + s.shape[1:]), s))
+
+
+def hedge_reference(
+    diff: DiffusionSpec,
+    barrier: Barrier,
+    payoff: opt.PayoffSpec,
+    x_grid: np.ndarray,
+    nt: int,
+    base_point: float,
+    t_max: float,
+) -> dict:
+    """M, its clip, Z, G, H, delta and F_grid of build_hedge, each step built afresh.
+
+    The crossing rows are those of compute_M; every step then pins the
+    nodes with t >= R by np.where over all nodes and writes its crossing
+    rows in.
+    """
+    x = np.asarray(x_grid, dtype=float)
+    r = barrier.value_at(x)
+    t = np.linspace(0.0, float(t_max), nt + 1)
+    dt = t[1] - t[0]
+    f_t = payoff.f(t)
+    a = 0.5 * np.broadcast_to(diff.sigma(x), x.shape) ** 2
+    n = len(x)
+
+    h = np.diff(x)
+    lower, diag, upper = np.zeros(n), np.ones(n), np.zeros(n)
+    lo, di, up = _stencil(h[:-1], h[1:], a[1:-1])
+    lower[1:-1], diag[1:-1], upper[1:-1] = dt * lo, 1.0 + dt * di, dt * up
+    upper[0] = lower[-1] = -1.0
+
+    first = np.searchsorted(t[:-1], r)
+    k_left = opt._steps_between(first[:-2], first[1:-1], n)
+    k_right = opt._steps_between(first[2:], first[1:-1], n)
+    keys = np.union1d(k_left, k_right)
+    step, i = np.divmod(keys, n)
+    left, right = np.isin(keys, k_left), np.isin(keys, k_right)
+    hm, hp = h[i - 1], h[i]
+    hm[left] = opt._cut(hm[left], r[i[left]], r[i[left] - 1], t[step[left]])
+    hp[right] = opt._cut(hp[right], r[i[right]], r[i[right] + 1], t[step[right]])
+    lo, di, up = _stencil(hm, hp, a[i])
+    lo, up, f_c = dt * lo, dt * up, f_t[step]
+    c_lower, c_diag, c_upper = np.where(left, 0.0, lo), 1.0 + dt * di, np.where(right, 0.0, up)
+    c_left_f, c_right_f = np.where(left, lo * f_c, 0.0), np.where(right, up * f_c, 0.0)
+    rows = np.searchsorted(step, np.arange(nt + 1))
+
+    M = np.empty((nt + 1, n))
+    M[-1] = f_t[-1]
+    clip = 0.0
+    for j in range(nt - 1, -1, -1):
+        fv = f_t[j]
+        pinned = t[j] >= r
+        c = slice(rows[j], rows[j + 1])
+        i_j = i[c]
+        m_lower = np.where(pinned, 0.0, lower)
+        m_diag = np.where(pinned, 1.0, diag)
+        m_upper = np.where(pinned, 0.0, upper)
+        m_lower[i_j], m_diag[i_j], m_upper[i_j] = c_lower[c], c_diag[c], c_upper[c]
+        rhs = np.where(pinned, fv, M[j + 1])
+        rhs[[0, -1]] = np.where(pinned[[0, -1]], fv, 0.0)
+        rhs[i_j] -= c_left_f[c]
+        rhs[i_j] -= c_right_f[c]
+        sol = _tridiag_solve(m_lower, m_diag, m_upper, rhs)
+        clip = max(clip, fv - float(sol.min()))
+        M[j] = np.maximum(sol, fv)
+
+    inner = cumtrapz_reference(2.0 * M[0] / diff.sigma(x) ** 2, x)
+    inner = inner - np.interp(base_point, x, inner)
+    z = cumtrapz_reference(inner, x)
+    z = z - np.interp(base_point, x, z)
+    G = cumtrapz_reference(M, t) - z[None, :]
+    H = z + np.trapezoid(f_t[:, None] - M, t, axis=0)
+    delta = np.empty_like(G)
+    sl = np.diff(G, axis=1) / np.diff(x)[None, :]
+    delta[:, 1:-1] = 0.5 * (sl[:, :-1] + sl[:, 1:])
+    delta[:, 0] = sl[:, 0]
+    delta[:, -1] = sl[:, -1]
+    return {"M": M, "clip": clip, "Z": z, "G": G, "H": H, "delta": delta,
+            "F_grid": cumtrapz_reference(f_t, t)}

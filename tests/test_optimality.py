@@ -7,10 +7,12 @@ from rootbarrier import measures as ms
 from rootbarrier import obstacle as ob
 from rootbarrier import optimality as opt
 from rootbarrier import parabola as pb
+from rootbarrier import pricing as pr
 from rootbarrier import simulate as sim
+from oracle import hedge_reference
 
 
-@pytest.mark.parametrize("shape", [(301,), (301, 7)], ids=["1-D", "2-D"])
+@pytest.mark.parametrize("shape", [(301,), (301, 7), (1,), (2,), (2, 5)], ids=["1-D", "2-D", "1", "2", "2x5"])
 @pytest.mark.parametrize("nodes", ["uniform", "uneven"])
 def test_cumulative_trapezoid_is_scipys(shape, nodes):
     rng = np.random.default_rng(3)
@@ -19,6 +21,36 @@ def test_cumulative_trapezoid_is_scipys(shape, nodes):
         x = np.cumsum(rng.exponential(0.01, shape[0]))
     y = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
     assert np.array_equal(opt._cumtrapz(y, x), cumulative_trapezoid(y, x, axis=0, initial=0.0))
+
+
+def _flat_hedge():
+    xg = np.linspace(-6.5, 6.5, 1301)
+    bar = br.from_function(lambda s: np.ones_like(s), xg, 2.0)
+    return opt.build_hedge(ob.brownian(), bar, opt.power_payoff(2.0, cap=4.0), xg, nt=800, base_point=0.0)
+
+
+def _open_capped_hedge():
+    x = np.linspace(-2.0, 2.0, 201)
+    bar = br.Barrier(x=x, R=np.where(np.abs(x) < 1.0 - 1e-9, np.inf, 0.0), horizon=1.0)
+    return opt.build_hedge(ob.brownian(), bar, opt.variance_call(0.3), x, nt=300)
+
+
+@pytest.mark.parametrize("case", ["dense-call", "parabola", "flat", "two-atom-500", "open-capped"])
+def test_hedge_build_gives_the_reference_bytes(case, request):
+    """build_hedge's M, clip and surfaces are those of the per-step np.where march, byte for byte."""
+    hf, diff = {
+        "dense-call": lambda: (request.getfixturevalue("dense_call_report").hedge, ob.geometric_brownian()),
+        "parabola": lambda: (request.getfixturevalue("parabola_hedge")[0], ob.brownian()),
+        "flat": lambda: (_flat_hedge(), ob.brownian()),
+        "two-atom-500": lambda: (pr.lower_bound(request.getfixturevalue("two_atom_market"), opt.variance_call(0.05),
+                                                pr.PricingConfig(nx=201, nt=400, nt_hedge=500)).hedge,
+                                 ob.geometric_brownian()),
+        "open-capped": lambda: (_open_capped_hedge(), ob.brownian()),
+    }[case]()
+    ref = hedge_reference(diff, hf.barrier, hf.payoff, hf.x, len(hf.t) - 1, hf.base_point, hf.T_M)
+    assert np.float64(hf.M_clip).tobytes() == np.float64(ref["clip"]).tobytes()
+    for name in ("M", "Z", "G", "H", "delta", "F_grid"):
+        assert getattr(hf, name).tobytes() == ref[name].tobytes(), name
 
 
 def test_payoff_specs_validate():
