@@ -34,9 +34,9 @@ class GridIndex:
     binned by the same float expression, which is monotone in s, so the
     table never overcounts and the passes finish the count: the result is
     exact for every float, nodes, +-inf and NaN (sorted last) included.
-    Bins are sized for at most two nodes each (bin width min x[i+2] - x[i]),
-    up to the cap of _INDEX_BINS entries; on a grid too uneven for the cap
-    `passes` grows.
+    Bins are half the narrowest cell wide, so no bin holds two nodes and
+    one pass finishes the count, up to the cap of _INDEX_BINS entries; on
+    a grid too uneven for the cap `passes` grows.
     """
 
     def __init__(self, x: np.ndarray):
@@ -45,8 +45,8 @@ class GridIndex:
         if not np.isfinite(span):
             raise ValueError("grid nodes must be finite")
         bins = 1
-        if len(x) > 2:
-            bins = math.ceil(min(span / float(np.min(x[2:] - x[:-2])), _INDEX_BINS))
+        if len(x) > 1:
+            bins = math.ceil(min(2.0 * span / float(np.min(np.diff(x))), _INDEX_BINS))
         self.lo, self.scale, self.top = float(x[0]), bins / span if span > 0 else 1.0, bins + 1
         counts = np.bincount(self._bin(x), minlength=bins + 2)
         self.table = np.concatenate(([0], np.cumsum(counts[:-1])))
@@ -62,9 +62,9 @@ class GridIndex:
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
         s = np.asarray(states, dtype=float)
-        idx = self.table[self._bin(s)]
+        idx = self.table.take(self._bin(s))
         for _ in range(self.passes):
-            idx += s >= self.x[idx]
+            idx += s >= self.x.take(idx)
         return idx
 
 

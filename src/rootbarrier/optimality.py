@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -164,13 +165,18 @@ def custom_payoff(F, f, f_bound, cap_time=np.inf, label="custom") -> PayoffSpec:
 
 @dataclass(frozen=True)
 class HedgeFunctions:
+    """The hedge functions on M's grid and their lookups at any (x, t).
+
+    build_hedge fills M, Z, H and F_grid.  G and its slope delta are built
+    on first read and kept: the bound reads only G(x, 0) = -Z(x), and
+    delta is read only where a subhedge is marked along paths.
+    """
+
     x: np.ndarray
     t: np.ndarray
     M: np.ndarray            # (nt, nx)
     Z: np.ndarray            # (nx,)
-    G: np.ndarray            # (nt, nx)
     H: np.ndarray            # (nx,)
-    delta: np.ndarray        # dG/dx, midpoint of one-sided slopes
     F_grid: np.ndarray       # shared trapezoid cumulative of f
     base_point: float
     payoff: PayoffSpec
@@ -185,6 +191,27 @@ class HedgeFunctions:
                             ("_dx", np.diff(self.x)), ("_dt", np.diff(self.t))):
             object.__setattr__(self, name, value)
 
+    @cached_property
+    def G(self) -> np.ndarray:
+        """int_0^t M ds - Z(x), (nt, nx), formed in the array of its running sums."""
+        G = _cumtrapz(self.M, self.t)
+        G -= self.Z
+        return G
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """dG/dx, the midpoint of the one-sided slopes, formed a block of rows at a time."""
+        G, rows = self.G, 64        # the scratch slopes of 64 rows, not of the surface
+        delta = np.empty_like(G)
+        for a in range(0, len(G), rows):
+            g, d = G[a:a + rows], delta[a:a + rows]
+            sl = np.subtract(g[:, 1:], g[:, :-1])
+            sl /= self._dx
+            np.add(sl[:, :-1], sl[:, 1:], out=d[:, 1:-1])
+            d[:, 1:-1] *= 0.5
+            d[:, 0], d[:, -1] = sl[:, 0], sl[:, -1]
+        return delta
+
     @property
     def T_M(self) -> float:
         return float(self.t[-1])
@@ -195,26 +222,28 @@ class HedgeFunctions:
         t is clamped to [0, T_M] and may be one time per point.  Rows are
         blended in t first and the blend is interpolated in x, with the
         linear continuation of the end cells off the tabulated x range.
-        Corners are gathered from the flattened surface.
+        The four corners are gathered at one flat index k, the lower-left
+        one, from views of the flattened surface shifted by 0, 1, nx and
+        nx + 1 elements.
         """
         x = np.asarray(x, dtype=float)
         i = self._x_index(x)
         c = self._cell.take(i)
+        flat, n = surf.ravel(), len(self.x)
         if t is None:
-            lo, hi = surf.take(c), surf.take(c + 1)
+            lo, hi = flat.take(c), flat[1:].take(c)
         else:
             tt = np.minimum(np.maximum(t, 0.0), self.T_M)
             row = self._row.take(self._t_index(tt))
             w = tt - self.t.take(row)
             w /= self._dt.take(row)
-            k = row * len(self.x) + c
+            k = row * n + c
             u = 1.0 - w
-            lo, hi = surf.take(k), surf.take(k + 1)
+            lo, hi = flat.take(k), flat[1:].take(k)
             lo *= u
             hi *= u
-            k += len(self.x)
-            lo += w * surf.take(k)
-            hi += w * surf.take(k + 1)
+            lo += w * flat[n:].take(k)
+            hi += w * flat[n + 1:].take(k)
         slope = hi - lo
         slope /= self._dx.take(c)
         # off the range the end cell's line continues; past the top it starts at the last node
@@ -406,7 +435,7 @@ def build_hedge(
     base_point: float = 0.0,
     t_max: Optional[float] = None,
 ) -> HedgeFunctions:
-    """M, then Z, G, H, the trading delta and the payoff quadrature on M's grid.
+    """M, then Z, H and the payoff quadrature on M's grid; G and delta on first read.
 
     The payoff is first checked by PayoffSpec.validate up to the tabulated
     horizon; a payoff it refuses raises ValueError.  Z(x) = 2 int int
@@ -417,9 +446,8 @@ def build_hedge(
     discrete identity G + H - F = -int_t^{T} (M - f) exact at the nodes:
     the pathwise inequality then holds by construction wherever the
     tabulated M dominates f, and vanishes identically on the contact set.
-    G is formed in the array of its running sums (see _cumtrapz); H takes
-    np.trapezoid's arithmetic, and delta the one-sided slopes, in one
-    shared scratch surface.
+    H takes np.trapezoid's arithmetic in one scratch surface.  G and the
+    trading delta are HedgeFunctions properties, built when first read.
     """
     m = compute_M(diff, barrier, payoff, x_grid, nt, t_max=t_max)
     M, x, t = m.values, m.x, m.t
@@ -431,8 +459,6 @@ def build_hedge(
 
     f_t = payoff.f(t)
     F_grid = _cumtrapz(f_t, t)
-    G = _cumtrapz(M, t)
-    G -= z
 
     # H = z + np.trapezoid(f_t[:, None] - M, t, axis=0), by its arithmetic
     # in one scratch surface: pair sums from the last row back, times d / 2, summed
@@ -445,16 +471,8 @@ def build_hedge(
     H = s.sum(axis=0)
     H += z
 
-    # one-sided slopes in the scratch, their midpoints in delta
-    sl = np.subtract(G[:, 1:], G[:, :-1], out=w[:, :-1])
-    sl /= np.diff(x)
-    delta = np.empty_like(G)
-    np.add(sl[:, :-1], sl[:, 1:], out=delta[:, 1:-1])
-    delta[:, 1:-1] *= 0.5
-    delta[:, 0], delta[:, -1] = sl[:, 0], sl[:, -1]
-
     return HedgeFunctions(
-        x=x, t=t, M=M, Z=z, G=G, H=H, delta=delta, F_grid=F_grid,
+        x=x, t=t, M=M, Z=z, H=H, F_grid=F_grid,
         base_point=base_point, payoff=payoff, barrier=barrier, M_clip=m.clip,
     )
 

@@ -272,7 +272,8 @@ def lower_bound(
     # and the spot, so that under mu it pays int H dmu
     nodes = np.unique(np.append(mu.locations, s0))
     cash, forward_units, weights = static_portfolio(nodes, hf.H_at(nodes), s0, bt)
-    g0 = float(hf.G_at(np.array([s0]), 0.0)[0])
+    # G(x, 0) = 0 - Z(x), the bits of G's row 0, so the bound builds no G
+    g0 = float(0.0 - hf.Z_at([s0])[0])
     h0 = float(hf.H_at(np.array([s0]))[0])
     e_h = float(np.dot(mu.weights, hf.H_at(mu.locations)))
     bound = (g0 + e_h) / bt

@@ -119,6 +119,7 @@ def test_free_section_matches_the_cell_lookup(name):
 
 GRIDS = {
     "linspace": np.linspace(-2.5, 3.5, 601),
+    "geometric": np.exp(np.linspace(np.log(0.5), np.log(2.0), 901)),
     "snapped-geometric": np.exp(ob._snap_grid(np.log(0.5), np.log(2.0), 901,
                                               np.log(np.linspace(0.6, 1.8, 301)))),
     "two-node": np.array([-10.0, 10.0]),
@@ -139,6 +140,7 @@ def test_grid_index_matches_searchsorted(grid):
     ))
     assert np.array_equal(idx(states), np.searchsorted(x, states, side="right"))
     assert len(idx.table) <= (1 << 16) + 2
+    assert idx.passes == 1      # no bin holds two nodes
     b = br.Barrier(x=x, R=np.linspace(1.0, 2.0, len(x)), horizon=3.0)
     assert np.array_equal(b._index(states), idx(states))
 

@@ -345,6 +345,25 @@ def _bilinear_reference(surf, xg, tg, x, t=None):
     return slope * (x - xg[c + top]) + np.where(top, hi, lo)
 
 
+def test_G_and_delta_are_built_on_first_read(dense_market, monkeypatch):
+    hf = _open_capped_hedge()
+    assert "G" not in vars(hf) and "delta" not in vars(hf)
+    rep = pr.lower_bound(dense_market, opt.variance_swap())
+    assert "G" not in vars(rep.hedge) and "delta" not in vars(rep.hedge)
+    built = []
+
+    def counted(y, x):
+        built.append(y.shape)
+        return cumtrapz(y, x)
+
+    cumtrapz = opt._cumtrapz
+    monkeypatch.setattr(opt, "_cumtrapz", counted)
+    delta = hf.delta
+    assert built == [hf.M.shape] and "G" in vars(hf)
+    assert hf.delta is delta and hf.G is vars(hf)["G"]
+    assert built == [hf.M.shape]
+
+
 def test_lookups_match_a_searchsorted_reference(parabola_hedge, dense_call_report):
     for hf in (parabola_hedge[0], dense_call_report.hedge):
         xg, tg, T = hf.x, hf.t, hf.T_M

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,36 @@ def test_swap_bound_at_a_nonzero_rate():
     sv = pr.swap_value(market)
     assert abs(rep.lower_bound - sv) / sv < 1e-4
     assert rep.lower_bound == pytest.approx(np.exp(-0.03) * 0.04, rel=2e-3)
+
+
+@pytest.mark.parametrize("case", ["dense-call", "two-atom", "degenerate", "rate-3%"])
+def test_G_at_spot_is_G_read_at_the_spot(case, request):
+    # the bound reads G(S0, 0) as 0 - Z(S0) and builds no G; the bits are G's
+    small = pr.PricingConfig(nx=201, nt=200, nt_hedge=400)
+    ks = np.round(np.arange(0.1, 2.0001, 0.05), 10)
+    rep = {
+        "dense-call": lambda: request.getfixturevalue("dense_call_report"),
+        "two-atom": lambda: pr.lower_bound(request.getfixturevalue("two_atom_market"),
+                                           opt.variance_call(0.05), small),
+        "degenerate": lambda: pr.lower_bound(pr.MarketData(spot=1.0, discount=1.0, maturity=1.0, strikes=ks,
+                                                           prices=np.maximum(1.0 - ks, 0.0)),
+                                             opt.variance_call(0.01), small),
+        "rate-3%": lambda: pr.lower_bound(pr.synthetic_lognormal_quotes(rate=0.03), opt.variance_call(0.02), small),
+    }[case]()
+    g0 = rep.hedge.G_at([rep.market.spot], 0.0)[0]
+    assert np.float64(rep.diagnostics["G_at_spot"]).tobytes() == g0.tobytes()
+
+
+def test_lower_bound_holds_two_hedge_surfaces_at_most(dense_market):
+    # M and the scratch of H; G and delta wait for a reader
+    cfg = pr.PricingConfig(nx=201, nt=200, nt_hedge=2000)
+    tracemalloc.start()
+    try:
+        rep = pr.lower_bound(dense_market, opt.variance_swap(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rep.hedge.M.nbytes
 
 
 def test_static_portfolio_absolute_value_kink():

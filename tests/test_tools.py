@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -92,6 +93,19 @@ def test_bit_digest_reports_a_refused_case_and_goes_on(capsys, monkeypatch):
         f"{tool.digest('ValueError: refused input')}  refused.error",
         f"{tool.digest(1.0)}  fine.r",
     ]
+
+
+def test_rss_by_op_prints_each_operation_of_an_iteration():
+    # in a process of its own, so the resident sizes are the workload's alone
+    proc = subprocess.run([sys.executable, str(TOOLS / "rss_by_op.py"), "--workload", "price-atomic"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [ln.split() for ln in proc.stdout.splitlines()[1:]]
+    assert [r[1] for r in rows] == ["price-atomic", "lower_bound", "verify_subhedge[attaining]",
+                                    "attaining_model_ks"]
+    sizes = [[float(v) for v in r[2:]] for r in rows]
+    assert all(0.0 < before and 0.0 < after <= hwm for before, after, hwm in sizes)
+    assert all(a[2] <= b[2] for a, b in zip(sizes, sizes[1:]))     # the peak never falls
 
 
 BRANCHY = '''def sign(x):

@@ -22,7 +22,7 @@ Usage:
 
 DIR is the source tree `rootbarrier` is imported from (default: the
 `src` directory of this repository).  With no CASE every case runs;
-the full list takes 10–14 s and peaks at about 220 MiB on a 2-core Xeon.
+the full list takes 10–12 s and peaks at 200–215 MiB on a 2-core Xeon.
 Prints lines `<sha256>  <case>.<result>`.  To compare two trees:
 
     python3 tools/bit_digest.py --src A/src > a.txt
