@@ -91,9 +91,9 @@ class PayoffSpec:
     label: str = ""
 
     def validate(self, t_max: float) -> None:
-        """Check F(0) = 0, f non-decreasing in [0, f_bound], and F = int f.
+        """Check F(0) = 0, f non-decreasing in [0, f_bound] and constant from cap_time, and F = int f.
 
-        The first three hold to 1e-8; the integral to 1e-4 of max |F| plus
+        The first four hold to 1e-8; the integral to 1e-4 of max |F| plus
         the half cell that derivative jumps cost the trapezoid rule.
         """
         tol = 1e-8
@@ -105,6 +105,9 @@ class PayoffSpec:
             raise ValueError("payoff derivative must be non-decreasing")
         if np.any(fv < -tol) or np.any(fv > self.f_bound + tol):
             raise ValueError("payoff derivative out of [0, f_bound]")
+        flat = fv[ts >= self.cap_time]
+        if len(flat) and np.ptp(flat) > tol:
+            raise ValueError(f"payoff derivative moves after cap_time {self.cap_time:.6g}")
         quad = _cumtrapz(fv, ts)
         gap = np.max(np.abs(quad - self.F(ts)))
         scale = max(1.0, float(np.max(np.abs(self.F(ts)))))
@@ -200,11 +203,24 @@ class HedgeFunctions:
 
     @cached_property
     def delta(self) -> np.ndarray:
-        """dG/dx, the midpoint of the one-sided slopes, formed a block of rows at a time."""
-        G, rows = self.G, 64        # the scratch slopes of 64 rows, not of the surface
-        delta = np.empty_like(G)
-        for a in range(0, len(G), rows):
-            g, d = G[a:a + rows], delta[a:a + rows]
+        """dG/dx, the midpoint of the one-sided slopes, formed a block of rows at a time.
+
+        G is not built: each block of its rows is formed from the running
+        row of int_0^t M ds, by _cumtrapz's arithmetic, so the slopes have
+        the bits of G's.
+        """
+        M, rows = self.M, 64        # the scratch of 64 rows, not of the surface
+        dt, delta = self._dt, np.empty_like(M)
+        run, block = np.zeros(M.shape[1]), np.empty((rows, M.shape[1]))
+        for a in range(0, len(M), rows):
+            g, d = block[:len(M) - a], delta[a:a + rows]
+            for j in range(a, a + len(d)):
+                if j:
+                    term = np.add(M[j], M[j - 1])
+                    term *= dt[j - 1]
+                    term /= 2.0
+                    run = term if j == 1 else np.add(run, term, out=run)
+                np.subtract(run, self.Z, out=g[j - a])
             sl = np.subtract(g[:, 1:], g[:, :-1])
             sl /= self._dx
             np.add(sl[:, :-1], sl[:, 1:], out=d[:, 1:-1])
@@ -316,8 +332,19 @@ def compute_M(
     nodes it frees.  A step copies those rows, writes in its crossing
     rows, if it has any, and solves.  The solution is clipped onto
     M >= f; `clip` on the result is the largest amount that clip raised M
-    by.  A NaN or inf in the march (sigma, the barrier or f) raises
-    ValueError, and so does nt < 1.
+    by.
+
+    The march starts at the payoff's cap.  M(x, t) is E f(tau) for tau >= t,
+    so from the first node t[j0] >= cap_time, where f is a constant c, M = c
+    everywhere; it is also the exact solution of the discrete rows there
+    (I + dt A maps a constant to itself, the crossing and edge rows take
+    f = c).  Rows j0..nt are f(t_j) exactly, the regular rows of every
+    node those steps would have freed are restored, and the march runs
+    j0 - 1 down to 0: none for a swap (cap 0), all nt when the cap is at
+    or past the horizon.  The payoff is first checked by
+    PayoffSpec.validate up to the horizon, which refuses an f that moves
+    after cap_time.  A payoff it refuses, a NaN or inf in the march
+    (sigma, the barrier or f) and nt < 1 raise ValueError.
     """
     if nt < 1:
         raise ValueError(f"nt must be at least 1 time step, got {nt!r}")
@@ -343,6 +370,8 @@ def compute_M(
             f"horizon {t_max:.6g} is below the last barrier time {r_max:.6g}: "
             "increase the horizon"
         )
+
+    payoff.validate(float(t_max))
 
     t = np.linspace(0.0, float(t_max), nt + 1)
     dt = t[1] - t[0]
@@ -385,10 +414,16 @@ def compute_M(
     order = np.argsort(first, kind="stable")
     freed = np.searchsorted(first, np.arange(nt + 2), sorter=order)
 
+    # rows j0.. are f, a constant; the march starts below them with the
+    # pinned set that steps nt - 1 .. j0 would have left
+    j0 = min(int(np.searchsorted(t, cap)), nt)
     M = np.empty((nt + 1, n))
-    M[-1] = f_t[-1]
+    M[j0:] = f_t[j0:, None]
+    k = order[freed[j0]:]
+    pinned[k] = False
+    b_lower[k], b_diag[k], b_upper[k] = lower[k], diag[k], upper[k]
     clip = 0.0
-    for j in range(nt - 1, -1, -1):
+    for j in range(j0 - 1, -1, -1):
         fv = f_t[j]
         k = order[freed[j + 1]:freed[j + 2]]
         if len(k):
@@ -437,7 +472,7 @@ def build_hedge(
 ) -> HedgeFunctions:
     """M, then Z, H and the payoff quadrature on M's grid; G and delta on first read.
 
-    The payoff is first checked by PayoffSpec.validate up to the tabulated
+    compute_M checks the payoff by PayoffSpec.validate up to the tabulated
     horizon; a payoff it refuses raises ValueError.  Z(x) = 2 int int
     M(.,0)/sigma^2 by nested trapezoid quadrature, with value and slope
     zero at the base point; the anchoring interpolates the cumulative
@@ -451,7 +486,6 @@ def build_hedge(
     """
     m = compute_M(diff, barrier, payoff, x_grid, nt, t_max=t_max)
     M, x, t = m.values, m.x, m.t
-    payoff.validate(float(t[-1]))
     inner = _cumtrapz(2.0 * M[0] / diff.sigma(x) ** 2, x)
     inner = inner - np.interp(base_point, x, inner)
     z = _cumtrapz(inner, x)
@@ -480,12 +514,21 @@ def build_hedge(
 # -- verification ---------------------------------------------------------------
 
 def verify_pathwise(hf: HedgeFunctions) -> dict:
-    """Grid check of G + H - F <= 0 and of equality on the contact set, to 1e-6."""
-    tol = 1e-6
-    gap = hf.G + hf.H[None, :] - hf.F_grid[:, None]
-    max_violation = float(np.max(gap))
-    contact = hf.t[:, None] >= hf.barrier.value_at(hf.x)[None, :]
-    contact_gap = float(np.max(np.abs(np.where(contact, gap, 0.0))))
+    """Grid check of G + H - F <= 0 and of equality on the contact set, to 1e-6.
+
+    The gap is formed 64 rows at a time, so the check needs the scratch
+    of a block, not of the surface.
+    """
+    tol, rows = 1e-6, 64
+    r = hf.barrier.value_at(hf.x)
+    highs, contact_highs = [], []
+    for a in range(0, len(hf.t), rows):
+        gap = np.add(hf.G[a:a + rows], hf.H)
+        gap -= hf.F_grid[a:a + rows, None]
+        highs.append(gap.max())
+        on = np.where(hf.t[a:a + rows, None] >= r, gap, 0.0)
+        contact_highs.append(np.abs(on, out=on).max())
+    max_violation, contact_gap = float(np.max(highs)), float(np.max(contact_highs))
     return {
         "max_violation": max_violation,
         "max_contact_gap": contact_gap,

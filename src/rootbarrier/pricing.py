@@ -328,7 +328,7 @@ def verify_subhedge(
     """
     hf = report.hedge
     bt = report.market.growth
-    g0 = float(hf.G_at(np.array([model.s0]), 0.0)[0])
+    g0 = float(0.0 - hf.Z_at([model.s0])[0])       # G(s0, 0), as lower_bound reads it
     payoff = report.payoff
     rv = sim._RealizedVariance()
     account = _HedgeAccount(hf, rv)

@@ -152,7 +152,7 @@ class _Step:
 
     k: int
     dt: float
-    ids: np.ndarray                 # batch indices of the paths that took the step
+    ids: np.ndarray | slice         # batch indices of the paths that took the step; slice(None) while all run
     x_old: np.ndarray
     x_new: np.ndarray               # a stopping rule moves hit paths to their stop value
     dlog: Optional[np.ndarray]      # log return of the price over a geometric step
@@ -220,7 +220,9 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     stop.start(x0) and then marks which running paths stop; they stop
     at k dt at their state after the step, and drop out of later steps.
     Observers are started with obs.start(x0, n_steps, dt) and see every
-    step after the stopping rule, in the order given.
+    step after the stopping rule, in the order given; a step's `ids` is
+    slice(None) while every path runs, a basic slice in place of a
+    gather of arange(n).
     Paths still running at the end keep the last step time as a sentinel
     stopping time and make up the horizon mass.
 
@@ -253,7 +255,7 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
             k += 1
             g, z = normals.draw(k, len(ids))
             x_new, dlog = move(x, z, k, dt)
-            s = _Step(k, dt, ids, x, x_new, dlog, g)
+            s = _Step(k, dt, ids if len(ids) < n else slice(None), x, x_new, dlog, g)
             hit = None if stop is None else stop(s)
             for obs in observers:
                 obs(s)
@@ -384,7 +386,7 @@ class _TimeBarrier:
         if self.spikes is not None:
             at = self.spikes[0]
             l_new = np.log(s.x_new)
-            u = s.g.random(len(s.ids))
+            u = s.g.random(len(s.x_new))
             near = self._near(t, s.dt, l_new, u)
             self.spike_path_steps += len(near)
             if len(near):

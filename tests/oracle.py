@@ -4,11 +4,12 @@
 trinomial tree; acceptance 6 and the oracle tests of test_obstacle.py
 compare `obstacle.solve` against its value surface.
 
-`hedge_reference` is the hedge build in its plainest form: the M march
-rebuilds every step's rows with np.where over all nodes, and the surfaces
-come from np.cumsum, np.trapezoid and np.diff over whole-surface
-temporaries.  test_optimality.py asserts that `optimality.build_hedge`
-gives its bytes.
+`hedge_reference` is the hedge build in its plainest form: the M march,
+`march_reference`, rebuilds every step's rows with np.where over all
+nodes, and the surfaces come from np.cumsum, np.trapezoid and np.diff
+over whole-surface temporaries.  test_optimality.py asserts that
+`optimality.build_hedge` gives its bytes, and that its M is within
+round-off of the march over every step from T_M.
 """
 
 from __future__ import annotations
@@ -94,20 +95,21 @@ def cumtrapz_reference(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros((1,) + s.shape[1:]), s))
 
 
-def hedge_reference(
+def march_reference(
     diff: DiffusionSpec,
     barrier: Barrier,
     payoff: opt.PayoffSpec,
     x_grid: np.ndarray,
     nt: int,
-    base_point: float,
     t_max: float,
-) -> dict:
-    """M, its clip, Z, G, H, delta and F_grid of build_hedge, each step built afresh.
+    start: int,
+) -> tuple[np.ndarray, float]:
+    """M and its clip by compute_M's march, each step built afresh, from row `start` down.
 
-    The crossing rows are those of compute_M; every step then pins the
-    nodes with t >= R by np.where over all nodes and writes its crossing
-    rows in.
+    The crossing rows are those of compute_M; rows start..nt are f, and
+    every step below them pins the nodes with t >= R by np.where over all
+    nodes and writes its crossing rows in.  start = nt is the march from
+    T_M over every step.
     """
     x = np.asarray(x_grid, dtype=float)
     r = barrier.value_at(x)
@@ -139,9 +141,9 @@ def hedge_reference(
     rows = np.searchsorted(step, np.arange(nt + 1))
 
     M = np.empty((nt + 1, n))
-    M[-1] = f_t[-1]
+    M[start:] = f_t[start:, None]
     clip = 0.0
-    for j in range(nt - 1, -1, -1):
+    for j in range(start - 1, -1, -1):
         fv = f_t[j]
         pinned = t[j] >= r
         c = slice(rows[j], rows[j + 1])
@@ -157,6 +159,28 @@ def hedge_reference(
         sol = _tridiag_solve(m_lower, m_diag, m_upper, rhs)
         clip = max(clip, fv - float(sol.min()))
         M[j] = np.maximum(sol, fv)
+    return M, clip
+
+
+def hedge_reference(
+    diff: DiffusionSpec,
+    barrier: Barrier,
+    payoff: opt.PayoffSpec,
+    x_grid: np.ndarray,
+    nt: int,
+    base_point: float,
+    t_max: float,
+) -> dict:
+    """M, its clip, Z, G, H, delta and F_grid of build_hedge, each step built afresh.
+
+    M is march_reference's from the first node at or past the payoff's
+    cap_time, where build_hedge's march starts.
+    """
+    x = np.asarray(x_grid, dtype=float)
+    t = np.linspace(0.0, float(t_max), nt + 1)
+    f_t = payoff.f(t)
+    start = min(int(np.searchsorted(t, payoff.cap_time)), nt)
+    M, clip = march_reference(diff, barrier, payoff, x, nt, t_max, start)
 
     inner = cumtrapz_reference(2.0 * M[0] / diff.sigma(x) ** 2, x)
     inner = inner - np.interp(base_point, x, inner)

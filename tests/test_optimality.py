@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -9,7 +11,7 @@ from rootbarrier import optimality as opt
 from rootbarrier import parabola as pb
 from rootbarrier import pricing as pr
 from rootbarrier import simulate as sim
-from oracle import hedge_reference
+from oracle import hedge_reference, march_reference
 
 
 @pytest.mark.parametrize("shape", [(301,), (301, 7), (1,), (2,), (2, 5)], ids=["1-D", "2-D", "1", "2", "2x5"])
@@ -35,11 +37,12 @@ def _open_capped_hedge():
     return opt.build_hedge(ob.brownian(), bar, opt.variance_call(0.3), x, nt=300)
 
 
-@pytest.mark.parametrize("case", ["dense-call", "parabola", "flat", "two-atom-500", "open-capped"])
+@pytest.mark.parametrize("case", ["dense-call", "dense-swap", "parabola", "flat", "two-atom-500", "open-capped"])
 def test_hedge_build_gives_the_reference_bytes(case, request):
     """build_hedge's M, clip and surfaces are those of the per-step np.where march, byte for byte."""
     hf, diff = {
         "dense-call": lambda: (request.getfixturevalue("dense_call_report").hedge, ob.geometric_brownian()),
+        "dense-swap": lambda: (request.getfixturevalue("dense_swap_report").hedge, ob.geometric_brownian()),
         "parabola": lambda: (request.getfixturevalue("parabola_hedge")[0], ob.brownian()),
         "flat": lambda: (_flat_hedge(), ob.brownian()),
         "two-atom-500": lambda: (pr.lower_bound(request.getfixturevalue("two_atom_market"), opt.variance_call(0.05),
@@ -51,6 +54,31 @@ def test_hedge_build_gives_the_reference_bytes(case, request):
     assert np.float64(hf.M_clip).tobytes() == np.float64(ref["clip"]).tobytes()
     for name in ("M", "Z", "G", "H", "delta", "F_grid"):
         assert getattr(hf, name).tobytes() == ref[name].tobytes(), name
+    if case == "dense-swap":            # f = 1 from its cap at 0: no step is marched
+        assert np.all(hf.M == 1.0) and hf.M_clip == 0.0
+
+
+@pytest.mark.parametrize("report", ["dense_swap_report", "dense_call_report"])
+def test_M_march_starts_at_the_cap(report, request, monkeypatch):
+    """compute_M solves only the steps below the first node at or past cap_time."""
+    hf = request.getfixturevalue(report).hedge
+    nt = len(hf.t) - 1
+    j0 = int(np.searchsorted(hf.t, hf.payoff.cap_time))
+    assert j0 == {"dense_swap_report": 0, "dense_call_report": 995}[report] and j0 < nt
+    solves = []
+
+    def counted(*rows):
+        solves.append(1)
+        return solve(*rows)
+
+    solve = opt._tridiag_solve
+    monkeypatch.setattr(opt, "_tridiag_solve", counted)
+    m = opt.compute_M(ob.geometric_brownian(), hf.barrier, hf.payoff, hf.x, nt, t_max=hf.T_M)
+    assert len(solves) == j0
+    assert np.array_equal(m.values, hf.M)
+    # the march over every step from T_M differs only by round-off
+    full, _ = march_reference(ob.geometric_brownian(), hf.barrier, hf.payoff, hf.x, nt, hf.T_M, nt)
+    assert 0.0 < np.max(np.abs(hf.M - full)) <= 1e-14
 
 
 def test_payoff_specs_validate():
@@ -82,7 +110,10 @@ def test_payoff_rejects_decreasing_derivative():
     (lambda: opt.custom_payoff(lambda t: np.asarray(t), lambda t: np.full(np.shape(t), 2.0), 2.0),
      "inconsistent"),
     (lambda: opt.power_payoff(1.0, cap=1.0), "p > 1"),
-], ids=["derivative-above-bound", "F-not-the-integral", "power-not-above-1"])
+    (lambda: opt.custom_payoff(lambda t: np.where(np.asarray(t) < 1.0, np.asarray(t) ** 2 / 2, np.asarray(t) - 0.5),
+                               lambda t: np.minimum(np.asarray(t, dtype=float), 1.0), 1.0, cap_time=0.5),
+     "after cap_time"),
+], ids=["derivative-above-bound", "F-not-the-integral", "power-not-above-1", "moves-after-cap"])
 def test_payoff_refusals(make, message):
     with pytest.raises(ValueError, match=message):
         make().validate(1.0)
@@ -160,6 +191,18 @@ def test_pathwise_inequality(parabola_hedge):
     assert rep["passed"]
     assert rep["max_violation"] <= 1e-6
     assert rep["max_contact_gap"] <= 1e-6
+
+
+def test_pathwise_check_needs_no_surface_of_scratch(parabola_hedge):
+    hf = parabola_hedge[0]
+    hf.G                                    # built before the check, as its first reader would
+    tracemalloc.start()
+    try:
+        opt.verify_pathwise(hf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hf.M.shape == (2401, 601) and peak < 0.5 * hf.M.nbytes
 
 
 def test_martingale_structure(parabola_hedge):
@@ -359,8 +402,9 @@ def test_G_and_delta_are_built_on_first_read(dense_market, monkeypatch):
     cumtrapz = opt._cumtrapz
     monkeypatch.setattr(opt, "_cumtrapz", counted)
     delta = hf.delta
-    assert built == [hf.M.shape] and "G" in vars(hf)
-    assert hf.delta is delta and hf.G is vars(hf)["G"]
+    assert built == [] and "G" not in vars(hf)          # delta builds no G
+    G = hf.G
+    assert built == [hf.M.shape] and hf.G is G and hf.delta is delta
     assert built == [hf.M.shape]
 
 

@@ -260,6 +260,31 @@ def test_draw_ahead_leaves_the_moving_step_alone(monkeypatch):
     assert ahead.stopped_values.tobytes() == walk().stopped_values.tobytes()
 
 
+def test_observers_read_the_running_paths_through_ids():
+    # a basic slice while every path runs, the running paths' indices once one stops
+    class StopPathZeroAtStep3:
+        draws = False
+
+        def start(self, x0):
+            return np.ones(len(x0), dtype=bool)
+
+        def __call__(self, s):
+            return (s.k == 3) & (np.arange(len(s.x_new)) == 0)
+
+    class Record:
+        def start(self, x0, n_steps, dt):
+            self.ids = []
+
+        def __call__(self, s):
+            self.ids.append(s.ids)
+
+    obs = Record()
+    sim._walk(8, 0.1, 5, lambda dt: 6, lambda g: np.zeros(8), lambda x, z, k, dt: (x + z, None),
+              StopPathZeroAtStep3(), [obs])
+    assert obs.ids[:3] == [slice(None)] * 3
+    assert all(np.array_equal(ids, np.arange(1, 8)) for ids in obs.ids[3:]) and len(obs.ids) == 6
+
+
 def test_step_rng_runs_on_the_calling_thread(monkeypatch):
     # perfbench times step_rng through a wrapper that is not thread-safe
     log = _ThreadLog(monkeypatch)
