@@ -25,7 +25,6 @@ identically and G extends analytically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -481,8 +480,9 @@ def build_hedge(
     discrete identity G + H - F = -int_t^{T} (M - f) exact at the nodes:
     the pathwise inequality then holds by construction wherever the
     tabulated M dominates f, and vanishes identically on the contact set.
-    H takes np.trapezoid's arithmetic in one scratch surface.  G and the
-    trading delta are HedgeFunctions properties, built when first read.
+    H takes np.trapezoid's arithmetic a row at a time, with no scratch
+    surface.  G and the trading delta are HedgeFunctions properties, built
+    when first read.
     """
     m = compute_M(diff, barrier, payoff, x_grid, nt, t_max=t_max)
     M, x, t = m.values, m.x, m.t
@@ -494,15 +494,16 @@ def build_hedge(
     f_t = payoff.f(t)
     F_grid = _cumtrapz(f_t, t)
 
-    # H = z + np.trapezoid(f_t[:, None] - M, t, axis=0), by its arithmetic
-    # in one scratch surface: pair sums from the last row back, times d / 2, summed
-    w = np.subtract(f_t[:, None], M)
-    for j in range(len(t) - 1, 0, -1):
-        np.add(w[j], w[j - 1], out=w[j])
-    s = w[1:]
-    s *= np.diff(t)[:, None]
-    s /= 2.0
-    H = s.sum(axis=0)
+    # H = z + np.trapezoid(f_t[:, None] - M, t, axis=0), by its arithmetic a
+    # row at a time: pair sums of f - M times d / 2, added in np.sum's order down axis 0
+    d, H, prev = np.diff(t), None, np.subtract(f_t[0], M[0])
+    for j in range(1, len(t)):
+        cur = np.subtract(f_t[j], M[j])
+        term = np.add(cur, prev)
+        term *= d[j - 1]
+        term /= 2.0
+        H = term if H is None else np.add(H, term, out=H)
+        prev = cur
     H += z
 
     return HedgeFunctions(
@@ -583,27 +584,19 @@ def verify_martingale(
     ladder_obs = _LadderSnapshots(hf.barrier, ladder)
     sim._walk(n, dt, seed, lambda dt: int(round(float(max(ladder)) / dt)), lambda g: nu.sample(n, g),
               sim._diffusion_move(diff), observers=[ladder_obs])
-    stopped_means, stopped_ses, free_means, free_ses = [], [], [], []
+    rungs = []                  # per rung: mean and SE of G stopped, then of G free
     for tv in ladder:
         x_t, x_stop, t_stop = ladder_obs.snaps[tv]
-        gs = hf.G_at(x_stop, t_stop)
-        g_free = hf.G_at(x_t, tv)
-        stopped_means.append(float(np.mean(gs)))
-        stopped_ses.append(float(np.std(gs) / math.sqrt(n)))
-        free_means.append(float(np.mean(g_free)))
-        free_ses.append(float(np.std(g_free) / math.sqrt(n)))
-    sm = np.asarray(stopped_means)
-    se = np.asarray(stopped_ses)
+        rungs.append(sim._mean_se(hf.G_at(x_stop, t_stop)) + sim._mean_se(hf.G_at(x_t, tv)))
+    sm, se, fm, fe = np.array(rungs).T
     mart_ok = bool(np.all(np.abs(sm - sm[0]) <= 3.0 * (se + se[0] + 1e-15)))
-    fm = np.asarray(free_means)
-    fe = np.asarray(free_ses)
     sub_ok = bool(np.all(np.diff(fm) >= -3.0 * (fe[1:] + fe[:-1])))
     return {
         "ladder": list(ladder),
-        "stopped_means": stopped_means,
-        "stopped_ses": stopped_ses,
-        "unstopped_means": free_means,
-        "unstopped_ses": free_ses,
+        "stopped_means": sm.tolist(),
+        "stopped_ses": se.tolist(),
+        "unstopped_means": fm.tolist(),
+        "unstopped_ses": fe.tolist(),
         "martingale_ok": mart_ok,
         "submartingale_ok": sub_ok,
         "passed": mart_ok and sub_ok,
@@ -630,16 +623,10 @@ def optimality_gap(
         raise ValueError(
             f"competitor batch does not embed the target law: KS {ks:.4f} > {crit:.4f}"
         )
-    f_root = payoff.F(root_batch.stop_times)
-    f_comp = payoff.F(competitor_batch.stop_times)
+    e_root, se_root = sim._mean_se(payoff.F(root_batch.stop_times))
+    e_comp, se_comp = sim._mean_se(payoff.F(competitor_batch.stop_times))
     vals = competitor_batch.stopped_values
-    gh = hf.G_at(vals, competitor_batch.stop_times) + hf.H_at(vals)
-    e_root = float(np.mean(f_root))
-    se_root = float(np.std(f_root) / math.sqrt(root_batch.n))
-    e_comp = float(np.mean(f_comp))
-    se_comp = float(np.std(f_comp) / math.sqrt(competitor_batch.n))
-    e_gh = float(np.mean(gh))
-    se_gh = float(np.std(gh) / math.sqrt(competitor_batch.n))
+    e_gh, se_gh = sim._mean_se(hf.G_at(vals, competitor_batch.stop_times) + hf.H_at(vals))
     margin = 3.0 * (se_root + se_comp)
     return {
         "EF_root": e_root,

@@ -184,7 +184,8 @@ def static_portfolio(
     below it, with option units equal to the slope changes; the identity
     is exact at every node.  growth is B_T: all units carry the B_T^{-1}
     prefactor of the terminal payoff mapping x = B_T^{-1} S_T, and the
-    strikes are B_T x.
+    strikes are B_T x.  A slope change within the round-off of h over the
+    narrowest cell, 64 eps max|h| / min dx, is no leg.
     """
     x = np.asarray(nodes, dtype=float)
     h = np.asarray(h_values, dtype=float)
@@ -201,7 +202,6 @@ def static_portfolio(
     forward_units = slope_right / growth
     # every interior kink is an option leg; the one at the spot becomes a
     # put because the forward leg carries only the right slope there
-    weights = []
     jumps = np.diff(slopes)
     total_variation = float(np.sum(np.abs(jumps)))
     if not np.isfinite(total_variation) or total_variation > 1e8 * max(1.0, spot):
@@ -209,10 +209,8 @@ def static_portfolio(
             "static payoff cannot be replicated at finite cost: the strike "
             f"weights have total variation {total_variation:.3e}"
         )
-    for i, w in zip(range(1, len(x) - 1), jumps):
-        if abs(w) < 1e-14:
-            continue
-        weights.append((growth * x[i], w / growth))
+    noise = 64.0 * np.finfo(float).eps * np.max(np.abs(h)) / np.min(np.diff(x))
+    weights = [(growth * x[i], w / growth) for i, w in zip(range(1, len(x) - 1), jumps) if abs(w) > noise]
     return cash, forward_units, weights
 
 
@@ -340,8 +338,7 @@ def verify_subhedge(
     allowance = 1e-3 * max(1.0, payoff.f_bound) * math.sqrt(max(dt, 1e-9) / 1e-3)
     ok = portfolio <= target + allowance
     frac = float(np.mean(ok))
-    mean_port = float(np.mean(portfolio)) / bt
-    se_port = float(np.std(portfolio) / math.sqrt(n)) / bt
+    mean_port, se_port = (v / bt for v in sim._mean_se(portfolio))
     gap = mean_port - report.lower_bound
     return {
         "fraction_subhedged": frac,

@@ -701,6 +701,11 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return d
 
 
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error std / sqrt(n), as plain floats."""
+    return float(np.mean(values)), float(np.std(values) / math.sqrt(len(values)))
+
+
 def ks_critical_value(n: int, level: float = 0.01) -> float:
     """Asymptotic KS critical value; 1.63/sqrt(n) at the 1% level."""
     coef = {0.10: 1.22, 0.05: 1.36, 0.01: 1.63}.get(level)

@@ -1,3 +1,5 @@
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -255,6 +257,60 @@ def test_optimality_gap_refuses_bad_competitor():
                          stopped_values=np.full(2000, 0.3))
     with pytest.raises(ValueError, match="embed"):
         opt.optimality_gap(hf, payoff, root, fake, mu)
+
+
+def _martingale_figures(request, monkeypatch):
+    hf, seen, G_at = request.getfixturevalue("parabola_hedge")[0], [], opt.HedgeFunctions.G_at
+    monkeypatch.setattr(opt.HedgeFunctions, "G_at", lambda self, x, t: seen.append(G_at(self, x, t)) or seen[-1])
+    rep = opt.verify_martingale(hf, ob.brownian(), ms.point_mass(0.0),
+                                n=2000, seed=5, ladder=[0.5, 1.0, 2.0], dt=1e-2)
+    # G is read per rung, at the stopped paths and then at the free ones
+    return rep, [(rep[f"{kind}_means"][k], rep[f"{kind}_ses"][k], seen[2 * k + (kind == "unstopped")])
+                 for kind in ("stopped", "unstopped") for k in range(3)]
+
+
+def _gap_figures(request, monkeypatch):
+    mu, x, payoff = ms.normal(0.0, 1.0), np.linspace(-6.5, 6.5, 301), opt.power_payoff(2.0, cap=4.0)
+    hf = opt.build_hedge(ob.brownian(), br.from_function(lambda s: np.ones_like(s), x, horizon=2.0),
+                         payoff, x, nt=200, base_point=0.0)
+    bar = br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([1.0, 1.0]), horizon=2.0)
+    root = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), bar, n=2000, dt=0.01, seed=1)
+    comp = sim.hall_competitor(mu, n=3000, dt=1e-3, seed=2)
+    rep = opt.optimality_gap(hf, payoff, root, comp, mu)
+    vals = comp.stopped_values
+    return rep, [(rep["EF_root"], rep["se_root"], payoff.F(root.stop_times)),
+                 (rep["EF_competitor"], rep["se_competitor"], payoff.F(comp.stop_times)),
+                 (rep["E_GH_competitor"], rep["se_GH"], hf.G_at(vals, comp.stop_times) + hf.H_at(vals))]
+
+
+def _subhedge_figures(request, monkeypatch):
+    rep, legs, accounts = request.getfixturevalue("dense_call_report"), [], []
+    static_value = pr._static_value
+    monkeypatch.setattr(pr, "_static_value", lambda r, x: legs.append(static_value(r, x)) or legs[-1])
+
+    class Account(pr._HedgeAccount):
+        def start(self, x0, n_steps, dt):
+            accounts.append(self)
+            super().start(x0, n_steps, dt)
+    monkeypatch.setattr(pr, "_HedgeAccount", Account)
+    model = sim.PriceModel(kind="constant", s0=1.0, maturity=1.0, vol=0.2, rate=0.0)
+    out = pr.verify_subhedge(rep, model, n=500, seed=3, dt=1e-2)
+    portfolio = float(0.0 - rep.hedge.Z_at([1.0])[0]) + accounts[0].values + legs[0]
+    assert rep.market.growth == 1.0
+    return out, [(out["mean_portfolio_discounted"], out["se_portfolio"], portfolio)]
+
+
+@pytest.mark.parametrize("figures", [_martingale_figures, _gap_figures, _subhedge_figures],
+                         ids=["verify_martingale", "optimality_gap", "verify_subhedge"])
+def test_monte_carlo_reports_give_each_mean_and_standard_error_as_plain_floats(figures, request, monkeypatch):
+    rep, named = figures(request, monkeypatch)
+    for mean, se, samples in named:
+        assert (mean, se) == (float(np.mean(samples)), float(np.std(samples) / math.sqrt(len(samples))))
+    values = [v for v in rep.values() if not isinstance(v, list)]
+    values += [v for lst in rep.values() if isinstance(lst, list) for v in lst]
+    floats = [v for v in values if isinstance(v, float)]
+    assert len(floats) >= 2 * len(named) and all(type(v) is float for v in floats)
+    assert json.loads(json.dumps(rep)) == rep
 
 
 def test_compute_M_horizon_guard():

@@ -49,8 +49,8 @@ def test_G_at_spot_is_G_read_at_the_spot(case, request):
     assert np.float64(rep.diagnostics["G_at_spot"]).tobytes() == g0.tobytes()
 
 
-def test_lower_bound_holds_two_hedge_surfaces_at_most(dense_market):
-    # M and the scratch of H; G and delta wait for a reader
+def test_lower_bound_holds_one_hedge_surface(dense_market):
+    # M alone: H is summed a row at a time, and G and delta wait for a reader
     cfg = pr.PricingConfig(nx=201, nt=200, nt_hedge=2000)
     tracemalloc.start()
     try:
@@ -58,7 +58,31 @@ def test_lower_bound_holds_two_hedge_surfaces_at_most(dense_market):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * rep.hedge.M.nbytes
+    assert peak < 1.5 * rep.hedge.M.nbytes
+
+
+def _static_nodes(rep):
+    nodes = np.unique(np.append(rep.implied_measure.locations, rep.market.spot))
+    return nodes, rep.hedge.H_at(nodes)
+
+
+def test_round_off_in_H_moves_no_option_leg(dense_call_report):
+    # H read at the nodes, moved by up to 4 ulps each, gives the same strikes
+    nodes, h = _static_nodes(dense_call_report)
+    ulps = np.random.default_rng(4).integers(-4, 5, len(h))
+    for wobble in (ulps, -ulps, np.full(len(h), 4), np.full(len(h), -4)):
+        _, _, weights = pr.static_portfolio(nodes, h + wobble * np.spacing(h), 1.0, 1.0)
+        assert [k for k, _ in weights] == [k for k, _ in dense_call_report.strike_weights]
+
+
+@pytest.mark.parametrize("strike", [0.02, 0.04])
+def test_option_legs_are_the_slope_changes_above_round_off(dense_market, dense_call_report, strike):
+    rep = dense_call_report if strike == 0.02 else pr.lower_bound(dense_market, opt.variance_call(strike))
+    nodes, h = _static_nodes(rep)
+    jumps = np.abs(np.diff(np.diff(h) / np.diff(nodes)))
+    legs = np.abs([w for _, w in rep.strike_weights])
+    # no leg of round-off size, and every slope change of 1e-9 or more is a leg
+    assert legs.min() >= 1e-9 and len(legs) == np.sum(jumps >= 1e-9) == 223
 
 
 def test_static_portfolio_absolute_value_kink():

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -106,6 +107,39 @@ def test_rss_by_op_prints_each_operation_of_an_iteration():
     sizes = [[float(v) for v in r[2:]] for r in rows]
     assert all(0.0 < before and 0.0 < after <= hwm for before, after, hwm in sizes)
     assert all(a[2] <= b[2] for a, b in zip(sizes, sizes[1:]))     # the peak never falls
+
+
+def test_bench_record_records_a_workload_and_compares_it(tmp_path, monkeypatch):
+    # one short run of the cheapest workload, in processes of their own
+    tool = [sys.executable, str(TOOLS / "bench_record.py")]
+    proc = subprocess.run(tool + ["--workload", "price-atomic", "--k", "1", "--seconds", "1",
+                                  "--out-dir", str(tmp_path)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (path,) = tmp_path.glob("BENCH_*.json")
+    rec = json.loads(path.read_text())
+    assert path.name.startswith(f"BENCH_{rec['sha'][:10]}")
+    assert rec["machine"].startswith("machine: nproc=") and rec["code_lines"]["total"] > 0
+    work = rec["workloads"]["price-atomic"]
+    assert [r["seed"] for r in work["runs"]] == [1] and work["runs"][0]["correct"]
+    rss = work["metrics"]["peak_rss_mb"]
+    assert rss["values"] == [rss["median"]] == [rss["q1"]] == [rss["q3"]] and rss["median"] > 0
+
+    # compared with itself the record shows no change and every reading of peak RSS
+    proc = subprocess.run(tool + ["--compare", str(path), str(path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = [ln.split() for ln in proc.stdout.splitlines() if ln.startswith("price-atomic")]
+    assert [r[1] for r in rows[:-2]] == ["setup_s", "run_s", "barrier_s", "embed_check_s", "certify_s",
+                                         "peak_rss_mb", "ops_ok_frac", "lcp_residual"]
+    assert all(r[4] == "+0.0%" and r[-1] == "ok" for r in rows[:-2])
+    assert [r[1:] for r in rows[-2:]] == [[side, "peak_rss_mb", "readings:", f"{rss['median']:.2f}"]
+                                          for side in "AB"]
+
+    # a run time past its bound is a worse verdict
+    monkeypatch.setattr(sys, "path", list(sys.path))     # the tool puts tools/ first
+    slow = json.loads(path.read_text())
+    slow["workloads"]["price-atomic"]["metrics"]["run_s"]["median"] *= 1.3
+    lines, worse = _load_tool("bench_record").compare(rec, slow)
+    assert worse and [ln.split()[-1] for ln in lines if " run_s " in ln] == ["WORSE"]
 
 
 BRANCHY = '''def sign(x):
