@@ -480,7 +480,7 @@ def build_hedge(
     discrete identity G + H - F = -int_t^{T} (M - f) exact at the nodes:
     the pathwise inequality then holds by construction wherever the
     tabulated M dominates f, and vanishes identically on the contact set.
-    H takes np.trapezoid's arithmetic 64 rows at a time, with no scratch
+    H takes np.trapezoid's arithmetic a row at a time, with no scratch
     surface.  G and the trading delta are HedgeFunctions properties, built
     when first read.
     """
@@ -494,16 +494,16 @@ def build_hedge(
     f_t = payoff.f(t)
     F_grid = _cumtrapz(f_t, t)
 
-    # H = z + np.trapezoid(f_t[:, None] - M, t, axis=0), by its arithmetic 64
-    # rows at a time: pair sums of f - M times d / 2, each row added in np.sum's order
-    d, H, rows = np.diff(t), None, 64
-    for a in range(0, len(t) - 1, rows):
-        w = np.subtract(f_t[a:a + rows + 1, None], M[a:a + rows + 1])
-        s = np.add(w[1:], w[:-1])
-        s *= d[a:a + rows, None]
-        s /= 2.0
-        for row in s:
-            H = row.copy() if H is None else np.add(H, row, out=H)
+    # H = z + np.trapezoid(f_t[:, None] - M, t, axis=0), by its arithmetic a
+    # row at a time: pair sums of f - M times d / 2, added in np.sum's order down axis 0
+    d, H, prev = np.diff(t), None, np.subtract(f_t[0], M[0])
+    for j in range(1, len(t)):
+        cur = np.subtract(f_t[j], M[j])
+        term = np.add(cur, prev)
+        term *= d[j - 1]
+        term /= 2.0
+        H = term if H is None else np.add(H, term, out=H)
+        prev = cur
     H += z
 
     return HedgeFunctions(

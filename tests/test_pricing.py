@@ -50,7 +50,7 @@ def test_G_at_spot_is_G_read_at_the_spot(case, request):
 
 
 def test_lower_bound_holds_one_hedge_surface(dense_market):
-    # M alone: H is summed 64 rows at a time, and G and delta wait for a reader
+    # M alone: H is summed a row at a time, and G and delta wait for a reader
     cfg = pr.PricingConfig(nx=201, nt=200, nt_hedge=2000)
     tracemalloc.start()
     try:
