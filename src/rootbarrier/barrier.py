@@ -72,11 +72,15 @@ class GridIndex:
 class Barrier:
     """Lower semi-continuous stopping boundary tabulated on a grid.
 
-    Between nodes the barrier is evaluated piecewise-constant taking the
-    minimum of the two neighbouring values, which errs toward earlier
-    stopping by at most one cell and preserves lower semi-continuity.
-    Outside the grid R = 0 (immediate stopping).  x and R are 1-D arrays
-    of one length, with at least one node; the nodes must be finite and R
+    R is exact on the nodes and, between two nodes, the larger of their
+    two values: a cell closes when both of its nodes have closed.  The
+    closed region {(x, t): t >= R(x)} is then the union of the closed
+    node lines and cells, so R is lower semi-continuous (a node never
+    reads above its cells).  A finite node between two never-stopping
+    ones is a vertical line of zero width, which only an explicit
+    crossing test (the spikes of simulate.PriceModel) can hit.  Outside
+    the grid R = 0 (immediate stopping).  x and R are 1-D arrays of one
+    length, with at least one node; the nodes must be finite and R
     nonnegative; R = +inf (never stop) is allowed, NaN is not.
     The horizon, the default end of a path batch, is finite and nonnegative.
 
@@ -103,58 +107,57 @@ class Barrier:
         if not (math.isfinite(self.horizon) and self.horizon >= 0):
             raise ValueError(f"barrier horizon must be finite and nonnegative, got {self.horizon!r}")
         object.__setattr__(self, "_index", GridIndex(self.x))
-        # cell-wise minima padded with the off-grid value 0 and indexed by
+        # cell-wise maxima padded with the off-grid value 0 and indexed by
         # the number of nodes at or below a state, so a lookup is one
         # GridIndex call plus one gather; cell j covers [x_{j-1}, x_j)
-        cells = np.minimum(self.R[:-1], self.R[1:])
-        object.__setattr__(self, "_cell_floor", np.concatenate(([0.0], cells, [0.0])))
-        ceil = np.maximum(self.R[:-1], self.R[1:])
-        object.__setattr__(self, "_cell_ceil", np.concatenate(([0.0], ceil, [0.0])))
+        cells = np.maximum(self.R[:-1], self.R[1:])
+        object.__setattr__(self, "_cells", np.concatenate(([0.0], cells, [0.0])))
 
-    def value_at(self, states: np.ndarray, conservative: bool = True) -> np.ndarray:
-        """R at arbitrary states: exact on nodes, min of neighbours between.
-
-        conservative=False takes the max of the bracketing nodes instead of
-        the min, for callers that resolve narrow features (spikes of atomic
-        targets) by an explicit crossing test rather than the cell floor.
-        """
+    def value_at(self, states: np.ndarray) -> np.ndarray:
+        """R at arbitrary states: exact on nodes, the max of the two neighbours between."""
         s = np.asarray(states, dtype=float)
         idx = self._index(s)
-        out = (self._cell_floor if conservative else self._cell_ceil)[idx]
         # left = -1 reads the index's NaN sentinel, which no state equals
         left = idx - 1
-        return np.where(s == self._index.x[left], self.R[left], out)
+        return np.where(s == self._index.x[left], self.R[left], self._cells[idx])
 
-    def free_edges(self, t: float, conservative: bool = True) -> np.ndarray:
+    def free_edges(self, t: float) -> np.ndarray:
         """Sorted edges of the free section {x : R(x) > t} at a time t > 0.
 
-        R is read cell-wise as in value_at between nodes (the cell floor, or
-        the ceil with conservative=False); cells off the grid hold 0, so the
-        section is a union of intervals [e_0, e_1), [e_2, e_3), ... bounded
-        by nodes, and there is an even number of edges.  It shrinks as t
-        grows: it is the continuation region of the time-t slice.
+        R is read cell-wise as in value_at between nodes; cells off the
+        grid hold 0, so the section is a union of intervals [e_0, e_1),
+        [e_2, e_3), ... bounded by nodes, and there is an even number of
+        edges.  It shrinks as t grows: it is the continuation region of the
+        time-t slice.
         """
-        free = (self._cell_floor if conservative else self._cell_ceil) > t
+        free = self._cells > t
         return self.x[np.flatnonzero(free[1:] != free[:-1])]
 
-    def stops(self, states: np.ndarray, t: float, conservative: bool = True) -> np.ndarray:
+    def stops(self, states: np.ndarray, t: float) -> np.ndarray:
         """t >= R(X) at a time t > 0 for every state, off the free section's edges.
 
         The same decision as t >= value_at(states) between nodes; a state on
-        a node reads the cell to its right, and a NaN state stops.  One
-        interval is two comparisons per state and more take a binary search
-        over the edges, so no grid lookup is made per state.
+        a node reads the cell to its right, and a NaN state stops.  See
+        outside for the cost.
         """
-        edges = self.free_edges(t, conservative)
-        s = np.asarray(states, dtype=float)
-        if len(edges) == 2:
-            inside = s >= edges[0]
-            inside &= s < edges[1]
-            return ~inside
-        if len(edges) == 0:
-            return np.ones(s.shape, dtype=bool)
-        # free iff an odd number of edges lie at or below the state
-        return (np.searchsorted(edges, s, side="right") & 1) == 0
+        return outside(self.free_edges(t), states)
+
+
+def outside(edges: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Whether each state lies off the intervals [e_0, e_1), [e_2, e_3), ... of sorted edges.
+
+    One interval is two comparisons per state and more take a binary
+    search over the edges; a NaN state lies off every interval.
+    """
+    s = np.asarray(states, dtype=float)
+    if len(edges) == 2:
+        inside = s >= edges[0]
+        inside &= s < edges[1]
+        return ~inside
+    if len(edges) == 0:
+        return np.ones(s.shape, dtype=bool)
+    # inside iff an odd number of edges lie at or below the state
+    return (np.searchsorted(edges, s, side="right") & 1) == 0
 
 
 def extract_barrier(sol: ObstacleSolution) -> Barrier:

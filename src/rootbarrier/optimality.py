@@ -542,11 +542,12 @@ class _LadderSnapshots:
     """Path observer: free states, stopped states and stopped clocks at the ladder times.
 
     Every path keeps running; its stopping time is the one the stopping
-    rule of simulate_stopped, simulate._TimeBarrier, would give it.
+    rule of simulate_stopped, simulate._TimeBarrier with the paths' sigma,
+    would give it.
     """
 
-    def __init__(self, barrier: Barrier, ladder: list):
-        self.rule, self.ladder, self.snaps = sim._TimeBarrier(barrier), ladder, {}
+    def __init__(self, barrier: Barrier, sigma, ladder: list):
+        self.rule, self.ladder, self.snaps = sim._TimeBarrier(barrier, sigma=sigma), ladder, {}
 
     def start(self, x0, n_steps, dt):
         self.targets = {int(round(tv / dt)): tv for tv in self.ladder}
@@ -581,7 +582,7 @@ def verify_martingale(
     """
     if ladder is None:
         ladder = [0.5, 1.0, 2.0, 4.0]
-    ladder_obs = _LadderSnapshots(hf.barrier, ladder)
+    ladder_obs = _LadderSnapshots(hf.barrier, diff.sigma, ladder)
     sim._walk(n, dt, seed, lambda dt: int(round(float(max(ladder)) / dt)), lambda g: nu.sample(n, g),
               sim._diffusion_move(diff), observers=[ladder_obs])
     rungs = []                  # per rung: mean and SE of G stopped, then of G free

@@ -28,14 +28,19 @@ draws nothing after the normals (its `draws` is False; otherwise the
 extra normals would move its uniforms) and at least _PREFETCH_MIN paths
 are running.
 
-Stopping against a barrier is a check in time, t >= R(X_t), performed at
-every sample; no bridge correction is applied for crossings between
-samples (the crossing is in the time axis, not a spatial level), so the
-stopping time resolution is one time step.  At the sample time t_k the
-check asks only whether X lies in the barrier's free section
-{x : R(x) > t_k}, which is taken once per step as sorted interval edges
-(Barrier.free_edges); every running path is then tested against those
-edges, with no barrier lookup per path.
+Stopping against a barrier is a check of t >= R(X_t) at every sample.
+At the sample time t_k the check asks only whether X lies in the
+barrier's free section {x : R(x) > t_k}, which is taken once per step as
+sorted interval edges (Barrier.free_edges); every running path is then
+tested against those edges, with no barrier lookup per path.  A path
+that leaves the free section between two samples and comes back is
+missed by that check, which stops paths late by O(sqrt(dt)).  The
+continuity correction of Broadie, Glasserman & Kou (1997) removes the
+leading term of that lateness at no cost per path: each edge e moves
+into the free section by _BGK sigma(e) sqrt(dt) before the test, so
+that the samples see the section a continuously watched path would.
+Batches with spikes (atomic targets) instead keep the free section as
+it is and test each armed spike by its Brownian bridge (spike_crossings).
 
 The competitor embedding, which stops Brownian motion on leaving a random
 interval, takes no time steps: `hall_competitor` draws each exit exactly
@@ -54,7 +59,7 @@ import numpy as np
 from scipy.special import erfc, erfcinv, expit
 
 from .measures import Measure
-from .barrier import Barrier
+from .barrier import Barrier, outside
 from .obstacle import DiffusionSpec
 
 __all__ = [
@@ -130,9 +135,9 @@ class PriceModel:
     vol: Union[float, tuple] = 0.2
     rate: Union[float, tuple] = 0.0
     barrier: Optional[Barrier] = None
-    # atomic targets stop on vertical spike lines; crossing those between
-    # samples is a spatial event, so a bridge correction is well posed and
-    # removes the deposit-spread bias (unlike generic time-barrier checks)
+    # atomic targets stop on vertical spike lines of zero width, which no
+    # sample lands on; the walk tests each armed spike by its Brownian
+    # bridge instead, and takes no continuity correction for such a batch
     spikes: Optional[tuple] = None      # (locations, arming times)
 
 
@@ -314,18 +319,27 @@ def _diffusion_move(diff: DiffusionSpec):
 # The zone is not a setting: any width past this bound gives the same hits.
 _SPIKE_ZONE = 25.0
 
+# Broadie, Glasserman & Kou (1997): a level watched only every dt is first
+# reached like a continuously watched one moved away from the paths by
+# beta sigma sqrt(dt), beta = -zeta(1/2) / sqrt(2 pi) = 0.5826; so the walk
+# watches each free-section edge moved toward the paths by as much.
+_BGK = 0.5826
+
 
 class _TimeBarrier:
-    """Stop at the first sample with t >= R(X_t).
+    """Stop at the first sample with t >= R(X_t), corrected for the time between samples.
 
     At each step t_k = k dt the barrier's free section {x : R(x) > t_k} is
     taken once as sorted interval edges, and every running path is tested
-    against those edges (Barrier.stops), not looked up on the grid.  With
-    spikes (locations, arming times), also stop where the bridge test sees
-    an armed spike touched between samples, at the spike; the barrier is
-    then read at the larger of the bracketing nodes, leaving narrow
-    features to the spike test.  The log states of the running paths are
-    carried from step to step for that test.
+    against those edges (barrier.outside), not looked up on the grid.
+    Without spikes, each edge e first moves into its interval by _BGK
+    sigma(e) sqrt(dt), sigma the diffusion coefficient of the paths, and
+    an interval that closes is dropped (the continuity correction of
+    Broadie, Glasserman & Kou 1997).  With spikes (locations, arming
+    times), the edges stay where they are, and paths also stop where the
+    bridge test sees an armed spike touched between samples, at the
+    spike.  The log states of the running paths are carried from step to
+    step for that test.
 
     Every step draws one uniform per running path, but only the paths
     that can reach an armed spike go to spike_crossings: those with an end
@@ -339,13 +353,14 @@ class _TimeBarrier:
     spike_path_steps counts the path steps sent to the test.
     """
 
-    def __init__(self, barrier: Barrier, spikes: Optional[tuple] = None):
-        self.barrier, self.spikes = barrier, spikes
+    def __init__(self, barrier: Barrier, spikes: Optional[tuple] = None, sigma=None):
+        # sigma, the paths' diffusion coefficient, is read only without spikes
+        self.barrier, self.spikes, self.sigma = barrier, spikes, sigma
         self.draws = spikes is not None     # the spike test draws uniforms after the normals
 
     def start(self, x0):
         # starts already inside the barrier stop at once (closed, regular set)
-        live = self.barrier.value_at(x0, conservative=self.spikes is None) > 0.0
+        live = self.barrier.value_at(x0) > 0.0
         if self.spikes is not None:
             at, arm = self.spikes
             # one sentinel left and two right, never armed, so that the
@@ -382,21 +397,24 @@ class _TimeBarrier:
 
     def __call__(self, s: _Step) -> np.ndarray:
         t = s.k * s.dt
-        hit = self.barrier.stops(s.x_new, t, conservative=self.spikes is None)
-        if self.spikes is not None:
-            at = self.spikes[0]
-            l_new = np.log(s.x_new)
-            u = s.g.random(len(s.x_new))
-            near = self._near(t, s.dt, l_new, u)
-            self.spike_path_steps += len(near)
-            if len(near):
-                sp_hit, which = spike_crossings(s.x_old[near], self.l_x[near], l_new[near], t, s.dt,
-                                                at, self.l_spike, self.arm, u[near])
-                # the spike is touched en route, before the endpoint region
-                sp = near[sp_hit]
-                s.x_new[sp] = at[which[sp_hit]]
-                hit[sp] = True
-            self.l_x, self.g_x = l_new[~hit], self.g_x[~hit]
+        if self.spikes is None:
+            e = self.barrier.free_edges(t).reshape(-1, 2)
+            e = e + np.multiply([1.0, -1.0], _BGK * math.sqrt(s.dt) * self.sigma(e))
+            return outside(e[e[:, 0] < e[:, 1]].ravel(), s.x_new)
+        hit = self.barrier.stops(s.x_new, t)
+        at = self.spikes[0]
+        l_new = np.log(s.x_new)
+        u = s.g.random(len(s.x_new))
+        near = self._near(t, s.dt, l_new, u)
+        self.spike_path_steps += len(near)
+        if len(near):
+            sp_hit, which = spike_crossings(s.x_old[near], self.l_x[near], l_new[near], t, s.dt,
+                                            at, self.l_spike, self.arm, u[near])
+            # the spike is touched en route, before the endpoint region
+            sp = near[sp_hit]
+            s.x_new[sp] = at[which[sp_hit]]
+            hit[sp] = True
+        self.l_x, self.g_x = l_new[~hit], self.g_x[~hit]
         return hit
 
 
@@ -434,7 +452,7 @@ def simulate_stopped(
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
     w = _walk(n, dt, seed, lambda dt: _steps_to(horizon, dt), lambda g: nu.sample(n, g),
-              _diffusion_move(diff), _TimeBarrier(barrier))
+              _diffusion_move(diff), _TimeBarrier(barrier, sigma=diff.sigma))
     return PathBatch(
         n=n, dt=dt, horizon=float(w.n_steps * dt), seed=seed,
         stop_times=w.stop_times, stopped_values=w.stopped_values,
@@ -481,7 +499,8 @@ def _price_batch(model: PriceModel, n: int, dt: float, seed: int,
         if b is None:
             raise ValueError("time-change model needs a barrier")
         steps = lambda dt: _steps_to(b.horizon, dt)
-        move, stop = _geometric(), _TimeBarrier(b, model.spikes)
+        # the variance clock runs dS = S dW: sigma(x) = x
+        move, stop = _geometric(), _TimeBarrier(b, model.spikes, lambda x: x)
     else:
         raise ValueError(f"unknown price model kind {model.kind!r}")
     w = _walk(n, dt, seed, steps, lambda g: np.full(n, float(model.s0)), move, stop, (*before, rv))

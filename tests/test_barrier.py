@@ -73,13 +73,31 @@ def test_extract_barrier_matches_full_matrix(gaussian_solution, coarse_gaussian_
 def test_value_at_conventions():
     b = br.Barrier(x=np.array([0.0, 1.0, 2.0]), R=np.array([3.0, 1.0, 2.0]), horizon=4.0)
     # nodes exact
-    assert np.allclose(b.value_at(np.array([0.0, 1.0, 2.0])), [3.0, 1.0, 2.0])
-    # between nodes: min of neighbours (lower semi-continuous, stops earlier)
-    assert np.allclose(b.value_at(np.array([0.5, 1.5])), [1.0, 1.0])
-    # anti-conservative variant takes the max
-    assert np.allclose(b.value_at(np.array([0.5, 1.5]), conservative=False), [3.0, 2.0])
+    assert np.array_equal(b.value_at(np.array([0.0, 1.0, 2.0])), [3.0, 1.0, 2.0])
+    # between nodes: the max of the two neighbours, a cell closes with its last node
+    assert np.array_equal(b.value_at(np.array([0.5, 1.5])), [3.0, 2.0])
     # off the grid the barrier is immediate
-    assert np.allclose(b.value_at(np.array([-1.0, 5.0])), [0.0, 0.0])
+    assert np.array_equal(b.value_at(np.array([-1.0, 5.0])), [0.0, 0.0])
+
+
+LSC_BARRIERS = {
+    "dip": np.array([3.0, 1.0, 2.0]),
+    "inf-nodes": np.array([0.0, np.inf, 1.0, np.inf, np.inf, 2.0, 0.5, np.inf, 0.0]),
+    "spike": np.array([np.inf, 0.3, np.inf, np.inf, 0.0, np.inf]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LSC_BARRIERS))
+def test_value_at_is_lower_semicontinuous_on_the_grid(name):
+    # {t >= R} is closed: no node reads above the cells next to it on the
+    # grid (off the grid R = 0, so an end node is checked on its inner side)
+    R = LSC_BARRIERS[name]
+    x = np.linspace(0.0, 1.0, len(R))
+    b = br.Barrier(x=x, R=R, horizon=4.0)
+    at = b.value_at(x)
+    assert np.array_equal(at, R)
+    assert np.all(at[1:] <= b.value_at(np.nextafter(x[1:], -np.inf)))
+    assert np.all(at[:-1] <= b.value_at(np.nextafter(x[:-1], np.inf)))
 
 
 FREE_SECTION_BARRIERS = {
@@ -96,24 +114,25 @@ FREE_SECTION_BARRIERS = {
 @pytest.mark.parametrize("name", sorted(FREE_SECTION_BARRIERS))
 def test_free_section_matches_the_cell_lookup(name):
     # the per-step free-section test makes exactly the decision of a lookup
-    # of the cell a state falls in, for the floor and for the ceil cells
+    # of the cell a state falls in, each cell at the max of its two nodes
     x = np.linspace(-1.0, 1.0, 11)
     R = FREE_SECTION_BARRIERS[name]
     b = br.Barrier(x=x, R=R, horizon=4.0)
     rng = np.random.default_rng(3)
     states = np.concatenate((rng.uniform(-1.5, 1.5, 2000), x, np.nextafter(x, np.inf), [-3.0, 3.0],
                              np.nextafter(x, -np.inf), [-np.inf, np.inf, np.nan]))
+    cells = np.concatenate(([0.0], np.maximum(R[:-1], R[1:]), [0.0]))
+    finite = cells[np.isfinite(cells) & (cells > 0)]
     most = 0
-    for conservative, pick in ((True, np.minimum), (False, np.maximum)):
-        cells = np.concatenate(([0.0], pick(R[:-1], R[1:]), [0.0]))
-        finite = cells[np.isfinite(cells) & (cells > 0)]
-        times = np.unique(np.concatenate((finite, finite + 0.25, [1e-3, 10.0])))
-        for t in times:
-            edges = b.free_edges(t, conservative)
-            assert len(edges) % 2 == 0 and np.all(np.diff(edges) > 0)
-            most = max(most, len(edges))
-            ref = t >= cells[np.searchsorted(x, states, side="right")]
-            assert np.array_equal(b.stops(states, t, conservative), ref), (conservative, t)
+    for t in np.unique(np.concatenate((finite, finite + 0.25, [1e-3, 10.0]))):
+        edges = b.free_edges(t)
+        assert len(edges) % 2 == 0 and np.all(np.diff(edges) > 0)
+        most = max(most, len(edges))
+        ref = t >= cells[np.searchsorted(x, states, side="right")]
+        assert np.array_equal(b.stops(states, t), ref), t
+        assert np.array_equal(br.outside(edges, states), ref), t
+        # off the nodes, the value_at of one reading
+        assert np.array_equal(ref[:2000], t >= b.value_at(states[:2000])), t
     assert most == {"open-middle": 2, "all-zero": 0, "three-bumps": 6}[name]
 
 

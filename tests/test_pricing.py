@@ -247,6 +247,26 @@ def test_attaining_model_terminal_law_dense(dense_call_report):
     assert np.mean(batch.realized_variance) == pytest.approx(sv, rel=2e-2)
 
 
+def test_atoms_arm_when_the_first_node_around_them_closes(dense_call_report, two_atom_market):
+    # the dense quotes put every atom between two nodes: it arms at the
+    # smaller R of the two; the two-atom market snaps its atoms onto nodes,
+    # which arm at their own R
+    rep = dense_call_report
+    locs, arm = rep.attaining_model().spikes
+    x, R = rep.barrier.x, rep.barrier.R
+    j = np.searchsorted(x, locs)
+    assert np.array_equal(locs, rep.implied_measure.locations)
+    assert np.all((x[j - 1] < locs) & (locs < x[j]))
+    assert np.array_equal(arm, np.minimum(R[j - 1], R[j]))
+    assert np.any(R[j - 1] != R[j])
+    rep = pr.lower_bound(two_atom_market, opt.variance_call(0.05))
+    locs, arm = rep.attaining_model().spikes
+    on = np.searchsorted(rep.barrier.x, locs)
+    assert np.array_equal(rep.barrier.x[on], locs)
+    assert np.array_equal(arm, rep.barrier.R[on])
+    assert np.all(np.isfinite(arm))
+
+
 @pytest.mark.parametrize("kind", ["attaining", "piecewise"])
 def test_subhedge_marks_the_models_own_paths(two_atom_market, monkeypatch, kind):
     # the static leg is paid on exactly the terminal states simulate_price_model returns

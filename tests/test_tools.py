@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,31 @@ def test_bit_digest_reports_a_refused_case_and_goes_on(capsys, monkeypatch):
     ]
 
 
+def test_bit_digest_values_prints_the_largest_move_of_each_changed_result(tmp_path, capsys, monkeypatch):
+    # a second tree whose Brownian sigma reads 1.01: open-capped's M moves, its t does not
+    monkeypatch.setattr(sys, "path", list(sys.path))   # main() puts its --src first
+    tool = _load_tool("bit_digest")
+    other = tmp_path / "src"
+    shutil.copytree(Path(br.__file__).parent, other / "rootbarrier",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    obstacle = other / "rootbarrier" / "obstacle.py"
+    text = obstacle.read_text()
+    assert text.count("sigma=lambda x: 1.0,") == 1
+    obstacle.write_text(text.replace("sigma=lambda x: 1.0,", "sigma=lambda x: 1.01,"))
+    assert tool.main(["bit_digest.py", "--values", str(other), "open-capped"]) == 0
+    x = np.linspace(-2.0, 2.0, 201)
+    bar = br.Barrier(x=x, R=np.where(np.abs(x) < 1.0 - 1e-9, np.inf, 0.0), horizon=1.0)
+    ms = [opt.compute_M(diff, bar, opt.variance_call(0.3), x, nt=300).values
+          for diff in (ob.brownian(), ob.DiffusionSpec(sigma=lambda s: 1.01, dsigma=np.zeros_like))]
+    move = np.max(np.abs(ms[0] - ms[1]))
+    assert move > 0
+    assert capsys.readouterr().out.splitlines() == [f"{move:.3e}  open-capped.M"]
+    # the numbers of a result: entries, items and the numerals of a file's text
+    assert tool.max_delta(b"x,R\n0,inf\n1,2.5\n", b"x,R\n0,inf\n1,2.25\n") == "2.500e-01"
+    assert tool.max_delta([1.0, (np.nan, np.inf)], [1.5, (np.nan, np.inf)]) == "5.000e-01"
+    assert tool.max_delta(np.zeros(3), np.zeros(4)) == "3 vs 4 numbers"
+
+
 def test_rss_by_op_prints_each_operation_of_an_iteration():
     # in a process of its own, so the resident sizes are the workload's alone
     proc = subprocess.run([sys.executable, str(TOOLS / "rss_by_op.py"), "--workload", "price-atomic"],
@@ -140,6 +166,26 @@ def test_bench_record_records_a_workload_and_compares_it(tmp_path, monkeypatch):
     slow["workloads"]["price-atomic"]["metrics"]["run_s"]["median"] *= 1.3
     lines, worse = _load_tool("bench_record").compare(rec, slow)
     assert worse and [ln.split()[-1] for ln in lines if " run_s " in ln] == ["WORSE"]
+
+
+def test_bench_record_times_a_tier1_run(tmp_path, monkeypatch):
+    # one small test file stands in for the suite; no workload runs
+    monkeypatch.setattr(sys, "path", list(sys.path))     # the tool puts tools/ first
+    proc = subprocess.run([sys.executable, str(TOOLS / "bench_record.py"), "--tier1", "tests/test_exports.py",
+                           "--out-dir", str(tmp_path)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (path,) = tmp_path.glob("BENCH_*.json")
+    rec = json.loads(path.read_text())
+    assert rec["workloads"] == {}
+    run = rec["tier1"]
+    assert run["args"] == ["tests/test_exports.py"] and run["returncode"] == 0
+    assert re.fullmatch(r"\d+ passed in [\d.]+s", run["summary"])
+    assert run["wall_s"] > 0 and 1 <= len(run["durations"]) <= 10
+    assert all(sec >= 0 and phase in ("setup", "call", "teardown") and test.startswith("tests/test_exports.py::")
+               for sec, phase, test in run["durations"])
+    assert [d[0] for d in run["durations"]] == sorted((d[0] for d in run["durations"]), reverse=True)
+    lines, worse = _load_tool("bench_record").compare(rec, rec)
+    assert not worse and lines[-1].startswith(f"tier-1 wall: A {run['wall_s']:.1f} s ({run['summary']})")
 
 
 BRANCHY = '''def sign(x):

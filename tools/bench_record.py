@@ -1,6 +1,7 @@
 """Record benchmark runs of checkouts as BENCH_<short sha>.json, and compare two records.
 
     python3 tools/bench_record.py [--root DIR ...] [--workload NAME ...] [--k 5] [--seconds 35] [--out-dir DIR]
+    python3 tools/bench_record.py --tier1 [PYTEST_ARG ...] [--root DIR ...] [--workload NAME ...]
     python3 tools/bench_record.py --compare A.json B.json
 
 Recording runs `perfbench/run.py --workload W --seed s --seconds S --trace 0`
@@ -15,14 +16,24 @@ lines per module of its src/ (tools/code_lines.py), every run's line, and
 per end-to-end metric its values in seed order, median and quartiles.
 The workloads and metrics are those of this checkout's BENCHMARK.json.
 
+With --tier1, each checkout's record also holds one timed run of its
+tier-1 suite, `python -m pytest -q --continue-on-collection-errors -p
+no:cacheprovider --durations=10` with its src/ first on PYTHONPATH (the
+cache plugin off, so the run leaves no .pytest_cache), one checkout after
+the other: the wall time, the exit status, pytest's summary line and the
+ten slowest phases as [seconds, phase, test].  PYTEST_ARGs, if given,
+replace the suite's default paths (one test file, say).  With --tier1
+only the workloads named by --workload are run.
+
 Comparing applies the bound of each end-to-end metric in BENCHMARK.json
 to the medians of A and B, per workload: B is worse when it moves the
 wrong way by more than the bound, relative to A.  Where both records ran
 a seed it also counts the seeds on which B reads better.  It prints every
 `peak_rss_mb` reading of both, since that metric can jump between
-allocator modes for the same work.  Exit status 1 if any metric is worse
-beyond its bound, else 0.  Per-layer metrics (--trace 1) and the tier-1
-wall time are not recorded.
+allocator modes for the same work, and the tier-1 wall times of both
+where both hold one.  Exit status 1 if any metric is worse beyond its
+bound, else 0; the tier-1 time has no bound.  Per-layer metrics
+(--trace 1) are not recorded.
 """
 
 from __future__ import annotations
@@ -30,13 +41,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 600.0
+TIER1_TIMEOUT_S = 3600.0
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from code_lines import code_lines  # noqa: E402
@@ -76,6 +91,24 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return {"seed": seed, **json.loads(out[-1])}, machine
 
 
+def tier1(root: Path, pytest_args: list) -> dict:
+    """One timed tier-1 run of a checkout: wall time, exit status, summary and the ten slowest phases."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+           "--durations=10", *pytest_args]
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIER1_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"args": pytest_args, "error": f"timed out after {TIER1_TIMEOUT_S:.0f} s"}
+    wall = time.perf_counter() - t0
+    out = proc.stdout.strip().splitlines()
+    slowest = [[float(m[1]), m[2], m[3]] for m in map(re.compile(r"^([\d.]+)s (\w+)\s+(\S+)$").match, out) if m]
+    return {"args": pytest_args, "wall_s": wall, "returncode": proc.returncode,
+            "summary": out[-1].strip("= ") if out else proc.stderr.strip()[-500:], "durations": slowest}
+
+
 def quartiles(values: list) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"values": values, "median": med, "q1": q1, "q3": q3}
@@ -89,10 +122,18 @@ def summarize(runs: list) -> dict:
                         for m in names}}
 
 
-def record(roots: list, workloads: list, k: int, seconds: float) -> list:
-    """Run every workload k times on each root, alternating, and build one record per root."""
+def record(roots: list, workloads: list, k: int, seconds: float, tier1_args: list = None) -> list:
+    """Run every workload k times on each root, alternating, and build one record per root.
+
+    With tier1_args (a list, maybe empty) each root's tier-1 suite runs once first.
+    """
     recs = [{**checkout(r), "machine": "", "k": k, "seconds": seconds, "trace": 0,
              "workloads": {}} for r in roots]
+    if tier1_args is not None:
+        for root, rec in zip(roots, recs):
+            rec["tier1"] = tier1(root, tier1_args)
+            print(f"tier-1 {rec['sha'][:10]}: " + (rec["tier1"].get("error") or
+                  f"{rec['tier1']['wall_s']:.1f} s, {rec['tier1']['summary']}"), flush=True)
     for w in workloads:
         runs = [[] for _ in roots]
         for seed in range(1, k + 1):
@@ -147,6 +188,9 @@ def compare(a: dict, b: dict) -> tuple[list, bool]:
             rss = wr["metrics"].get("peak_rss_mb", {}).get("values", [])
             lines.append(f"{w:<14} {tag} peak_rss_mb readings: {' '.join(f'{v:.2f}' for v in rss)}"
                          + (f"; {failed} run(s) failed" if failed else ""))
+    if "wall_s" in a.get("tier1", {}) and "wall_s" in b.get("tier1", {}):
+        lines.append(f"tier-1 wall: A {a['tier1']['wall_s']:.1f} s ({a['tier1']['summary']}), "
+                     f"B {b['tier1']['wall_s']:.1f} s ({b['tier1']['summary']})")
     return lines, worse
 
 
@@ -158,17 +202,19 @@ def main(argv: list) -> int:
     ap.add_argument("--seconds", type=float, default=35.0, help="--seconds of each perfbench run")
     ap.add_argument("--out-dir", type=Path, default=ROOT, help="where the records are written")
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"), help="compare record B against A")
+    ap.add_argument("--tier1", nargs="*", metavar="PYTEST_ARG",
+                    help="also time each checkout's tier-1 suite (or these pytest arguments) once")
     args = ap.parse_args(argv[1:])
     if args.compare:
         lines, worse = compare(*(json.loads(p.read_text()) for p in args.compare))
         print("\n".join(lines))
         return 1 if worse else 0
     known = [w["name"] for w in spec()["workloads"]]
-    workloads = args.workload or known
+    workloads = args.workload or ([] if args.tier1 is not None else known)
     if set(workloads) - set(known) or args.k < 1:
         ap.error(f"choose workloads from {known} and k >= 1")
     roots = [r.resolve() for r in (args.root or [ROOT])]
-    for rec in record(roots, workloads, args.k, args.seconds):
+    for rec in record(roots, workloads, args.k, args.seconds, args.tier1):
         print(f"wrote {write(rec, args.out_dir)}")
     return 0
 

@@ -18,7 +18,7 @@ nonzero rate, and the files the CLI commands write, by their bytes.  A case that
 and the run goes on with the next case.
 
 Usage:
-    python3 tools/bit_digest.py [--src DIR] [CASE ...]
+    python3 tools/bit_digest.py [--src DIR] [--values OTHER] [CASE ...]
 
 DIR is the source tree `rootbarrier` is imported from (default: the
 `src` directory of this repository).  With no CASE every case runs;
@@ -28,12 +28,26 @@ Prints lines `<sha256>  <case>.<result>`.  To compare two trees:
     python3 tools/bit_digest.py --src A/src > a.txt
     python3 tools/bit_digest.py --src B/src > b.txt
     diff a.txt b.txt
+
+With --values OTHER, a second source tree, each case also runs in a
+subprocess that imports `rootbarrier` from OTHER, and only the results
+whose hashes differ are printed, as `<max |delta|>  <case>.<result>`:
+the largest absolute difference over every number the result holds (an
+array's entries, a list's items, the numerals of a file's text), or
+`<m> vs <n> numbers` when the two hold different counts, or `only in
+<tree>` for a result that one tree lacks.  Positions where both hold
+the same value, inf and NaN included, count as 0.  The subprocess runs
+a case while this process holds that case's results, so the peak is
+about twice that of a plain run.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import pickle
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -69,15 +83,49 @@ def _feed(h, value) -> None:
         h.update(a.tobytes())
 
 
-def lines(case: str, results: dict) -> list[str]:
-    """`<sha256>  <case>.<name>` per result; dicts spread over one line per key."""
-    out = []
+def leaves(case: str, results: dict) -> dict:
+    """`<case>.<name>` -> value per result; dicts spread over one entry per key."""
+    out = {}
     for name, value in results.items():
         if isinstance(value, dict):
-            out += lines(f"{case}.{name}", value)
+            out.update(leaves(f"{case}.{name}", value))
         else:
-            out.append(f"{digest(value)}  {case}.{name}")
+            out[f"{case}.{name}"] = value
     return out
+
+
+def lines(case: str, results: dict) -> list[str]:
+    """`<sha256>  <case>.<name>` per result; dicts spread over one line per key."""
+    return [f"{digest(value)}  {name}" for name, value in leaves(case, results).items()]
+
+
+_NUMERAL = re.compile(r"[-+]?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)", re.IGNORECASE)
+
+
+def numbers(value) -> np.ndarray:
+    """Every number a result holds, in order: an array's entries, a list's items, a text's numerals."""
+    if isinstance(value, dict):
+        return numbers([value[key] for key in sorted(value)])
+    if isinstance(value, (list, tuple)):
+        return np.concatenate([numbers(item) for item in value] + [np.empty(0)])
+    if isinstance(value, bytes):
+        value = value.decode(errors="replace")
+    if isinstance(value, str):
+        return np.array([float(m) for m in _NUMERAL.findall(value)])
+    if value is None:
+        return np.empty(0)
+    return np.asarray(value, dtype=float).ravel()
+
+
+def max_delta(a, b) -> str:
+    """The largest |a - b| over the numbers of two results, or why there is none."""
+    na, nb = numbers(a), numbers(b)
+    if na.shape != nb.shape or not len(na):
+        return f"{len(na)} vs {len(nb)} numbers"
+    with np.errstate(invalid="ignore"):     # inf - inf, where both hold inf
+        d = np.abs(na - nb)
+    d[(na == nb) | (np.isnan(na) & np.isnan(nb))] = 0.0
+    return f"{d.max():.3e}"
 
 
 # -- the cases ------------------------------------------------------------------
@@ -325,9 +373,45 @@ CASES = {
 }
 
 
+def run_case(case: str) -> dict:
+    """The case's results by line name; a case that raises has one, `<case>.error`, its message."""
+    try:
+        return leaves(case, CASES[case]())
+    except Exception as exc:
+        return {f"{case}.error": f"{type(exc).__name__}: {exc}"}
+
+
+def save_differing(mine: dict, tmp: Path) -> None:
+    """Write every result's name to tmp/values.pkl, with its value where its hash is not in tmp/digests.pkl."""
+    theirs = pickle.loads((tmp / "digests.pkl").read_bytes())
+    (tmp / "values.pkl").write_bytes(pickle.dumps(
+        {n: None if theirs.get(n) == digest(v) else v for n, v in mine.items()}))
+
+
+def value_lines(case: str, mine: dict, src: str, other: str) -> list[str]:
+    """`<max |delta|>  <name>` for each result of the case that the tree `other` computes otherwise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "digests.pkl").write_bytes(pickle.dumps({n: digest(v) for n, v in mine.items()}))
+        proc = subprocess.run([sys.executable, __file__, "--src", other, "--save", tmp, case],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"case {case} under {other} failed: {proc.stderr.strip()[-500:]}")
+        theirs = pickle.loads((Path(tmp) / "values.pkl").read_bytes())
+    out = [f"only in {other}  {n}" for n in theirs if n not in mine]
+    for name, value in mine.items():
+        if name not in theirs:
+            out.append(f"only in {src}  {name}")
+        elif theirs[name] is not None:
+            out.append(f"{max_delta(value, theirs[name])}  {name}")
+    return out
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    ap.add_argument("--values", metavar="OTHER", help="print each differing result's max |delta| against this tree")
+    # the subprocess of --values: save the results whose hashes differ from those in DIR
+    ap.add_argument("--save", metavar="DIR", help=argparse.SUPPRESS)
     ap.add_argument("cases", nargs="*", metavar="CASE", help=", ".join(CASES))
     args = ap.parse_args(argv[1:])
     unknown = set(args.cases) - set(CASES)
@@ -335,11 +419,14 @@ def main(argv: list[str]) -> int:
         ap.error(f"unknown case(s) {sorted(unknown)}; choose from {list(CASES)}")
     sys.path.insert(0, args.src)
     for case in args.cases or CASES:
-        try:
-            out = lines(case, CASES[case]())
-        except Exception as exc:
-            out = [f"{digest(f'{type(exc).__name__}: {exc}')}  {case}.error"]
-        print("\n".join(out), flush=True)
+        mine = run_case(case)
+        if args.save:
+            save_differing(mine, Path(args.save))
+            continue
+        out = value_lines(case, mine, args.src, args.values) if args.values else \
+            [f"{digest(v)}  {n}" for n, v in mine.items()]
+        if out:
+            print("\n".join(out), flush=True)
     return 0
 
 
