@@ -76,13 +76,14 @@ class Barrier:
     two values: a cell closes when both of its nodes have closed.  The
     closed region {(x, t): t >= R(x)} is then the union of the closed
     node lines and cells, so R is lower semi-continuous (a node never
-    reads above its cells).  A finite node between two never-stopping
-    ones is a vertical line of zero width, which only an explicit
-    crossing test (the spikes of simulate.PriceModel) can hit.  Outside
-    the grid R = 0 (immediate stopping).  x and R are 1-D arrays of one
-    length, with at least one node; the nodes must be finite and R
-    nonnegative; R = +inf (never stop) is allowed, NaN is not.
-    The horizon, the default end of a path batch, is finite and nonnegative.
+    reads above its cells).  A node that closes while both its cells are
+    free (an atom of a discrete target, between never-stopping nodes) is
+    a closed line of zero width inside the free section, which a path
+    stops on only by crossing it.  Outside the grid R = 0 (immediate
+    stopping).  x and R are 1-D arrays of one length, with at least one
+    node; the nodes must be finite and R nonnegative; R = +inf (never
+    stop) is allowed, NaN is not.  The horizon, the default end of a path
+    batch, is finite and nonnegative.
 
     value_at looks R up per state.  A path loop instead asks, once per
     step, for the free section {x : R(x) > t} as sorted interval edges
@@ -110,8 +111,7 @@ class Barrier:
         # cell-wise maxima padded with the off-grid value 0 and indexed by
         # the number of nodes at or below a state, so a lookup is one
         # GridIndex call plus one gather; cell j covers [x_{j-1}, x_j)
-        cells = np.maximum(self.R[:-1], self.R[1:])
-        object.__setattr__(self, "_cells", np.concatenate(([0.0], cells, [0.0])))
+        object.__setattr__(self, "_cells", np.concatenate(([0.0], np.maximum(self.R[:-1], self.R[1:]), [0.0])))
 
     def value_at(self, states: np.ndarray) -> np.ndarray:
         """R at arbitrary states: exact on nodes, the max of the two neighbours between."""
@@ -127,11 +127,13 @@ class Barrier:
         R is read cell-wise as in value_at between nodes; cells off the
         grid hold 0, so the section is a union of intervals [e_0, e_1),
         [e_2, e_3), ... bounded by nodes, and there is an even number of
-        edges.  It shrinks as t grows: it is the continuation region of the
-        time-t slice.
+        edges.  A closed node between two free cells is an edge twice, so
+        that two intervals meet at it: a path that moves from one to the
+        other crossed it.  The section shrinks as t grows: it is the
+        continuation region of the time-t slice.
         """
         free = self._cells > t
-        return self.x[np.flatnonzero(free[1:] != free[:-1])]
+        return np.repeat(self.x, (free[1:] != free[:-1]) + 2 * ((self.R <= t) & free[:-1] & free[1:]))
 
     def stops(self, states: np.ndarray, t: float) -> np.ndarray:
         """t >= R(X) at a time t > 0 for every state, off the free section's edges.
@@ -141,6 +143,11 @@ class Barrier:
         outside for the cost.
         """
         return outside(self.free_edges(t), states)
+
+    def _first_close(self, states: np.ndarray) -> np.ndarray:
+        """When the first node around each state closes: R on a node, the smaller of two between, 0 off the grid."""
+        R = np.append(self.R, 0.0)      # index -1 (below the grid) and len(x) (above) read 0
+        return np.minimum(R[self._index(states) - 1], R[np.searchsorted(self.x, states)])
 
 
 def outside(edges: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -152,8 +159,7 @@ def outside(edges: np.ndarray, states: np.ndarray) -> np.ndarray:
     s = np.asarray(states, dtype=float)
     if len(edges) == 2:
         inside = s >= edges[0]
-        inside &= s < edges[1]
-        return ~inside
+        return ~np.logical_and(inside, s < edges[1], out=inside)
     if len(edges) == 0:
         return np.ones(s.shape, dtype=bool)
     # inside iff an odd number of edges lie at or below the state

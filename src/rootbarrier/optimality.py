@@ -547,7 +547,7 @@ class _LadderSnapshots:
     """
 
     def __init__(self, barrier: Barrier, sigma, ladder: list):
-        self.rule, self.ladder, self.snaps = sim._TimeBarrier(barrier, sigma=sigma), ladder, {}
+        self.rule, self.ladder, self.snaps = sim._TimeBarrier(barrier, sigma), ladder, {}
 
     def start(self, x0, n_steps, dt):
         self.targets = {int(round(tv / dt)): tv for tv in self.ladder}

@@ -103,15 +103,12 @@ class HedgeReport:
         node, at the smaller R of the two nodes that bracket it between
         nodes, and at 0 off the grid.
         """
-        mu, b = self.implied_measure, self.barrier
-        # R padded with the off-grid 0, at the last node at or below each atom and the first at or above
-        R = np.concatenate(([0.0], b.R, [0.0]))
-        arm = np.minimum(R[np.searchsorted(b.x, mu.locations, side="right")],
-                         R[np.searchsorted(b.x, mu.locations) + 1])
+        mu = self.implied_measure
+        arm = self.barrier._first_close(mu.locations)
         return sim.PriceModel(
             kind="time-change-to-barrier", s0=self.market.spot,
             maturity=self.market.maturity, rate=0.0,
-            barrier=b, spikes=(mu.locations, arm),
+            barrier=self.barrier, spikes=(mu.locations, arm),
         )
 
     def to_json_dict(self) -> dict:

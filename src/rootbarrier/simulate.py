@@ -60,7 +60,7 @@ from scipy.special import erfc, erfcinv, expit
 
 from .measures import Measure
 from .barrier import Barrier, outside
-from .obstacle import DiffusionSpec
+from .obstacle import DiffusionSpec, geometric_brownian
 
 __all__ = [
     "PathBatch",
@@ -335,7 +335,11 @@ class _TimeBarrier:
     Without spikes, each edge e first moves into its interval by _BGK
     sigma(e) sqrt(dt), sigma the diffusion coefficient of the paths, and
     an interval that closes is dropped (the continuity correction of
-    Broadie, Glasserman & Kou 1997).  With spikes (locations, arming
+    Broadie, Glasserman & Kou 1997); a path also stops when its new state
+    lies in another interval than its old one, since it crossed the
+    closed set between them.  That is how a path stops at a closed node
+    of zero width (an interior atom), whose shifted edges leave a gap
+    2 _BGK sigma sqrt(dt) wide.  With spikes (locations, arming
     times), the edges stay where they are, and paths also stop where the
     bridge test sees an armed spike touched between samples, at the
     spike.  The log states of the running paths are carried from step to
@@ -353,10 +357,10 @@ class _TimeBarrier:
     spike_path_steps counts the path steps sent to the test.
     """
 
-    def __init__(self, barrier: Barrier, spikes: Optional[tuple] = None, sigma=None):
-        # sigma, the paths' diffusion coefficient, is read only without spikes
-        self.barrier, self.spikes, self.sigma = barrier, spikes, sigma
-        self.draws = spikes is not None     # the spike test draws uniforms after the normals
+    def __init__(self, barrier: Barrier, sigma, spikes: Optional[tuple] = None):
+        # sigma, the paths' diffusion coefficient, is read only without spikes;
+        # the spike test draws uniforms after the normals
+        self.barrier, self.sigma, self.spikes, self.draws = barrier, sigma, spikes, spikes is not None
 
     def start(self, x0):
         # starts already inside the barrier stop at once (closed, regular set)
@@ -400,7 +404,13 @@ class _TimeBarrier:
         if self.spikes is None:
             e = self.barrier.free_edges(t).reshape(-1, 2)
             e = e + np.multiply([1.0, -1.0], _BGK * math.sqrt(s.dt) * self.sigma(e))
-            return outside(e[e[:, 0] < e[:, 1]].ravel(), s.x_new)
+            e = e[e[:, 0] < e[:, 1]].ravel()
+            if len(e) <= 2:
+                return outside(e, s.x_new)
+            # odd counts of edges at or below a state are the intervals; a path
+            # that left its old state's interval crossed the closed set between
+            new, old = (np.searchsorted(e, x, side="right") for x in (s.x_new, s.x_old))
+            return (new & 1 == 0) | (old & 1 == 1) & (old != new)
         hit = self.barrier.stops(s.x_new, t)
         at = self.spikes[0]
         l_new = np.log(s.x_new)
@@ -411,9 +421,8 @@ class _TimeBarrier:
             sp_hit, which = spike_crossings(s.x_old[near], self.l_x[near], l_new[near], t, s.dt,
                                             at, self.l_spike, self.arm, u[near])
             # the spike is touched en route, before the endpoint region
-            sp = near[sp_hit]
-            s.x_new[sp] = at[which[sp_hit]]
-            hit[sp] = True
+            s.x_new[near[sp_hit]] = at[which[sp_hit]]
+            hit[near[sp_hit]] = True
         self.l_x, self.g_x = l_new[~hit], self.g_x[~hit]
         return hit
 
@@ -452,7 +461,7 @@ def simulate_stopped(
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
     w = _walk(n, dt, seed, lambda dt: _steps_to(horizon, dt), lambda g: nu.sample(n, g),
-              _diffusion_move(diff), _TimeBarrier(barrier, sigma=diff.sigma))
+              _diffusion_move(diff), _TimeBarrier(barrier, diff.sigma))
     return PathBatch(
         n=n, dt=dt, horizon=float(w.n_steps * dt), seed=seed,
         stop_times=w.stop_times, stopped_values=w.stopped_values,
@@ -499,8 +508,8 @@ def _price_batch(model: PriceModel, n: int, dt: float, seed: int,
         if b is None:
             raise ValueError("time-change model needs a barrier")
         steps = lambda dt: _steps_to(b.horizon, dt)
-        # the variance clock runs dS = S dW: sigma(x) = x
-        move, stop = _geometric(), _TimeBarrier(b, model.spikes, lambda x: x)
+        # the variance clock runs dS = S dW
+        move, stop = _geometric(), _TimeBarrier(b, geometric_brownian().sigma, model.spikes)
     else:
         raise ValueError(f"unknown price model kind {model.kind!r}")
     w = _walk(n, dt, seed, steps, lambda g: np.full(n, float(model.s0)), move, stop, (*before, rv))

@@ -106,7 +106,8 @@ FREE_SECTION_BARRIERS = {
                             1.0 - np.abs(np.linspace(-1.0, 1.0, 11))),
     # stops everywhere at once: no edges at any t > 0
     "all-zero": np.zeros(11),
-    # three bumps (and an inf node): up to three intervals, six edges
+    # three bumps (and an inf node): up to three intervals, six edges; the
+    # dips at R = 0 are closed nodes between free cells until t = 0.5
     "three-bumps": np.array([0.0, 1.0, 2.0, 0.0, 0.5, np.inf, 0.5, 0.0, 3.0, 1.5, 0.0]),
 }
 
@@ -114,7 +115,8 @@ FREE_SECTION_BARRIERS = {
 @pytest.mark.parametrize("name", sorted(FREE_SECTION_BARRIERS))
 def test_free_section_matches_the_cell_lookup(name):
     # the per-step free-section test makes exactly the decision of a lookup
-    # of the cell a state falls in, each cell at the max of its two nodes
+    # of the cell a state falls in, each cell at the max of its two nodes;
+    # a closed node between two free cells is an edge twice
     x = np.linspace(-1.0, 1.0, 11)
     R = FREE_SECTION_BARRIERS[name]
     b = br.Barrier(x=x, R=R, horizon=4.0)
@@ -126,7 +128,9 @@ def test_free_section_matches_the_cell_lookup(name):
     most = 0
     for t in np.unique(np.concatenate((finite, finite + 0.25, [1e-3, 10.0]))):
         edges = b.free_edges(t)
-        assert len(edges) % 2 == 0 and np.all(np.diff(edges) > 0)
+        assert len(edges) % 2 == 0 and np.all(np.diff(edges) >= 0)
+        hole = (R <= t) & (cells[:-1] > t) & (cells[1:] > t)
+        assert np.array_equal(edges[1:][np.diff(edges) == 0], x[hole]), t
         most = max(most, len(edges))
         ref = t >= cells[np.searchsorted(x, states, side="right")]
         assert np.array_equal(b.stops(states, t), ref), t

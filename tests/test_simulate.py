@@ -142,6 +142,27 @@ def test_continuity_correction_removes_the_lateness_of_sampled_stops():
     assert batch.horizon_mass == 0.0
 
 
+def test_plain_batch_stops_at_an_interior_atom():
+    # delta_0 -> atoms at -1, 0.5 and 2: R is +inf between the atoms, so the
+    # barrier at 0.5 is one closed node between two free cells, a level
+    # that a path stops on only by crossing it between samples
+    mu = ms.atoms([-1.0, 0.5, 2.0], [5 / 12, 1 / 2, 1 / 12])
+    cfg = ob.SolverConfig(x_lo=-3, x_hi=4, nx=401, horizon=2.0, nt=400)
+    b = br.extract_barrier(ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), mu, cfg)))
+    inner = (b.x > -1 + 1e-9) & (b.x < 2 - 1e-9)
+    assert np.count_nonzero(np.isfinite(b.R[inner])) == 1 and 0 < b.value_at(np.array([0.5]))[0] < 1
+    n, dt = 20_000, 2e-3
+    batch = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), b, n=n, dt=dt, seed=1, horizon=30.0)
+    assert batch.horizon_mass == 0.0
+    for atom, w in zip(mu.locations, mu.weights):
+        share = np.mean(np.abs(batch.stopped_values - atom) <= 4 * np.sqrt(dt))
+        assert abs(share - w) <= 3 * np.sqrt(w * (1 - w) / n) + 0.005, atom
+    # E tau = E X_tau^2 = 7 / 8; stopping anywhere in the two cells around
+    # the atom once it closed read 0.907
+    mean, se = sim._mean_se(batch.stop_times)
+    assert abs(mean - 7 / 8) <= 0.01 + 3 * se
+
+
 def test_uniform_integrability_proxy(unit_time_batch):
     # E X_{t ^ tau} stays at the target mean for every checkpoint
     b = br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([1.0, 1.0]), horizon=2.0)
@@ -492,7 +513,7 @@ def spike_inputs(at, dt, n=4000, seed=0):
 def near_and_full(at, arm, t, dt, seed):
     """_TimeBarrier's near set for spike_inputs, and spike_crossings over every path and over that set."""
     x_old, l_old, l_new, u = spike_inputs(at, dt, seed=seed)
-    tb = sim._TimeBarrier(OPEN_BARRIER, (at, arm))
+    tb = sim._TimeBarrier(OPEN_BARRIER, ob.geometric_brownian().sigma, (at, arm))
     assert tb.start(x_old).all()
     near = tb._near(t, dt, l_new, u)
     full = sim.spike_crossings(x_old, l_old, l_new, t, dt, at, tb.l_spike, tb.arm, u)
@@ -535,7 +556,7 @@ def test_spike_cull_sends_every_possible_hit(case, seed):
 
 def test_spike_zones_are_rebuilt_as_spikes_arm():
     at, arm, t, dt = SPIKE_SETS["mixed"]
-    tb = sim._TimeBarrier(OPEN_BARRIER, (at, arm))
+    tb = sim._TimeBarrier(OPEN_BARRIER, ob.geometric_brownian().sigma, (at, arm))
     tb.start(np.ones(3))
     m = np.sqrt(sim._SPIKE_ZONE * dt)
     l_at, step = np.log(at), (np.zeros(3), np.full(3, 0.5))     # new log states and uniforms
