@@ -98,7 +98,14 @@ def cmd_verify_embed(args) -> int:
     nu = measures.load_measure(args.nu)
     mu = measures.load_measure(args.mu)
     diff = _diffusion(args.sigma)
-    bar = load_barrier(args.barrier)
+    # the paths run to the horizon the barrier was solved for, which
+    # solve-barrier writes beside the CSV; without it, to the largest finite R
+    meta = os.path.join(os.path.dirname(args.barrier), "barrier_meta.json")
+    horizon = None
+    if os.path.exists(meta):
+        with open(meta) as fh:
+            horizon = json.load(fh).get("horizon")
+    bar = load_barrier(args.barrier, horizon)
     batch = sim.simulate_stopped(diff, nu, bar, n=args.n, dt=args.dt, seed=args.seed)
     ks = sim.ks_statistic(batch.stopped_values, mu.cdf)
     crit = sim.ks_critical_value(args.n, 0.01)
@@ -274,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--nu", required=True)
     ve.add_argument("--mu", required=True)
     ve.add_argument("--sigma", default="bm")
-    ve.add_argument("--barrier", required=True, help="barrier CSV from solve-barrier")
+    ve.add_argument("--barrier", required=True,
+                    help="barrier CSV from solve-barrier; the paths run to the horizon of the "
+                         "barrier_meta.json beside it, if there is one")
     ve.add_argument("--n", type=int, default=100_000)
     ve.add_argument("--dt", type=float, default=1e-3)
     ve.add_argument("--dump-paths", action="store_true",

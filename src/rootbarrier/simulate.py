@@ -8,25 +8,38 @@ the number of paths for million-path runs; X_{t ^ tau} at a time t is the
 batch stopped at the horizon t.
 
 Step k draws from the counter-based generator step_rng(seed, k), one
-normal per running path in path order, so a draw belongs to a path's
-rank among the paths still running, not to the path.  Step 0 draws the
-start states, in amounts that depend on n.  A batch is therefore
-bit-identical for a fixed (seed, n), but a slice of its paths run on its
-own gets other draws; streams keyed so that a batch can be split are
-ROADMAP.md item 11.
+normal per path that it moves: the running paths in their order, then
+the paths that land from a park (below) in the order in which they
+parked.  So a draw belongs to a path's rank among the paths moved at
+that step, not to the path.  Step 0 draws the start states, in amounts
+that depend on n.  A batch is therefore bit-identical for a fixed
+(seed, n), but a slice of its paths run on its own gets other draws;
+streams keyed so that a batch can be split are ROADMAP.md item 11.
+
+A plain Brownian batch skips the steps of the paths far from the
+barrier.  Root's closed set only grows in time, so a path at step k
+that lies deep enough inside its interval of the free section at step
+k + p (the margin of _PARK_MARGIN) leaves it at one of the samples in
+between with probability below 2^-53.  The path then parks: it is
+neither drawn nor tested until step k + p, and there draws one normal
+of variance p dt.  Parks last _PARK_BASE 2^j steps and start at the
+steps they divide.  A step that moves no path builds no generator.  Geometric batches (whose log
+walk drifts), spiked batches and batches with observers draw every
+step.
 
 While step k runs, the normals of steps k + 1 and k + 2 may be drawn
 ahead on two worker threads, whose fills release the GIL and so run on
 other cores: step k submits step k + 2's fill, one normal per path
-running at step k, into one of three buffers that the walk allocates
-once.  Step j reads the prefix it needs, as long as the paths it runs.
-A generator's first m normals do not depend on how many it draws, so the
-bits are those of drawing exactly m, on any number of cores; the cost is
-at most two unused normals per path, for the paths that stop at step
-j - 1 or j - 2.  The draw ahead is taken only when the stopping rule
-draws nothing after the normals (its `draws` is False; otherwise the
-extra normals would move its uniforms) and at least _PREFETCH_MIN paths
-are running.
+drawn at step k or landing by step k + 2, into one of three buffers
+that the walk allocates once.  Step j reads the prefix it needs, as
+long as the paths it moves.  A generator's first m normals do not
+depend on how many it draws, so the bits are those of drawing exactly
+m, on any number of cores; the cost is at most two unused normals per
+path, for the paths that stop at step j - 1 or j - 2.  The draw ahead
+is taken only when the stopping rule draws nothing after the normals
+(its `draws` is False; otherwise the extra normals would move its
+uniforms) and at least _PREFETCH_MIN paths are drawn at step k, and not
+across a step at which paths may park, whose parked paths read none.
 
 Stopping against a barrier is a check of t >= R(X_t) at every sample.
 At the sample time t_k the check asks only whether X lies in the
@@ -169,33 +182,44 @@ class _WalkResult(NamedTuple):
     stopped_values: np.ndarray
     horizon_mass: float
     n_steps: int
+    path_steps: int         # steps of the paths that ran, each counted until the path stopped
+    normals: int            # normals the steps read, one per path drawn at a step
 
 
 class _Normals:
     """Each step's generator and normals, the next two steps' drawn ahead on pool for big batches."""
 
-    def __init__(self, seed: int, n_steps: int, pool: Optional[ThreadPoolExecutor]):
-        self.seed, self.n_steps, self.pool = seed, n_steps, pool
+    def __init__(self, seed: int, n_steps: int, n: int, pool: Optional[ThreadPoolExecutor]):
+        self.seed, self.n_steps, self.n, self.pool = seed, n_steps, n, pool
         self.bufs = None
         self.pending = {}       # step -> (generator, fill, buffer)
 
-    def draw(self, k: int, m: int) -> tuple[np.random.Generator, np.ndarray]:
-        """Step k's generator and its first m normals, for m running paths."""
+    def draw(self, k: int, m: int, ahead) -> tuple[Optional[np.random.Generator], Optional[np.ndarray]]:
+        """Step k's generator and its first m normals, for the m paths drawn at step k.
+
+        A step that draws nothing gets (None, None) and builds no
+        generator, but waits for a fill drawn ahead for it.  ahead(j)
+        bounds the normals that step j > k can read, or is 0 to leave step
+        j to draw for itself.
+        """
+        g = z = None
         if k in self.pending:
             g, fill, buf = self.pending.pop(k)
             fill.result()
             z = buf[:m]
-        else:
+        elif m:
             g = step_rng(self.seed, k)
             z = g.standard_normal(m)
         if self.pool is not None and m >= _PREFETCH_MIN:
             if self.bufs is None:
-                self.bufs = (np.empty(m), np.empty(m), np.empty(m))
+                # a step draws each batch path at most once
+                self.bufs = (np.empty(self.n), np.empty(self.n), np.empty(self.n))
             for j in range(k + 1, min(k + 2, self.n_steps) + 1):
-                if j not in self.pending:
+                size = ahead(j)
+                if size and j not in self.pending:
                     buf = self.bufs[j % 3]      # z, if drawn ahead, is in bufs[k % 3]
                     g_j = step_rng(self.seed, j)    # on this thread: perfbench wraps step_rng
-                    self.pending[j] = (g_j, self.pool.submit(g_j.standard_normal, out=buf[:m]), buf)
+                    self.pending[j] = (g_j, self.pool.submit(g_j.standard_normal, out=buf[:size]), buf)
         return g, z
 
     def drain(self) -> None:
@@ -218,7 +242,7 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     n and dt are checked before any draw or allocation, so every entry
     point rejects them with the same ValueError.  start(g) returns the
     start states, drawn from the step-0 generator.  Step k draws one
-    standard normal per running path from step_rng(seed, k) and moves the
+    standard normal per path it moves from step_rng(seed, k) and moves the
     paths with move(x, z, k, dt), which returns the new states and, for a
     geometric step, the log returns.  The stopping rule (None or a
     _TimeBarrier) names the paths running at time 0 through
@@ -231,15 +255,29 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     Paths still running at the end keep the last step time as a sentinel
     stopping time and make up the horizon mass.
 
+    A walk with no observers whose stopping rule parks paths (its `parks`
+    is True: a plain Brownian batch) moves only the paths near the
+    barrier at each step.  At every step k that _PARK_BASE divides (k = 0
+    included), stop.park gives each path still running the steps p it may
+    skip; such a path is parked, neither drawn, moved nor tested, until
+    step k + p, where it draws one normal, scaled by sqrt(p), and joins
+    that step's test with its parked state as x_old.  Each step's normals
+    go to the paths moving on in their order and then to the paths
+    landing, in the order in which they were parked; a step that moves no
+    path builds no generator.
+
     When the stopping rule draws nothing after the normals and at least
-    _PREFETCH_MIN paths are running, step k builds step_rng(seed, k + 2)
-    (and step_rng(seed, k + 1), if that is not yet in flight) on this
-    thread and has one of two worker threads fill one of three buffers
-    with one normal per running path, while step k moves, stops, observes
-    and compacts; step k + 2 takes the prefix of its length.  The draws,
-    and so the bits, are the same as without it.  Draws that no step
-    reads, because the paths ran out, are awaited and dropped, and the
-    workers are joined before the walk returns.
+    _PREFETCH_MIN paths are drawn at step k, step k builds
+    step_rng(seed, k + 2) (and step_rng(seed, k + 1), if that is not yet
+    in flight) on this thread and has one of two worker threads fill one
+    of three buffers with as many normals as that step can read: one per
+    path drawn at step k and per path landing by then.  This runs while
+    step k moves, stops, observes and compacts; step k + 2 takes the
+    prefix of its length.  Steps after a step that may park paths are not
+    drawn ahead from before it, since the paths that park would not read
+    their normals.  The draws, and so the bits, are the same as without
+    it.  Draws that no step reads, because the paths ran out, are awaited
+    and dropped, and the workers are joined before the walk returns.
     """
     _check_paths(n, dt)
     n_steps = steps(dt)
@@ -252,15 +290,38 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     val = x0.copy()
     ids = np.flatnonzero(live)
     x = x0[ids]     # the hot loop works on compacted state, not full-size fancy indexing
-    k = 0
+    may_park = stop is not None and getattr(stop, "parks", False) and not observers
+    parked = {}     # landing step -> [(batch indices, parked states, steps parked)] in park order
+    if may_park:
+        ids, x = _park(stop, parked, ids, x, 0, dt, n_steps)
+
+    def ahead(j):
+        # normals that step j can read, seen from step k, which draws m
+        if may_park and stop.parks and any(i % _PARK_BASE == 0 for i in range(k, j)):
+            return 0
+        return m + sum(len(c[0]) for i in range(k + 1, j + 1) for c in parked.get(i, ()))
+
+    k = drawn = 0
     # the pool starts its threads at the first draw ahead; leaving the block joins them
     with ThreadPoolExecutor(max_workers=2) as pool:
-        normals = _Normals(seed, n_steps, pool if stop is None or not stop.draws else None)
-        while k < n_steps and len(ids):
+        normals = _Normals(seed, n_steps, n, pool if stop is None or not stop.draws else None)
+        while k < n_steps and (len(ids) or parked):
             k += 1
-            g, z = normals.draw(k, len(ids))
+            landing = parked.pop(k, ())
+            moving = len(ids)
+            if landing:
+                ids = np.concatenate([ids, *(c[0] for c in landing)])
+                x = np.concatenate([x, *(c[1] for c in landing)])
+            m = len(ids)
+            g, z = normals.draw(k, m, ahead)
+            if not m:
+                continue
+            drawn += m
+            for c_ids, _, p in landing:
+                z[moving:moving + len(c_ids)] *= math.sqrt(p)
+                moving += len(c_ids)
             x_new, dlog = move(x, z, k, dt)
-            s = _Step(k, dt, ids if len(ids) < n else slice(None), x, x_new, dlog, g)
+            s = _Step(k, dt, ids if len(ids) < n or may_park else slice(None), x, x_new, dlog, g)
             hit = None if stop is None else stop(s)
             for obs in observers:
                 obs(s)
@@ -269,9 +330,35 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
                 val[ids[hit]] = x_new[hit]
                 x_new, ids = x_new[~hit], ids[~hit]
             x = x_new
+            if may_park and k % _PARK_BASE == 0 and stop.parks:
+                ids, x = _park(stop, parked, ids, x, k, dt, n_steps)
         normals.drain()
     val[ids] = x    # horizon sentinel paths keep their current state
-    return _WalkResult(tau, val, len(ids) / n if stop is not None else 0.0, n_steps)
+    return _WalkResult(tau, val, len(ids) / n if stop is not None else 0.0, n_steps,
+                       int(np.rint(tau / dt).sum()), drawn)
+
+
+def _deep_inside(edges: np.ndarray, states: np.ndarray, r: float) -> np.ndarray:
+    """Whether each state lies r or more inside one of the intervals [e_0, e_1), [e_2, e_3), ...
+
+    No edge then lies within r of the state, and an odd number lie below it.
+    """
+    if len(edges) == 2:
+        return np.minimum(states - edges[0], edges[1] - states) >= r
+    below = np.searchsorted(edges, states - r, side="right")
+    return (below == np.searchsorted(edges, states + r, side="left")) & ((below & 1) == 1)
+
+
+def _park(stop, parked: dict, ids: np.ndarray, x: np.ndarray, k: int, dt: float, n_steps: int):
+    """Park the paths that stop.park lets skip steps after step k; return the others."""
+    chunks = stop.park(x, k, dt, n_steps)
+    if not chunks:
+        return ids, x
+    stay = np.ones(len(x), dtype=bool)
+    for steps, i in chunks:
+        parked.setdefault(k + steps, []).append((ids[i], x[i], steps))
+        stay[i] = False
+    return ids[stay], x[stay]
 
 
 def _divides(dt: float, horizon: float) -> bool:
@@ -325,6 +412,26 @@ _SPIKE_ZONE = 25.0
 # watches each free-section edge moved toward the paths by as much.
 _BGK = 0.5826
 
+# The margin of a parked path, in units of sigma^2 times its park: a path
+# parks for p steps only if its distance d to the edges of its own
+# interval of the shifted free section at the park's end has d^2 >=
+# _PARK_MARGIN p sigma^2 dt.  Root's closed set only grows in time, so
+# that interval lies inside the path's interval at every step of the park;
+# by Levy's inequality and the Gaussian tail the path leaves it at some
+# sample with probability at most 2 exp(-d^2 / (2 p sigma^2 dt)) <=
+# 2 e^-37.5 = 1.04e-16 < 2^-53, and its p steps then have the law of one
+# normal step of variance p dt, to round-off (the walk on moving spheres
+# of Deaconu & Herrmann 2013).  Like _SPIKE_ZONE, it is not a setting.
+_PARK_MARGIN = 75.0
+
+# The shortest park, in steps: a path parks at a step k that it divides,
+# for the largest p = _PARK_BASE 2^j that divides k.  Timed on the
+# 6e5-path parabola round trip at dt 1e-2 with a numpy model of the walk
+# on a 2-core Xeon: a base of 1, 2 or 4 took 5.7, 3.8 and 3.0 s against
+# 2.8 s for the walk that parks nothing, while a base of 8 parks no path
+# there (it would need d >= 2.45 in a section at most 5 wide).
+_PARK_BASE = 8
+
 
 class _TimeBarrier:
     """Stop at the first sample with t >= R(X_t), corrected for the time between samples.
@@ -357,10 +464,13 @@ class _TimeBarrier:
     spike_path_steps counts the path steps sent to the test.
     """
 
-    def __init__(self, barrier: Barrier, sigma, spikes: Optional[tuple] = None):
+    def __init__(self, barrier: Barrier, sigma, spikes: Optional[tuple] = None, additive: bool = False):
         # sigma, the paths' diffusion coefficient, is read only without spikes;
         # the spike test draws uniforms after the normals
         self.barrier, self.sigma, self.spikes, self.draws = barrier, sigma, spikes, spikes is not None
+        # paths of an additive move with a constant sigma (a scalar, by
+        # DiffusionSpec's convention) may park, until the sections get too narrow
+        self.parks = additive and spikes is None and np.ndim(sigma(barrier.x)) == 0
 
     def start(self, x0):
         # starts already inside the barrier stop at once (closed, regular set)
@@ -399,12 +509,41 @@ class _TimeBarrier:
             self.g_x = g_new
         return np.flatnonzero(~far)
 
+    def _edges(self, t: float, dt: float) -> np.ndarray:
+        """Edges of the free section at t, each moved into its interval by _BGK sigma sqrt(dt)."""
+        e = self.barrier.free_edges(t).reshape(-1, 2)
+        e = e + np.multiply([1.0, -1.0], _BGK * math.sqrt(dt) * self.sigma(e))
+        return e[e[:, 0] < e[:, 1]].ravel()
+
+    def park(self, x: np.ndarray, k: int, dt: float, n_steps: int) -> list:
+        """(p, indices) for the states at step k that may skip p steps (see _PARK_MARGIN).
+
+        Each state parks for the largest p = _PARK_BASE 2^j that divides
+        k, ends by n_steps and keeps it r = sqrt(_PARK_MARGIN p dt) sigma
+        or more inside its interval of the shifted free section at step
+        k + p.  A state that fails for p fails for 2 p too, since the
+        sections shrink, so each longer park tests only the states that
+        passed the last.  Once no interval at step k + _PARK_BASE is 2 r
+        wide, no later step can park either, and `parks` turns False.
+        """
+        steps, sd = _PARK_BASE, math.sqrt(_PARK_MARGIN * dt) * float(self.sigma(x))
+        e = self._edges((k + steps) * dt, dt) if k + steps <= n_steps else np.empty(0)
+        if not (len(e) and np.max(e[1::2] - e[::2]) >= 2.0 * sd * math.sqrt(steps)):
+            self.parks = False
+            return []
+        chunks, cand = [], np.flatnonzero(_deep_inside(e, x, sd * math.sqrt(steps)))
+        while len(cand) and k % (2 * steps) == 0 and k + 2 * steps <= n_steps:
+            deep = _deep_inside(self._edges((k + 2 * steps) * dt, dt), x[cand], sd * math.sqrt(2 * steps))
+            chunks.append((steps, cand[~deep]))
+            cand, steps = cand[deep], 2 * steps
+        chunks.append((steps, cand))
+        self.parks = k + 2 * _PARK_BASE <= n_steps     # whether the next park step can park
+        return [(p, i) for p, i in chunks if len(i)]
+
     def __call__(self, s: _Step) -> np.ndarray:
         t = s.k * s.dt
         if self.spikes is None:
-            e = self.barrier.free_edges(t).reshape(-1, 2)
-            e = e + np.multiply([1.0, -1.0], _BGK * math.sqrt(s.dt) * self.sigma(e))
-            e = e[e[:, 0] < e[:, 1]].ravel()
+            e = self._edges(t, s.dt)
             if len(e) <= 2:
                 return outside(e, s.x_new)
             # odd counts of edges at or below a state are the intervals; a path
@@ -461,12 +600,13 @@ def simulate_stopped(
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
     w = _walk(n, dt, seed, lambda dt: _steps_to(horizon, dt), lambda g: nu.sample(n, g),
-              _diffusion_move(diff), _TimeBarrier(barrier, diff.sigma))
+              _diffusion_move(diff), _TimeBarrier(barrier, diff.sigma, additive=not diff.geometric))
     return PathBatch(
         n=n, dt=dt, horizon=float(w.n_steps * dt), seed=seed,
         stop_times=w.stop_times, stopped_values=w.stopped_values,
         horizon_mass=w.horizon_mass,
-        diagnostics={"horizon-warning": bool(w.horizon_mass > 0.01)},
+        diagnostics={"horizon-warning": bool(w.horizon_mass > 0.01),
+                     "path_steps": w.path_steps, "normals": w.normals},
     )
 
 

@@ -168,6 +168,29 @@ def test_verify_embed_round_trip(tmp_path, measure_files):
     assert report["ks-statistics"]["stopped-vs-target"] <= report["ks-statistics"]["critical-1pct"]
 
 
+def test_verify_embed_runs_to_the_solved_horizon(tmp_path):
+    # delta_0 -> atoms -1, 0.5, 2: the largest finite R in the CSV is the
+    # atom's 0.62, and paths cut there leave most of the mass running; the
+    # barrier_meta.json beside the CSV holds the horizon of the solve, 30.
+    # The KS check is not asserted: stopped values past an atom fail it
+    nu, mu = tmp_path / "delta0.json", tmp_path / "atoms.json"
+    ms.save_measure(ms.point_mass(0.0), str(nu))
+    ms.save_measure(ms.atoms([-1.0, 0.5, 2.0], [5 / 12, 1 / 2, 1 / 12]), str(mu))
+    out = tmp_path / "out"
+    rc = run(["--out-dir", str(out), "--quiet", "solve-barrier", "--nu", str(nu), "--mu", str(mu),
+              "--x-lo", "-3", "--x-hi", "4", "--nx", "401", "--nt", "12000", "--horizon", "30"])
+    assert rc == 0
+
+    def horizon_mass():
+        run(["--out-dir", str(out), "--quiet", "verify-embed", "--nu", str(nu), "--mu", str(mu),
+             "--barrier", str(out / "barrier.csv"), "--n", "20000", "--dt", "0.002"])
+        return json.loads((out / "embed_report.json").read_text())["horizon-mass"]
+
+    assert horizon_mass() <= 0.01
+    (out / "barrier_meta.json").unlink()
+    assert horizon_mass() > 0.5
+
+
 def test_verify_embed_without_paths_exit_code(tmp_path, measure_files, capsys):
     nu, mu = measure_files
     bar = tmp_path / "barrier.csv"

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import ks_2samp, norm
 
 from rootbarrier import barrier as br
 from rootbarrier import measures as ms
@@ -245,10 +245,20 @@ PREFETCH_CASES = {
     # a smaller batch, above the threshold all the way: every path runs all 100 steps and stops at R = 1
     "flat-20k": lambda: sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), UNIT_BARRIER,
                                              n=20_000, dt=1e-2, seed=5),
+    # paths near the parabola draw at every step while the others park and land
+    "parabola-parked": lambda: sim.simulate_stopped(
+        ob.brownian(), ms.point_mass(0.0), br.from_function(pb.barrier_fn, np.linspace(-2.5, 3.5, 601), 4.0),
+        n=PREFETCH_N, dt=2e-3, seed=5),
     # stopping rules that draw uniforms after the normals are never drawn ahead
     "spiked-time-change": lambda: sim.simulate_price_model(spiked_time_change(), n=PREFETCH_N, dt=1e-2, seed=5),
 }
 DRAWS_AFTER_NORMALS = {"spiked-time-change"}
+# batches whose paths park, so that fills_ahead does not apply: flat-20k parks
+# every path from step 0 to 64 and from 64 to 96 (see
+# test_parked_paths_draw_one_normal_per_landing); no step after 96 can park,
+# so steps 97 to 100 draw every path, and 98 to 102 are drawn ahead.  The
+# parabola batch's count is only checked to be positive.
+PARKED_FILLS = {"flat-20k": 5, "parabola-parked": None}
 
 
 @pytest.mark.parametrize("case", PREFETCH_CASES)
@@ -257,9 +267,13 @@ def test_prefetch_is_bit_identical(monkeypatch, case):
     threads = set(threading.enumerate())
     ahead = PREFETCH_CASES[case]()
     assert set(threading.enumerate()) == threads     # the walk joins its workers before it returns
-    expected = 0 if case in DRAWS_AFTER_NORMALS else fills_ahead(ahead)
-    assert log.off_main(log.drawn) == expected
-    assert (expected > 0) == (case not in DRAWS_AFTER_NORMALS)
+    if case in DRAWS_AFTER_NORMALS:
+        expected = 0
+    else:
+        expected = PARKED_FILLS[case] if case in PARKED_FILLS else fills_ahead(ahead)
+    fills = log.off_main(log.drawn)
+    assert fills == expected if expected is not None else fills > 0
+    assert (fills > 0) == (case not in DRAWS_AFTER_NORMALS)
     monkeypatch.setattr(sim, "_PREFETCH_MIN", 1 << 62)
     log.drawn.clear()
     plain = PREFETCH_CASES[case]()
@@ -277,7 +291,7 @@ def test_prefetch_is_bit_identical(monkeypatch, case):
     if case == "all-stop-at-step-1":
         assert np.all(ahead.stop_times == 0.01) and expected == 2
     if case == "flat-20k":
-        assert np.all(ahead.stop_times == 1.0) and expected == 101    # steps 2 to 102 of 200
+        assert np.all(ahead.stop_times == 1.0)
 
 
 def test_draw_ahead_leaves_the_moving_step_alone(monkeypatch):
@@ -325,6 +339,87 @@ def test_step_rng_runs_on_the_calling_thread(monkeypatch):
     sim.simulate_price_model(CONSTANT_VOL, n=PREFETCH_N, dt=0.05, seed=5)
     assert len(log.built) == 21 and log.off_main(log.built) == 0
     assert log.off_main(log.drawn) == 19    # steps 2 to 20 are drawn ahead
+
+
+# -- paths far from the barrier park: one normal per parked block of steps -------
+
+STEP_BY_STEP = 1 << 62      # a park base past every horizon: no path parks
+PARABOLA = br.from_function(pb.barrier_fn, np.linspace(-2.5, 3.5, 601), horizon=4.0)
+
+
+def test_parked_paths_draw_one_normal_per_landing(monkeypatch):
+    # R = +inf on [-100, 100] up to step 128: every path parks at step 0 for
+    # all 128 steps and lands at the horizon, with one normal scaled by
+    # sqrt(128); no generator is built for the steps in between
+    log, n, dt = _ThreadLog(monkeypatch), 1000, 1e-2
+    far = br.Barrier(x=np.array([-100.0, 100.0]), R=np.array([np.inf, np.inf]), horizon=1.28)
+    batch = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), far, n=n, dt=dt, seed=5)
+    assert batch.horizon_mass == 1.0 and np.all(batch.stop_times == batch.horizon)
+    assert batch.diagnostics["path_steps"] == 128 * n and batch.diagnostics["normals"] == n
+    assert len(log.built) == 2      # steps 0 and 128
+    z = sim.step_rng(5, 128).standard_normal(n)
+    assert batch.stopped_values.tobytes() == (0.0 + np.sqrt(dt) * (z * np.sqrt(128))).tobytes()
+    # R = 1 on [-10, 10]: the paths park at step 0 for 64 steps (the largest
+    # 8 * 2^j with a free section left at its end, at step 99) and at 64 for
+    # 32; the section of step 104 is empty, so steps 97 to 100 draw every
+    # path, and every path stops at step 100
+    batch = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), UNIT_BARRIER, n=n, dt=dt, seed=5)
+    assert np.all(batch.stop_times == 1.0)
+    assert batch.diagnostics["path_steps"] == 100 * n and batch.diagnostics["normals"] == 6 * n
+    summary = batch.summary()
+    assert (summary["path_steps"], summary["normals"]) == (100 * n, 6 * n)
+
+
+def test_a_walk_that_cannot_park_keeps_every_bit(monkeypatch):
+    # the round trip's configuration: at dt 1e-2 a park of 8 steps needs a
+    # distance of sqrt(75 * 8 * 0.01) = 2.45 to both edges, in a parabola
+    # section 5 - 2 * 0.058 wide after the shift, so no path ever parks
+    parked = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), PARABOLA, n=100_000, dt=1e-2, seed=1)
+    assert parked.diagnostics["normals"] == parked.diagnostics["path_steps"]
+    monkeypatch.setattr(sim, "_PARK_BASE", STEP_BY_STEP)
+    plain = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), PARABOLA, n=100_000, dt=1e-2, seed=1)
+    assert parked.stop_times.tobytes() == plain.stop_times.tobytes()
+    assert parked.stopped_values.tobytes() == plain.stopped_values.tobytes()
+    assert parked.diagnostics == plain.diagnostics
+
+
+def three_atom_barrier():
+    """delta_0 -> atoms -1, 0.5, 2 (weights 5/12, 1/2, 1/12), solved on 401 x 400 over [-3, 4]."""
+    mu = ms.atoms([-1.0, 0.5, 2.0], [5 / 12, 1 / 2, 1 / 12])
+    cfg = ob.SolverConfig(x_lo=-3, x_hi=4, nx=401, horizon=2.0, nt=400)
+    return br.extract_barrier(ob.solve(ob.assemble(ob.brownian(), ms.point_mass(0.0), mu, cfg)))
+
+
+PARKING_LAWS = {
+    "parabola": lambda request: (PARABOLA, None),
+    "normal": lambda request: (br.extract_barrier(request.getfixturevalue("gaussian_solution")), None),
+    "three-atoms": lambda request: (three_atom_barrier(), 30.0),
+}
+
+
+@pytest.mark.parametrize("law", PARKING_LAWS)
+def test_parked_and_step_by_step_batches_agree_in_law(request, monkeypatch, law):
+    # two independent 1e5-path batches at dt 2e-3, one parked and one step
+    # by step: two-sample KS on the stop times and on the stopped values at 1%
+    bar, horizon = PARKING_LAWS[law](request)
+    n, dt = 100_000, 2e-3
+
+    def batch(seed):
+        return sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), bar, n=n, dt=dt, seed=seed,
+                                    horizon=horizon)
+
+    parked = batch(1)
+    monkeypatch.setattr(sim, "_PARK_BASE", STEP_BY_STEP)
+    plain = batch(2)
+    assert parked.diagnostics["normals"] < parked.diagnostics["path_steps"]
+    assert plain.diagnostics["normals"] == plain.diagnostics["path_steps"]
+    crit = 1.63 * np.sqrt(2.0 / n)
+    for name in ("stop_times", "stopped_values"):
+        assert ks_2samp(getattr(parked, name), getattr(plain, name)).statistic <= crit, name
+    assert parked.horizon_mass == plain.horizon_mass == 0.0
+    if law == "parabola":
+        mean, se = sim._mean_se(parked.stop_times)
+        assert abs(mean - pb.mean_stop_time()) <= 0.01 + 3 * se
 
 
 def test_constant_vol_realized_variance():

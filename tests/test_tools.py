@@ -54,12 +54,12 @@ def test_code_lines_counts_code_only(tmp_path, capsys):
 def test_draw_ahead_crossover_times_both_ways_and_restores_the_threshold(capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))   # main() puts its --src first
     tool = _load_tool("draw_ahead_crossover")
-    threshold = sim._PREFETCH_MIN
+    threshold, base = sim._PREFETCH_MIN, sim._PARK_BASE
     assert tool.main(["draw_ahead_crossover.py", "--sizes", "200,300", "--steps", "5", "--repeats", "2"]) == 0
     rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
     assert [r[0] for r in rows] == ["200", "300"]
     assert all(0.0 < float(lo) <= float(hi) for r in rows for lo, hi in (c.split("-") for c in r[1:]))
-    assert sim._PREFETCH_MIN == threshold
+    assert sim._PREFETCH_MIN == threshold and sim._PARK_BASE == base
 
 
 def test_bit_digest_hashes_exact_bits(capsys, monkeypatch):
@@ -113,13 +113,14 @@ def test_bit_digest_values_prints_the_largest_move_of_each_changed_result(tmp_pa
     bar = br.Barrier(x=x, R=np.where(np.abs(x) < 1.0 - 1e-9, np.inf, 0.0), horizon=1.0)
     ms = [opt.compute_M(diff, bar, opt.variance_call(0.3), x, nt=300).values
           for diff in (ob.brownian(), ob.DiffusionSpec(sigma=lambda s: 1.01, dsigma=np.zeros_like))]
-    move = np.max(np.abs(ms[0] - ms[1]))
-    assert move > 0
-    assert capsys.readouterr().out.splitlines() == [f"{move:.3e}  open-capped.M"]
+    d = ms[0] - ms[1]
+    move, moved = np.max(np.abs(d)), np.mean(d != 0)
+    assert move > 0 and 0 < moved < 1
+    assert capsys.readouterr().out.splitlines() == [f"{move:.3e}  {d.mean():+.3e}  {moved:.4f}  open-capped.M"]
     # the numbers of a result: entries, items and the numerals of a file's text
-    assert tool.max_delta(b"x,R\n0,inf\n1,2.5\n", b"x,R\n0,inf\n1,2.25\n") == "2.500e-01"
-    assert tool.max_delta([1.0, (np.nan, np.inf)], [1.5, (np.nan, np.inf)]) == "5.000e-01"
-    assert tool.max_delta(np.zeros(3), np.zeros(4)) == "3 vs 4 numbers"
+    assert tool.deltas(b"x,R\n0,inf\n1,2.5\n", b"x,R\n0,inf\n1,2.25\n") == "2.500e-01  +6.250e-02  0.2500"
+    assert tool.deltas([1.0, (np.nan, np.inf)], [1.5, (np.nan, np.inf)]) == "5.000e-01  -1.667e-01  0.3333"
+    assert tool.deltas(np.zeros(3), np.zeros(4)) == "3 vs 4 numbers"
 
 
 def test_rss_by_op_prints_each_operation_of_an_iteration():
@@ -166,6 +167,29 @@ def test_bench_record_records_a_workload_and_compares_it(tmp_path, monkeypatch):
     slow["workloads"]["price-atomic"]["metrics"]["run_s"]["median"] *= 1.3
     lines, worse = _load_tool("bench_record").compare(rec, slow)
     assert worse and [ln.split()[-1] for ln in lines if " run_s " in ln] == ["WORSE"]
+
+
+def test_bench_record_records_the_layers_of_a_traced_run(tmp_path, monkeypatch):
+    # one short traced run of the cheapest workload: per-layer metrics, each compared with no bound
+    proc = subprocess.run([sys.executable, str(TOOLS / "bench_record.py"), "--workload", "price-atomic",
+                           "--k", "1", "--seconds", "1", "--trace", "1", "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (path,) = tmp_path.glob("BENCH_*.json")
+    rec = json.loads(path.read_text())
+    assert path.name.endswith("-trace.json") and rec["trace"] == 1
+    metrics = rec["workloads"]["price-atomic"]["metrics"]
+    assert "run_s" not in metrics and metrics["simulate.step_rng_calls"]["median"] > 0
+    monkeypatch.setattr(sys, "path", list(sys.path))     # the tool puts tools/ first
+    fewer = json.loads(path.read_text())
+    calls = fewer["workloads"]["price-atomic"]["metrics"]["simulate.step_rng_calls"]
+    calls["median"] /= 2
+    fewer["workloads"]["price-atomic"]["runs"][0]["metrics"]["simulate.step_rng_calls"]["value"] /= 2
+    lines, worse = _load_tool("bench_record").compare(rec, fewer)
+    assert not worse and not any("peak_rss_mb readings" in ln for ln in lines)
+    (row,) = [ln.split() for ln in lines if " simulate.step_rng_calls " in ln]
+    assert row[4:] == ["-50.0%", "1", "of", "1", "-"]
+    assert len([ln for ln in lines if ln.startswith("price-atomic")]) == len(metrics)
 
 
 def test_bench_record_times_a_tier1_run(tmp_path, monkeypatch):

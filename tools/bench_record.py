@@ -1,20 +1,23 @@
 """Record benchmark runs of checkouts as BENCH_<short sha>.json, and compare two records.
 
-    python3 tools/bench_record.py [--root DIR ...] [--workload NAME ...] [--k 5] [--seconds 35] [--out-dir DIR]
+    python3 tools/bench_record.py [--root DIR ...] [--workload NAME ...] [--k 5] [--seconds 35] [--trace 0|1]
+                                  [--out-dir DIR]
     python3 tools/bench_record.py --tier1 [PYTEST_ARG ...] [--root DIR ...] [--workload NAME ...]
     python3 tools/bench_record.py --compare A.json B.json
 
-Recording runs `perfbench/run.py --workload W --seed s --seconds S --trace 0`
+Recording runs `perfbench/run.py --workload W --seed s --seconds S --trace T`
 of a checkout k times per workload, as subprocesses, on seeds 1..k, and
-keeps the final JSON line of each run.  Given several --root checkouts
+keeps the final JSON line of each run: the end-to-end metrics with
+--trace 0 (the default), the per-layer metrics with --trace 1.  Given several --root checkouts
 (default: this one), it alternates between them run by run, the first
 checkout first on odd seeds and last on even ones, so that a slow stretch
 of a shared host falls on both.  Each checkout gets one record: the
 machine line of the runs, `git rev-parse HEAD` and whether tracked files
 differ from it (`dirty`, which adds `-dirty` to the file name), the code
 lines per module of its src/ (tools/code_lines.py), every run's line, and
-per end-to-end metric its values in seed order, median and quartiles.
-The workloads and metrics are those of this checkout's BENCHMARK.json.
+per metric its values in seed order, median and quartiles.  A --trace 1
+record is written as BENCH_<short sha>-trace.json.  The workloads and
+metrics are those of this checkout's BENCHMARK.json.
 
 With --tier1, each checkout's record also holds one timed run of its
 tier-1 suite, `python -m pytest -q --continue-on-collection-errors -p
@@ -31,9 +34,10 @@ wrong way by more than the bound, relative to A.  Where both records ran
 a seed it also counts the seeds on which B reads better.  It prints every
 `peak_rss_mb` reading of both, since that metric can jump between
 allocator modes for the same work, and the tier-1 wall times of both
-where both hold one.  Exit status 1 if any metric is worse beyond its
-bound, else 0; the tier-1 time has no bound.  Per-layer metrics
-(--trace 1) are not recorded.
+where both hold one.  Per-layer metrics, which two --trace 1 records
+hold, get the same line with no bound and no verdict.  Exit status 1 if
+any end-to-end metric is worse beyond its bound, else 0; per-layer
+metrics and the tier-1 time have no bound.
 """
 
 from __future__ import annotations
@@ -76,10 +80,10 @@ def checkout(root: Path) -> dict:
             "code_lines": lines}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, str]:
     """One perfbench run: its final JSON line (or the error) and its machine line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     try:
         proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -122,12 +126,13 @@ def summarize(runs: list) -> dict:
                         for m in names}}
 
 
-def record(roots: list, workloads: list, k: int, seconds: float, tier1_args: list = None) -> list:
+def record(roots: list, workloads: list, k: int, seconds: float, tier1_args: list = None,
+           trace: int = 0) -> list:
     """Run every workload k times on each root, alternating, and build one record per root.
 
     With tier1_args (a list, maybe empty) each root's tier-1 suite runs once first.
     """
-    recs = [{**checkout(r), "machine": "", "k": k, "seconds": seconds, "trace": 0,
+    recs = [{**checkout(r), "machine": "", "k": k, "seconds": seconds, "trace": trace,
              "workloads": {}} for r in roots]
     if tier1_args is not None:
         for root, rec in zip(roots, recs):
@@ -139,7 +144,7 @@ def record(roots: list, workloads: list, k: int, seconds: float, tier1_args: lis
         for seed in range(1, k + 1):
             order = list(range(len(roots)))
             for i in order if seed % 2 else order[::-1]:
-                res, machine = run_once(roots[i], w, seed, seconds)
+                res, machine = run_once(roots[i], w, seed, seconds, trace)
                 recs[i]["machine"] = recs[i]["machine"] or machine
                 runs[i].append(res)
                 print(f"{w} seed={seed} {recs[i]['sha'][:10]}: "
@@ -151,7 +156,8 @@ def record(roots: list, workloads: list, k: int, seconds: float, tier1_args: lis
 
 
 def write(rec: dict, out_dir: Path) -> Path:
-    path = out_dir / f"BENCH_{rec['sha'][:10]}{'-dirty' if rec['dirty'] else ''}.json"
+    path = out_dir / (f"BENCH_{rec['sha'][:10]}{'-dirty' if rec['dirty'] else ''}"
+                      f"{'-trace' if rec.get('trace') else ''}.json")
     path.write_text(json.dumps(rec, indent=1) + "\n")
     return path
 
@@ -169,25 +175,28 @@ def compare(a: dict, b: dict) -> tuple[list, bool]:
         seeds_a = {r["seed"]: r for r in wa["runs"] if "metrics" in r}
         seeds_b = {r["seed"]: r for r in wb["runs"] if "metrics" in r}
         pairs = sorted(set(seeds_a) & set(seeds_b))
-        for m in spec()["end_to_end"]:
-            name, lower = m["name"], m["better"] == "lower"
+        for m in spec()["end_to_end"] + spec()["per_layer"]:
+            name, lower, bound = m["name"], m["better"] == "lower", m.get("bound")
             if name not in wa["metrics"] or name not in wb["metrics"]:
                 continue
             ma, mb = wa["metrics"][name]["median"], wb["metrics"][name]["median"]
             rel = (mb - ma) / abs(ma) if ma else math.copysign(math.inf, mb) if mb else 0.0
-            bad = (rel if lower else -rel) > m["bound"]
+            bad = bound is not None and (rel if lower else -rel) > bound
             worse |= bad
             better = 0
             for s in pairs:
                 va, vb = seeds_a[s]["metrics"][name]["value"], seeds_b[s]["metrics"][name]["value"]
                 better += vb < va if lower else vb > va
-            lines.append(f"{w:<14} {name:<14} {ma:>11.6g} {mb:>11.6g} {rel:>+8.1%} {m['bound']:>6.0%} "
-                         f"{f'{better} of {len(pairs)}':>9}  {'WORSE' if bad else 'ok'}")
+            verdict = "WORSE" if bad else "ok" if bound is not None else "-"
+            lines.append(f"{w:<14} {name:<14} {ma:>11.6g} {mb:>11.6g} {rel:>+8.1%} "
+                         f"{'' if bound is None else f'{bound:.0%}':>6} "
+                         f"{f'{better} of {len(pairs)}':>9}  {verdict}")
         for tag, wr in (("A", wa), ("B", wb)):
             failed = sum("error" in r or r["failed"] > 0 for r in wr["runs"])
-            rss = wr["metrics"].get("peak_rss_mb", {}).get("values", [])
-            lines.append(f"{w:<14} {tag} peak_rss_mb readings: {' '.join(f'{v:.2f}' for v in rss)}"
-                         + (f"; {failed} run(s) failed" if failed else ""))
+            rss = wr["metrics"].get("peak_rss_mb", {}).get("values", [])     # none in a --trace 1 record
+            if rss or failed:
+                lines.append(f"{w:<14} {tag} peak_rss_mb readings: {' '.join(f'{v:.2f}' for v in rss)}"
+                             + (f"; {failed} run(s) failed" if failed else ""))
     if "wall_s" in a.get("tier1", {}) and "wall_s" in b.get("tier1", {}):
         lines.append(f"tier-1 wall: A {a['tier1']['wall_s']:.1f} s ({a['tier1']['summary']}), "
                      f"B {b['tier1']['wall_s']:.1f} s ({b['tier1']['summary']})")
@@ -200,6 +209,8 @@ def main(argv: list) -> int:
     ap.add_argument("--workload", action="append", help="workload of BENCHMARK.json (repeatable; default: all)")
     ap.add_argument("--k", type=int, default=5, help="runs per workload and checkout, on seeds 1..k")
     ap.add_argument("--seconds", type=float, default=35.0, help="--seconds of each perfbench run")
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="--trace of each perfbench run: 1 records the per-layer metrics")
     ap.add_argument("--out-dir", type=Path, default=ROOT, help="where the records are written")
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"), help="compare record B against A")
     ap.add_argument("--tier1", nargs="*", metavar="PYTEST_ARG",
@@ -214,7 +225,7 @@ def main(argv: list) -> int:
     if set(workloads) - set(known) or args.k < 1:
         ap.error(f"choose workloads from {known} and k >= 1")
     roots = [r.resolve() for r in (args.root or [ROOT])]
-    for rec in record(roots, workloads, args.k, args.seconds, args.tier1):
+    for rec in record(roots, workloads, args.k, args.seconds, args.tier1, args.trace):
         print(f"wrote {write(rec, args.out_dir)}")
     return 0
 

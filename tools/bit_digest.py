@@ -31,11 +31,14 @@ Prints lines `<sha256>  <case>.<result>`.  To compare two trees:
 
 With --values OTHER, a second source tree, each case also runs in a
 subprocess that imports `rootbarrier` from OTHER, and only the results
-whose hashes differ are printed, as `<max |delta|>  <case>.<result>`:
-the largest absolute difference over every number the result holds (an
-array's entries, a list's items, the numerals of a file's text), or
-`<m> vs <n> numbers` when the two hold different counts, or `only in
-<tree>` for a result that one tree lacks.  Positions where both hold
+whose hashes differ are printed, as `<max |delta|>  <delta mean>
+<moved>  <case>.<result>`, over every number the result holds (an
+array's entries, a list's items, the numerals of a file's text): the
+largest absolute difference, the mean of this tree's numbers minus that
+of OTHER's, and the share of the numbers that differ.  A result that
+moves one path and one that moves every path then read apart.  A line
+reads `<m> vs <n> numbers` when the two hold different counts, or `only
+in <tree>` for a result that one tree lacks.  Positions where both hold
 the same value, inf and NaN included, count as 0.  The subprocess runs
 a case while this process holds that case's results, so the peak is
 about twice that of a plain run.
@@ -117,15 +120,19 @@ def numbers(value) -> np.ndarray:
     return np.asarray(value, dtype=float).ravel()
 
 
-def max_delta(a, b) -> str:
-    """The largest |a - b| over the numbers of two results, or why there is none."""
+def deltas(a, b) -> str:
+    """max |a - b|, mean(a) - mean(b) and the share that differs, over the numbers of two results.
+
+    Or why there are none: `<m> vs <n> numbers`.
+    """
     na, nb = numbers(a), numbers(b)
     if na.shape != nb.shape or not len(na):
         return f"{len(na)} vs {len(nb)} numbers"
     with np.errstate(invalid="ignore"):     # inf - inf, where both hold inf
-        d = np.abs(na - nb)
-    d[(na == nb) | (np.isnan(na) & np.isnan(nb))] = 0.0
-    return f"{d.max():.3e}"
+        d = na - nb
+    same = (na == nb) | (np.isnan(na) & np.isnan(nb))
+    d[same] = 0.0
+    return f"{np.abs(d).max():.3e}  {d.mean():+.3e}  {np.mean(~same):.4f}"
 
 
 # -- the cases ------------------------------------------------------------------
@@ -389,7 +396,7 @@ def save_differing(mine: dict, tmp: Path) -> None:
 
 
 def value_lines(case: str, mine: dict, src: str, other: str) -> list[str]:
-    """`<max |delta|>  <name>` for each result of the case that the tree `other` computes otherwise."""
+    """`<deltas>  <name>` for each result of the case that the tree `other` computes otherwise."""
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "digests.pkl").write_bytes(pickle.dumps({n: digest(v) for n, v in mine.items()}))
         proc = subprocess.run([sys.executable, __file__, "--src", other, "--save", tmp, case],
@@ -402,14 +409,15 @@ def value_lines(case: str, mine: dict, src: str, other: str) -> list[str]:
         if name not in theirs:
             out.append(f"only in {src}  {name}")
         elif theirs[name] is not None:
-            out.append(f"{max_delta(value, theirs[name])}  {name}")
+            out.append(f"{deltas(value, theirs[name])}  {name}")
     return out
 
 
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
-    ap.add_argument("--values", metavar="OTHER", help="print each differing result's max |delta| against this tree")
+    ap.add_argument("--values", metavar="OTHER",
+                    help="print how far each differing result moves against this tree")
     # the subprocess of --values: save the results whose hashes differ from those in DIR
     ap.add_argument("--save", metavar="DIR", help=argparse.SUPPRESS)
     ap.add_argument("cases", nargs="*", metavar="CASE", help=", ".join(CASES))

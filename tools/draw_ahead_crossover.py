@@ -2,10 +2,11 @@
 
 The walk is `simulate_stopped` of Brownian motion from 0 against the flat
 barrier R = 1, at dt 1e-3, stopped at a horizon of STEPS steps below R,
-so that every path runs every step.  It is timed with
+with `simulate._PARK_BASE` set past the horizon so that no path parks:
+every path draws at every step.  It is timed with
 `simulate._PREFETCH_MIN` set above every batch (inline: each step draws
 its own normals) and at 1 (ahead: the next two steps' normals are drawn
-on the worker threads), set in this process and restored afterwards.
+on the worker threads), both set in this process and restored afterwards.
 The two alternate, REPEATS times per size.  Each line gives the size,
 then the fastest and slowest run of each, in microseconds per step.
 This walk does little besides drawing, so it shows the most that
@@ -38,14 +39,15 @@ def per_step_us(sim, n: int, steps: int, threshold: int) -> float:
     from rootbarrier import barrier as br, measures as ms, obstacle as ob
 
     flat = br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([1.0, 1.0]), horizon=1.0)
-    saved, sim._PREFETCH_MIN = sim._PREFETCH_MIN, threshold
+    saved = sim._PREFETCH_MIN, getattr(sim, "_PARK_BASE", None)     # a tree from before parking has none
+    sim._PREFETCH_MIN, sim._PARK_BASE = threshold, 1 << 62
     try:
         t0 = time.perf_counter()
         sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), flat, n=n, dt=DT, seed=1,
                              horizon=steps * DT)
         return (time.perf_counter() - t0) / steps * 1e6
     finally:
-        sim._PREFETCH_MIN = saved
+        sim._PREFETCH_MIN, sim._PARK_BASE = saved
 
 
 def main(argv: list[str]) -> int:
