@@ -170,7 +170,7 @@ class _Step:
 
     k: int
     dt: float
-    ids: np.ndarray | slice         # batch indices of the paths that took the step; slice(None) while all run
+    ids: np.ndarray | slice         # batch indices of the paths that took the step; slice(None) while all run, if none can park
     x_old: np.ndarray
     x_new: np.ndarray               # a stopping rule moves hit paths to their stop value
     dlog: Optional[np.ndarray]      # log return of the price over a geometric step

@@ -245,10 +245,11 @@ PREFETCH_CASES = {
     # a smaller batch, above the threshold all the way: every path runs all 100 steps and stops at R = 1
     "flat-20k": lambda: sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), UNIT_BARRIER,
                                              n=20_000, dt=1e-2, seed=5),
-    # paths near the parabola draw at every step while the others park and land
+    # paths near the parabola draw at every step while the others park, and
+    # the fills drawn ahead count the paths landing by their step
     "parabola-parked": lambda: sim.simulate_stopped(
         ob.brownian(), ms.point_mass(0.0), br.from_function(pb.barrier_fn, np.linspace(-2.5, 3.5, 601), 4.0),
-        n=PREFETCH_N, dt=2e-3, seed=5),
+        n=PREFETCH_N, dt=5e-3, seed=5),
     # stopping rules that draw uniforms after the normals are never drawn ahead
     "spiked-time-change": lambda: sim.simulate_price_model(spiked_time_change(), n=PREFETCH_N, dt=1e-2, seed=5),
 }

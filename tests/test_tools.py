@@ -170,26 +170,37 @@ def test_bench_record_records_a_workload_and_compares_it(tmp_path, monkeypatch):
 
 
 def test_bench_record_records_the_layers_of_a_traced_run(tmp_path, monkeypatch):
-    # one short traced run of the cheapest workload: per-layer metrics, each compared with no bound
-    proc = subprocess.run([sys.executable, str(TOOLS / "bench_record.py"), "--workload", "price-atomic",
-                           "--k", "1", "--seconds", "1", "--trace", "1", "--out-dir", str(tmp_path)],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    (path,) = tmp_path.glob("BENCH_*.json")
-    rec = json.loads(path.read_text())
-    assert path.name.endswith("-trace.json") and rec["trace"] == 1
-    metrics = rec["workloads"]["price-atomic"]["metrics"]
-    assert "run_s" not in metrics and metrics["simulate.step_rng_calls"]["median"] > 0
+    # the perfbench runs are stood in for: each must ask for --trace 1, and
+    # answers with every per-layer metric, as perfbench/run.py --trace 1 does
     monkeypatch.setattr(sys, "path", list(sys.path))     # the tool puts tools/ first
+    tool = _load_tool("bench_record")
+    layers, real = [m["name"] for m in tool.spec()["per_layer"]], subprocess.run
+
+    def run(cmd, **kwargs):
+        if "perfbench/run.py" not in cmd:
+            return real(cmd, **kwargs)
+        assert cmd[cmd.index("--trace") + 1] == "1"
+        seed = float(cmd[cmd.index("--seed") + 1])
+        line = {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {name: {"value": seed, "unit": "count"} for name in layers}}
+        return subprocess.CompletedProcess(cmd, 0, "machine: nproc=2\n" + json.dumps(line), "")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    (rec,) = tool.record([tool.ROOT], ["price-atomic"], k=2, seconds=1.0, trace=1)
+    path = tool.write(rec, tmp_path)
+    assert path.name.endswith("-trace.json") and json.loads(path.read_text())["trace"] == 1
+    metrics = rec["workloads"]["price-atomic"]["metrics"]
+    assert list(metrics) == layers and metrics["simulate.step_rng_calls"]["median"] == 1.5
+    # each per-layer metric's change, with the seeds on which B reads better, and no bound
     fewer = json.loads(path.read_text())
-    calls = fewer["workloads"]["price-atomic"]["metrics"]["simulate.step_rng_calls"]
-    calls["median"] /= 2
-    fewer["workloads"]["price-atomic"]["runs"][0]["metrics"]["simulate.step_rng_calls"]["value"] /= 2
-    lines, worse = _load_tool("bench_record").compare(rec, fewer)
+    for r in fewer["workloads"]["price-atomic"]["runs"]:
+        r["metrics"]["simulate.step_rng_calls"]["value"] /= 2
+    fewer["workloads"]["price-atomic"]["metrics"]["simulate.step_rng_calls"]["median"] /= 2
+    lines, worse = tool.compare(rec, fewer)
     assert not worse and not any("peak_rss_mb readings" in ln for ln in lines)
     (row,) = [ln.split() for ln in lines if " simulate.step_rng_calls " in ln]
-    assert row[4:] == ["-50.0%", "1", "of", "1", "-"]
-    assert len([ln for ln in lines if ln.startswith("price-atomic")]) == len(metrics)
+    assert row[4:] == ["-50.0%", "2", "of", "2", "-"]
+    assert len([ln for ln in lines if ln.startswith("price-atomic")]) == len(layers)
 
 
 def test_bench_record_times_a_tier1_run(tmp_path, monkeypatch):
