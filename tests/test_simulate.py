@@ -372,9 +372,10 @@ def test_parked_paths_draw_one_normal_per_landing(monkeypatch):
 
 
 def test_a_walk_that_cannot_park_keeps_every_bit(monkeypatch):
-    # the round trip's configuration: at dt 1e-2 a park of 8 steps needs a
-    # distance of sqrt(75 * 8 * 0.01) = 2.45 to both edges, in a parabola
-    # section 5 - 2 * 0.058 wide after the shift, so no path ever parks
+    # the round trip's configuration, on 1e5 of its 6e5 paths: at dt 1e-2 a
+    # park of 8 steps needs a distance of sqrt(75 * 8 * 0.01) = 2.45 to both
+    # edges, in a parabola section 5 - 2 * 0.058 wide after the shift, so no
+    # path parks, whatever the path count
     parked = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), PARABOLA, n=100_000, dt=1e-2, seed=1)
     assert parked.diagnostics["normals"] == parked.diagnostics["path_steps"]
     monkeypatch.setattr(sim, "_PARK_BASE", STEP_BY_STEP)
