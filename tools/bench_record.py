@@ -8,10 +8,10 @@
 Recording runs `perfbench/run.py --workload W --seed s --seconds S --trace T`
 of a checkout k times per workload, as subprocesses, on seeds 1..k, and
 keeps the final JSON line of each run: the end-to-end metrics with
---trace 0 (the default), the per-layer metrics with --trace 1.  Given several --root checkouts
-(default: this one), it alternates between them run by run, the first
-checkout first on odd seeds and last on even ones, so that a slow stretch
-of a shared host falls on both.  Each checkout gets one record: the
+--trace 0 (the default), the per-layer metrics with --trace 1.  Given
+several --root checkouts (default: this one), it alternates between
+them run by run, the first checkout first on odd seeds and last on even
+ones, so that a slow stretch of a shared host falls on both.  Each checkout gets one record: the
 machine line of the runs, `git rev-parse HEAD` and whether tracked files
 differ from it (`dirty`, which adds `-dirty` to the file name), the code
 lines per module of its src/ (tools/code_lines.py), every run's line, and
