@@ -592,7 +592,10 @@ def simulate_stopped(
     Gaussian increments are exact for constant sigma; the geometric case is
     simulated exactly in log space.  Paths still running at the horizon are
     assigned the horizon as a sentinel stopping time and reported in
-    horizon_mass (with a warning flag above 1%).
+    horizon_mass (with a warning flag above 1%).  The diagnostics also give
+    path_steps, the steps the paths took until they stopped, and normals,
+    the normals drawn: fewer than path_steps where Brownian paths parked
+    far from the barrier (see _walk).
     """
     if horizon is None:
         horizon = barrier.horizon
