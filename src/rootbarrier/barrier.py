@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,12 +84,14 @@ class Barrier:
     stopping).  x and R are 1-D arrays of one length, with at least one
     node; the nodes must be finite and R nonnegative; R = +inf (never
     stop) is allowed, NaN is not.  The horizon, the default end of a path
-    batch, is finite and nonnegative.
+    batch, is a finite nonnegative real number.
 
     value_at looks R up per state.  A path loop instead asks, once per
     step, for the free section {x : R(x) > t} as sorted interval edges
     (free_edges) and decides stop or continue for every path against those
-    edges (stops), which makes no grid lookup per path.
+    edges (outside), which makes no grid lookup per path: the same decision
+    as t >= value_at(states) between nodes, where a state on a node reads
+    the cell to its right and a NaN state stops.
     """
 
     x: np.ndarray
@@ -105,7 +108,7 @@ class Barrier:
             raise ValueError("barrier values must be nonnegative and not NaN")
         if np.any(np.diff(self.x) <= 0):
             raise ValueError("barrier grid must be strictly increasing")
-        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+        if not (isinstance(self.horizon, numbers.Real) and math.isfinite(self.horizon) and self.horizon >= 0):
             raise ValueError(f"barrier horizon must be finite and nonnegative, got {self.horizon!r}")
         object.__setattr__(self, "_index", GridIndex(self.x))
         # cell-wise maxima padded with the off-grid value 0 and indexed by
@@ -135,15 +138,6 @@ class Barrier:
         free = self._cells > t
         return np.repeat(self.x, (free[1:] != free[:-1]) + 2 * ((self.R <= t) & free[:-1] & free[1:]))
 
-    def stops(self, states: np.ndarray, t: float) -> np.ndarray:
-        """t >= R(X) at a time t > 0 for every state, off the free section's edges.
-
-        The same decision as t >= value_at(states) between nodes; a state on
-        a node reads the cell to its right, and a NaN state stops.  See
-        outside for the cost.
-        """
-        return outside(self.free_edges(t), states)
-
     def _first_close(self, states: np.ndarray) -> np.ndarray:
         """When the first node around each state closes: R on a node, the smaller of two between, 0 off the grid."""
         R = np.append(self.R, 0.0)      # index -1 (below the grid) and len(x) (above) read 0
@@ -154,15 +148,15 @@ def outside(edges: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Whether each state lies off the intervals [e_0, e_1), [e_2, e_3), ... of sorted edges.
 
     One interval is two comparisons per state and more take a binary
-    search over the edges; a NaN state lies off every interval.
+    search over the edges; a NaN state lies off every interval, and every
+    state lies off an empty list of edges.
     """
     s = np.asarray(states, dtype=float)
     if len(edges) == 2:
         inside = s >= edges[0]
         return ~np.logical_and(inside, s < edges[1], out=inside)
-    if len(edges) == 0:
-        return np.ones(s.shape, dtype=bool)
-    # inside iff an odd number of edges lie at or below the state
+    # inside iff an odd number of edges lie at or below the state; with no
+    # edges that number is 0, and NaN sorts above every edge
     return (np.searchsorted(edges, s, side="right") & 1) == 0
 
 

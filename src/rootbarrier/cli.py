@@ -12,7 +12,8 @@ demo-example    golden closed-form suite for the parabolic barrier.
 
 Flags mirror config-file keys one to one; when both are given the config
 file wins and a warning is printed; a config key that matches no flag of
-the subcommand is an input error.  Exit codes: 0 success, 2 input error,
+the subcommand, or whose value is not of its flag's type, is an input
+error.  Exit codes: 0 success, 2 input error,
 3 market-data error, 4 solver non-convergence.
 """
 
@@ -49,11 +50,17 @@ def _apply_config(args, parser):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a for a in sub.choices[args.command]._actions}
         for key, val in cfg.items():
             attr = key.replace("-", "_")
             # command and func are set by the parser, not by a flag
             if attr in ("command", "func") or not hasattr(args, attr):
                 raise ValueError(f"config key {key!r} matches no flag of {args.command}")
+            # the JSON types of a value its flag takes: a switch takes a bool
+            types = (bool,) if flags[attr].nargs == 0 else {int: (int,), float: (int, float)}.get(flags[attr].type, (str,))
+            if type(val) not in types:
+                raise ValueError(f"config key {key!r} takes {' or '.join(t.__name__ for t in types)}, got {val!r}")
             current = getattr(args, attr)
             default = parser.get_default(attr)
             if current != default and current != val:
@@ -104,7 +111,9 @@ def cmd_verify_embed(args) -> int:
     horizon = None
     if os.path.exists(meta):
         with open(meta) as fh:
-            horizon = json.load(fh).get("horizon")
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or type(horizon := doc.get("horizon")) not in (int, float, type(None)):
+            raise ValueError(f"{meta}: expected an object whose horizon is a number, got {doc!r}")
     bar = load_barrier(args.barrier, horizon)
     batch = sim.simulate_stopped(diff, nu, bar, n=args.n, dt=args.dt, seed=args.seed)
     ks = sim.ks_statistic(batch.stopped_values, mu.cdf)

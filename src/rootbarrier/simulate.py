@@ -30,16 +30,15 @@ step.
 While step k runs, the normals of steps k + 1 and k + 2 may be drawn
 ahead on two worker threads, whose fills release the GIL and so run on
 other cores: step k submits step k + 2's fill, one normal per path
-drawn at step k or landing by step k + 2, into one of three buffers
-that the walk allocates once.  Step j reads the prefix it needs, as
-long as the paths it moves.  A generator's first m normals do not
-depend on how many it draws, so the bits are those of drawing exactly
-m, on any number of cores; the cost is at most two unused normals per
-path, for the paths that stop at step j - 1 or j - 2.  The draw ahead
-is taken only when the stopping rule draws nothing after the normals
-(its `draws` is False; otherwise the extra normals would move its
-uniforms) and at least _PREFETCH_MIN paths are drawn at step k, and not
-across a step at which paths may park, whose parked paths read none.
+drawn at step k, into one of three buffers that the walk allocates
+once.  Step j reads the prefix it needs, as long as the paths it moves.
+A generator's first m normals do not depend on how many it draws, so
+the bits are those of drawing exactly m, on any number of cores; the
+cost is at most two unused normals per path, for the paths that stop at
+step j - 1 or j - 2.  A step draws ahead only when no path is parked or
+can still park, its stopping rule draws nothing after the normals (its
+`draws` is False; otherwise the extra normals would move its uniforms)
+and at least _PREFETCH_MIN paths draw at it.
 
 Stopping against a barrier is a check of t >= R(X_t) at every sample.
 At the sample time t_k the check asks only whether X lies in the
@@ -86,7 +85,8 @@ __all__ = [
 ]
 
 
-# running paths at a step from which the next two steps' normals are drawn ahead.
+# paths drawn at a step from which the next two steps' normals are drawn
+# ahead, which a step does only while no path is parked or can still park.
 # Microseconds per step of a stopped walk in which every path runs (R = 1,
 # dt 1e-3), inline -> two ahead, by tools/draw_ahead_crossover.py on a
 # 2-core Xeon; the ranges are over runs, and a run whose workers share a
@@ -189,18 +189,20 @@ class _WalkResult(NamedTuple):
 class _Normals:
     """Each step's generator and normals, the next two steps' drawn ahead on pool for big batches."""
 
-    def __init__(self, seed: int, n_steps: int, n: int, pool: Optional[ThreadPoolExecutor]):
-        self.seed, self.n_steps, self.n, self.pool = seed, n_steps, n, pool
+    def __init__(self, seed: int, n_steps: int, pool: Optional[ThreadPoolExecutor]):
+        self.seed, self.n_steps, self.pool = seed, n_steps, pool
         self.bufs = None
         self.pending = {}       # step -> (generator, fill, buffer)
 
-    def draw(self, k: int, m: int, ahead) -> tuple[Optional[np.random.Generator], Optional[np.ndarray]]:
+    def draw(self, k: int, m: int, ahead: bool) -> tuple[Optional[np.random.Generator], Optional[np.ndarray]]:
         """Step k's generator and its first m normals, for the m paths drawn at step k.
 
         A step that draws nothing gets (None, None) and builds no
-        generator, but waits for a fill drawn ahead for it.  ahead(j)
-        bounds the normals that step j > k can read, or is 0 to leave step
-        j to draw for itself.
+        generator.  Step k has m normals of steps k + 1 and k + 2 drawn
+        ahead on the pool only when ahead is True (no path is parked or
+        can still park, so no later step draws more than m), there is a
+        pool (the stopping rule draws nothing after the normals) and m is
+        at least _PREFETCH_MIN.
         """
         g = z = None
         if k in self.pending:
@@ -210,16 +212,14 @@ class _Normals:
         elif m:
             g = step_rng(self.seed, k)
             z = g.standard_normal(m)
-        if self.pool is not None and m >= _PREFETCH_MIN:
+        if ahead and self.pool is not None and m >= _PREFETCH_MIN:
             if self.bufs is None:
-                # a step draws each batch path at most once
-                self.bufs = (np.empty(self.n), np.empty(self.n), np.empty(self.n))
+                self.bufs = (np.empty(m), np.empty(m), np.empty(m))
             for j in range(k + 1, min(k + 2, self.n_steps) + 1):
-                size = ahead(j)
-                if size and j not in self.pending:
+                if j not in self.pending:
                     buf = self.bufs[j % 3]      # z, if drawn ahead, is in bufs[k % 3]
                     g_j = step_rng(self.seed, j)    # on this thread: perfbench wraps step_rng
-                    self.pending[j] = (g_j, self.pool.submit(g_j.standard_normal, out=buf[:size]), buf)
+                    self.pending[j] = (g_j, self.pool.submit(g_j.standard_normal, out=buf[:m]), buf)
         return g, z
 
     def drain(self) -> None:
@@ -266,18 +266,18 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     landing, in the order in which they were parked; a step that moves no
     path builds no generator.
 
-    When the stopping rule draws nothing after the normals and at least
-    _PREFETCH_MIN paths are drawn at step k, step k builds
+    Step k draws ahead only when no path is parked or can still park, the
+    stopping rule draws nothing after the normals and at least
+    _PREFETCH_MIN paths are drawn at it.  It then builds
     step_rng(seed, k + 2) (and step_rng(seed, k + 1), if that is not yet
     in flight) on this thread and has one of two worker threads fill one
-    of three buffers with as many normals as that step can read: one per
-    path drawn at step k and per path landing by then.  This runs while
-    step k moves, stops, observes and compacts; step k + 2 takes the
-    prefix of its length.  Steps after a step that may park paths are not
-    drawn ahead from before it, since the paths that park would not read
-    their normals.  The draws, and so the bits, are the same as without
-    it.  Draws that no step reads, because the paths ran out, are awaited
-    and dropped, and the workers are joined before the walk returns.
+    of three buffers with one normal per path drawn at step k.  This runs
+    while step k moves, stops, observes and compacts; step k + 2 takes the
+    prefix of its length, since from step k on no path lands and the
+    running paths only shrink.  The draws, and so the bits, are the same
+    as without it.  Draws that no step reads, because the paths ran out,
+    are awaited and dropped, and the workers are joined before the walk
+    returns.
     """
     _check_paths(n, dt)
     n_steps = steps(dt)
@@ -295,16 +295,10 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
     if may_park:
         ids, x = _park(stop, parked, ids, x, 0, dt, n_steps)
 
-    def ahead(j):
-        # normals that step j can read, seen from step k, which draws m
-        if may_park and stop.parks and any(i % _PARK_BASE == 0 for i in range(k, j)):
-            return 0
-        return m + sum(len(c[0]) for i in range(k + 1, j + 1) for c in parked.get(i, ()))
-
     k = drawn = 0
     # the pool starts its threads at the first draw ahead; leaving the block joins them
     with ThreadPoolExecutor(max_workers=2) as pool:
-        normals = _Normals(seed, n_steps, n, pool if stop is None or not stop.draws else None)
+        normals = _Normals(seed, n_steps, pool if stop is None or not stop.draws else None)
         while k < n_steps and (len(ids) or parked):
             k += 1
             landing = parked.pop(k, ())
@@ -313,7 +307,7 @@ def _walk(n, dt, seed, steps, start, move, stop=None, observers=()) -> _WalkResu
                 ids = np.concatenate([ids, *(c[0] for c in landing)])
                 x = np.concatenate([x, *(c[1] for c in landing)])
             m = len(ids)
-            g, z = normals.draw(k, m, ahead)
+            g, z = normals.draw(k, m, not parked and not (may_park and stop.parks))
             if not m:
                 continue
             drawn += m
@@ -550,7 +544,7 @@ class _TimeBarrier:
             # that left its old state's interval crossed the closed set between
             new, old = (np.searchsorted(e, x, side="right") for x in (s.x_new, s.x_old))
             return (new & 1 == 0) | (old & 1 == 1) & (old != new)
-        hit = self.barrier.stops(s.x_new, t)
+        hit = outside(self.barrier.free_edges(t), s.x_new)
         at = self.spikes[0]
         l_new = np.log(s.x_new)
         u = s.g.random(len(s.x_new))

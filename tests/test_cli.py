@@ -191,6 +191,21 @@ def test_verify_embed_runs_to_the_solved_horizon(tmp_path):
     assert horizon_mass() > 0.5
 
 
+@pytest.mark.parametrize("doc", [{"horizon": "abc"}, [1, 2]], ids=["text-horizon", "not-an-object"])
+def test_malformed_barrier_meta_exit_code(tmp_path, measure_files, capsys, doc):
+    # the barrier_meta.json beside the CSV names the file in a typed error
+    nu, mu = measure_files
+    bar = tmp_path / "barrier.csv"
+    br.save_barrier(br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([1.0, 1.0]), horizon=2.0), str(bar))
+    (tmp_path / "barrier_meta.json").write_text(json.dumps(doc))
+    rc = run(["--out-dir", str(tmp_path / "out"), "verify-embed",
+              "--nu", nu, "--mu", mu, "--barrier", str(bar), "--n", "100"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "barrier_meta.json" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_embed_without_paths_exit_code(tmp_path, measure_files, capsys):
     nu, mu = measure_files
     bar = tmp_path / "barrier.csv"
@@ -458,6 +473,29 @@ def test_config_file_wins_conflicts(tmp_path, measure_files, capsys):
     assert "overridden" in capsys.readouterr().err
     data = np.genfromtxt(out / "barrier.csv", delimiter=",", skip_header=1)
     assert len(data) == 301
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve-barrier", {"nx": "201"}),
+    ("verify-embed", {"dt": "0.01"}),
+    ("verify-embed", {"n": 1e3}),
+    ("verify-embed", {"dump-paths": 1}),
+    ("solve-barrier", {"sigma": 1}),
+    ("solve-barrier", {"nx": True}),
+], ids=["text-int", "text-float", "float-int", "int-switch", "int-string", "bool-int"])
+def test_config_value_of_the_wrong_type_is_an_input_error(tmp_path, measure_files, capsys, command, config):
+    nu, mu = measure_files
+    bar = tmp_path / "barrier.csv"
+    br.save_barrier(br.Barrier(x=np.array([-10.0, 10.0]), R=np.array([1.0, 1.0]), horizon=2.0), str(bar))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    args = ["--nu", nu, "--mu", mu] + (["--barrier", str(bar)] if command == "verify-embed" else [])
+    out = tmp_path / "out"
+    rc = run(["--config", str(cfg), "--out-dir", str(out), "--quiet", command, *args])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert repr(next(iter(config))) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["nxx", "contact-tol", "scheme", "func"])

@@ -201,17 +201,21 @@ class _ThreadLog:
     """step_rng replaced by one that records the threads that build and draw generators."""
 
     def __init__(self, monkeypatch):
-        self.built, self.drawn = [], []
+        self.built, self.drawn, self.ahead = [], [], []     # ahead: the steps drawn off the main thread
         make, log = sim.step_rng, self
 
         class Logged(np.random.Generator):
             def standard_normal(self, *args, **kwargs):
                 log.drawn.append(threading.current_thread())
+                if log.drawn[-1] is not threading.main_thread():
+                    log.ahead.append(self.step)
                 return super().standard_normal(*args, **kwargs)
 
         def step_rng(seed, step):
             log.built.append(threading.current_thread())
-            return Logged(make(seed, step).bit_generator)
+            g = Logged(make(seed, step).bit_generator)
+            g.step = step
+            return g
 
         monkeypatch.setattr(sim, "step_rng", step_rng)
 
@@ -219,16 +223,17 @@ class _ThreadLog:
         return sum(t is not threading.main_thread() for t in threads)
 
 
-def fills_ahead(batch) -> int:
-    """Steps whose normals a batch draws ahead: k + 1 and k + 2 for each step k with enough running paths.
+def fills_ahead(batch, first: int = 1) -> int:
+    """Steps whose normals a batch draws ahead: k + 1 and k + 2 for each step k >= first with enough running paths.
 
+    first is the first step at which no path is parked or can still park.
     Reads the running paths of step k off the stopping times: a path runs
     step k if it stops at k dt or later.
     """
     n_steps = round(batch.horizon / batch.dt)
-    running = [np.sum(batch.stop_times > (k - 0.5) * batch.dt) for k in range(1, n_steps + 1)]
-    last = sum(m >= sim._PREFETCH_MIN for m in running)     # running paths never grow
-    return min(n_steps, last + 2) - 1 if last else 0
+    running = [np.sum(batch.stop_times > (k - 0.5) * batch.dt) for k in range(first, n_steps + 1)]
+    last = sum(m >= sim._PREFETCH_MIN for m in running)     # from first on, running paths never grow
+    return min(n_steps, first + last + 1) - first if last else 0
 
 
 PREFETCH_CASES = {
@@ -245,21 +250,16 @@ PREFETCH_CASES = {
     # a smaller batch, above the threshold all the way: every path runs all 100 steps and stops at R = 1
     "flat-20k": lambda: sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), UNIT_BARRIER,
                                              n=20_000, dt=1e-2, seed=5),
-    # paths near the parabola draw at every step while the others park, and
-    # the fills drawn ahead count the paths landing by their step
-    "parabola-parked": lambda: sim.simulate_stopped(
-        ob.brownian(), ms.point_mass(0.0), br.from_function(pb.barrier_fn, np.linspace(-2.5, 3.5, 601), 4.0),
-        n=PREFETCH_N, dt=5e-3, seed=5),
     # stopping rules that draw uniforms after the normals are never drawn ahead
     "spiked-time-change": lambda: sim.simulate_price_model(spiked_time_change(), n=PREFETCH_N, dt=1e-2, seed=5),
 }
 DRAWS_AFTER_NORMALS = {"spiked-time-change"}
-# batches whose paths park, so that fills_ahead does not apply: flat-20k parks
+# the first step that draws ahead in batches whose paths park: flat-20k parks
 # every path from step 0 to 64 and from 64 to 96 (see
-# test_parked_paths_draw_one_normal_per_landing); no step after 96 can park,
-# so steps 97 to 100 draw every path, and 98 to 102 are drawn ahead.  The
-# parabola batch's count is only checked to be positive.
-PARKED_FILLS = {"flat-20k": 5, "parabola-parked": None}
+# test_parked_paths_draw_one_normal_per_landing), and step 96 finds no
+# section left at step 104, so parks no path and ends parking; steps 97 to
+# 100 then draw every path, and 98 to 102 are drawn ahead
+FIRST_AHEAD = {"flat-20k": 97}
 
 
 @pytest.mark.parametrize("case", PREFETCH_CASES)
@@ -268,12 +268,9 @@ def test_prefetch_is_bit_identical(monkeypatch, case):
     threads = set(threading.enumerate())
     ahead = PREFETCH_CASES[case]()
     assert set(threading.enumerate()) == threads     # the walk joins its workers before it returns
-    if case in DRAWS_AFTER_NORMALS:
-        expected = 0
-    else:
-        expected = PARKED_FILLS[case] if case in PARKED_FILLS else fills_ahead(ahead)
+    expected = 0 if case in DRAWS_AFTER_NORMALS else fills_ahead(ahead, FIRST_AHEAD.get(case, 1))
     fills = log.off_main(log.drawn)
-    assert fills == expected if expected is not None else fills > 0
+    assert fills == expected
     assert (fills > 0) == (case not in DRAWS_AFTER_NORMALS)
     monkeypatch.setattr(sim, "_PREFETCH_MIN", 1 << 62)
     log.drawn.clear()
@@ -289,10 +286,13 @@ def test_prefetch_is_bit_identical(monkeypatch, case):
         # the running paths cross the threshold midway, so the last fills are drawn inline
         assert ahead.horizon_mass * PREFETCH_N < threshold <= np.sum(ahead.stop_times > 0)
         assert 2 <= expected < round(ahead.horizon / ahead.dt) - 1
+        # the round trip's configuration parks no path and ends parking at
+        # step 0, so it draws ahead from step 1
+        assert min(log.ahead) == 2
     if case == "all-stop-at-step-1":
         assert np.all(ahead.stop_times == 0.01) and expected == 2
     if case == "flat-20k":
-        assert np.all(ahead.stop_times == 1.0)
+        assert np.all(ahead.stop_times == 1.0) and expected == 5
 
 
 def test_draw_ahead_leaves_the_moving_step_alone(monkeypatch):
@@ -383,6 +383,39 @@ def test_a_walk_that_cannot_park_keeps_every_bit(monkeypatch):
     assert parked.stop_times.tobytes() == plain.stop_times.tobytes()
     assert parked.stopped_values.tobytes() == plain.stopped_values.tobytes()
     assert parked.diagnostics == plain.diagnostics
+
+
+def test_a_parked_walk_draws_ahead_only_after_its_last_landing(monkeypatch):
+    # no step draws ahead while a path is parked or the rule can still park
+    # one, however many paths it draws; from the first step after both,
+    # every step with enough running paths does
+    log, parks, drawn, dt = _ThreadLog(monkeypatch), [], {}, 5e-3
+    park, additive = sim._TimeBarrier.park, sim._additive
+
+    def logged_park(self, x, k, dt, n_steps):
+        chunks = park(self, x, k, dt, n_steps)
+        parks.append((k, max((k + p for p, _ in chunks), default=0)))
+        return chunks
+
+    def logged_additive(sigma):
+        move = additive(sigma)
+
+        def logged(x, z, k, dt):
+            drawn[k] = len(z)
+            return move(x, z, k, dt)
+        return logged
+
+    monkeypatch.setattr(sim._TimeBarrier, "park", logged_park)
+    monkeypatch.setattr(sim, "_additive", logged_additive)
+    ahead = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), PARABOLA, n=PREFETCH_N, dt=dt, seed=5)
+    last_landing = max(landing for _, landing in parks)
+    first = max(last_landing, max(k for k, _ in parks) + 1)
+    assert min(log.ahead) == first + 1 and len(log.ahead) == fills_ahead(ahead, first)
+    assert last_landing > 0 and any(m >= sim._PREFETCH_MIN for k, m in drawn.items() if k < first)
+    monkeypatch.setattr(sim, "_PREFETCH_MIN", 1 << 62)
+    plain = sim.simulate_stopped(ob.brownian(), ms.point_mass(0.0), PARABOLA, n=PREFETCH_N, dt=dt, seed=5)
+    assert ahead.stop_times.tobytes() == plain.stop_times.tobytes()
+    assert ahead.stopped_values.tobytes() == plain.stopped_values.tobytes()
 
 
 def three_atom_barrier():
