@@ -237,9 +237,7 @@ def cmd_demo_example(args) -> int:
         root_b = sim.simulate_stopped(diff, nu, bar, n=args.n, dt=1e-3, seed=args.seed)
         mu_hat = measures.empirical(root_b.stopped_values, recenter_to=0.0)
         comp = sim.hall_competitor(mu_hat, n=args.n, dt=1e-3, seed=args.seed + 1)
-        report["optimality"] = {
-            k: v for k, v in opt.optimality_gap(hf, payoff, root_b, comp, mu_hat).items()
-        }
+        report["optimality"] = opt.optimality_gap(hf, payoff, root_b, comp, mu_hat)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "demo_report.json")
     with open(out, "w") as fh:
@@ -345,10 +343,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ArbitrageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MARKET
-    except MeasureError as exc:
+    except (ArbitrageError, MeasureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MARKET
     except SolverError as exc:

@@ -14,13 +14,14 @@ on the barrier.  Taking expectations at any competing stopping time that
 embeds the same law gives E F(tau_barrier) <= E F(tau): the optimality
 certificate, and in discounted-price coordinates the subhedge.
 
-All t-integrals share one trapezoid rule, so the discrete G + H - F equals
-minus the remaining integral of (M - f) and the inequality holds exactly
-at the nodes once M >= f is enforced (a property the continuum M has; the
-numerical M is clipped onto it, and HedgeFunctions.M_clip says by how
-much).  M is tabulated up to the latest finite barrier time or the time
-f becomes constant, whichever is later; beyond that slab M = f
-identically and G extends analytically.
+All t-integrals share one trapezoid rule: the recurrence _running_trapezoid
+for G, delta and H, and its vector form _cumtrapz for the integral of f.
+So the discrete G + H - F equals minus the remaining integral of (M - f)
+and the inequality holds exactly at the nodes once M >= f is enforced (a
+property the continuum M has; the numerical M is clipped onto it, and
+HedgeFunctions.M_clip says by how much).  M is tabulated up to the latest
+finite barrier time or the time f becomes constant, whichever is later;
+beyond that slab M = f identically and G extends analytically.
 """
 
 from __future__ import annotations
@@ -52,24 +53,39 @@ __all__ = [
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid integral of y along axis 0 over the nodes x, from 0.
-
-    The terms d (y[1:] + y[:-1]) / 2 are formed in the output and summed in
-    place: a vector by np.cumsum, a surface row by row, since a cumsum down
-    the columns of a C-ordered surface strides through memory.  Both add in
-    np.cumsum's order, so the bits are its own.
-    """
-    out = np.zeros(y.shape)
+    """Cumulative trapezoid integral of the vector y over the nodes x, from 0, with np.cumsum's bits."""
+    out = np.zeros(len(y))
     s = out[1:]
     np.add(y[1:], y[:-1], out=s)
-    s *= np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    s *= np.diff(x)
     s /= 2.0
-    if y.ndim == 1:
-        np.cumsum(s, out=s)
-    else:
-        for j in range(2, len(out)):
-            np.add(out[j - 1], out[j], out=out[j])
+    np.cumsum(s, out=s)
     return out
+
+
+def _running_trapezoid(rows, d):
+    """Yield int_{t_0}^{t_j} y dt for j = 0, 1, ..., one row y_j of rows at a time.
+
+    The terms (y_j + y_{j-1}) d_{j-1} / 2 are added in order into one
+    buffer, which every yield hands out again, so a reader copies what it
+    keeps.  The stacked rows are np.cumsum's bits down axis 0, and the
+    last row of a surface's is np.trapezoid's.  This is the one rule G,
+    delta and H integrate M by, which makes G + H - F exact at the nodes.
+    """
+    rows = iter(rows)
+    prev = next(rows)
+    run = np.zeros(np.shape(prev))
+    yield run
+    term = np.empty_like(run)
+    for j, y in enumerate(rows):
+        s = term if j else run      # the first term is the integral: 0 + term would drop a -0.0
+        np.add(y, prev, out=s)
+        s *= d[j]
+        s /= 2.0
+        if j:
+            run += term
+        prev = y
+        yield run
 
 
 @dataclass(frozen=True)
@@ -195,31 +211,27 @@ class HedgeFunctions:
 
     @cached_property
     def G(self) -> np.ndarray:
-        """int_0^t M ds - Z(x), (nt, nx), formed in the array of its running sums."""
-        G = _cumtrapz(self.M, self.t)
-        G -= self.Z
+        """int_0^t M ds - Z(x), (nt, nx), written a row at a time."""
+        G = np.empty_like(self.M)
+        for g, run in zip(G, _running_trapezoid(self.M, self._dt)):
+            np.subtract(run, self.Z, out=g)
         return G
 
     @cached_property
     def delta(self) -> np.ndarray:
         """dG/dx, the midpoint of the one-sided slopes, formed a block of rows at a time.
 
-        G is not built: each block of its rows is formed from the running
-        row of int_0^t M ds, by _cumtrapz's arithmetic, so the slopes have
-        the bits of G's.
+        G is not built: each block of 64 of its rows is formed from the
+        running integral of M, so the slopes have G's bits and the scratch
+        is a block's, not a surface's.
         """
-        M, rows = self.M, 64        # the scratch of 64 rows, not of the surface
-        dt, delta = self._dt, np.empty_like(M)
-        run, block = np.zeros(M.shape[1]), np.empty((rows, M.shape[1]))
+        M, rows = self.M, 64
+        delta, block = np.empty_like(M), np.empty((rows, M.shape[1]))
+        run = _running_trapezoid(M, self._dt)
         for a in range(0, len(M), rows):
             g, d = block[:len(M) - a], delta[a:a + rows]
-            for j in range(a, a + len(d)):
-                if j:
-                    term = np.add(M[j], M[j - 1])
-                    term *= dt[j - 1]
-                    term /= 2.0
-                    run = term if j == 1 else np.add(run, term, out=run)
-                np.subtract(run, self.Z, out=g[j - a])
+            for g_j, run_j in zip(g, run):      # g first, so zip takes no row past the block
+                np.subtract(run_j, self.Z, out=g_j)
             sl = np.subtract(g[:, 1:], g[:, :-1])
             sl /= self._dx
             np.add(sl[:, :-1], sl[:, 1:], out=d[:, 1:-1])
@@ -353,16 +365,13 @@ def compute_M(
     r_max = float(np.max(r_finite)) if len(r_finite) else 0.0
     cap = payoff.cap_time
     if t_max is None:
-        if not np.isfinite(cap) and np.any(np.isinf(r)):
-            raise SolverError(
-                "barrier never closes and f never flattens: cap the payoff "
-                "derivative or supply a finite horizon t_max"
-            )
         t_max = max(r_max, cap if np.isfinite(cap) else 0.0, 1e-6)
-    if np.any(np.isinf(r)) and (not np.isfinite(cap) or cap > t_max + 1e-12):
+    # a node that never closes needs f constant by the horizon, and no horizon reaches an infinite cap
+    if np.any(np.isinf(r)) and not cap <= t_max + 1e-12:
         raise SolverError(
-            f"free region still open at the terminal slab t={t_max:.6g}: "
-            "increase the horizon or cap the payoff derivative earlier"
+            "barrier never closes and f never flattens: cap the payoff derivative" if np.isinf(cap) else
+            f"free region still open at the terminal slab t={t_max:.6g}: increase the horizon "
+            f"to the payoff's cap time {cap:.6g} or cap the payoff derivative earlier"
         )
     if t_max < r_max - 1e-12:
         raise SolverError(
@@ -475,14 +484,15 @@ def build_hedge(
     horizon; a payoff it refuses raises ValueError.  Z(x) = 2 int int
     M(.,0)/sigma^2 by nested trapezoid quadrature, with value and slope
     zero at the base point; the anchoring interpolates the cumulative
-    integrals, so a base between nodes still gets both zero there.  The
-    same cumulative trapezoid rule is used for G, H and F, which makes the
-    discrete identity G + H - F = -int_t^{T} (M - f) exact at the nodes:
-    the pathwise inequality then holds by construction wherever the
-    tabulated M dominates f, and vanishes identically on the contact set.
-    H takes np.trapezoid's arithmetic a row at a time, with no scratch
-    surface.  G and the trading delta are HedgeFunctions properties, built
-    when first read.
+    integrals, so a base between nodes still gets both zero there.  G and
+    H integrate in t by _running_trapezoid and F by its vector form
+    _cumtrapz, which makes the discrete identity G + H - F = -int_t^{T}
+    (M - f) exact at the nodes: the pathwise inequality then holds by
+    construction wherever the tabulated M dominates f, and vanishes
+    identically on the contact set.  H is the last row of the running
+    integral of f - M, so it needs no scratch surface.  G and the trading
+    delta are HedgeFunctions properties, built when first read: the bound
+    reads neither.
     """
     m = compute_M(diff, barrier, payoff, x_grid, nt, t_max=t_max)
     M, x, t = m.values, m.x, m.t
@@ -494,16 +504,7 @@ def build_hedge(
     f_t = payoff.f(t)
     F_grid = _cumtrapz(f_t, t)
 
-    # H = z + np.trapezoid(f_t[:, None] - M, t, axis=0), by its arithmetic a
-    # row at a time: pair sums of f - M times d / 2, added in np.sum's order down axis 0
-    d, H, prev = np.diff(t), None, np.subtract(f_t[0], M[0])
-    for j in range(1, len(t)):
-        cur = np.subtract(f_t[j], M[j])
-        term = np.add(cur, prev)
-        term *= d[j - 1]
-        term /= 2.0
-        H = term if H is None else np.add(H, term, out=H)
-        prev = cur
+    *_, H = _running_trapezoid((f - m for f, m in zip(f_t, M)), np.diff(t))
     H += z
 
     return HedgeFunctions(

@@ -19,12 +19,21 @@ from oracle import hedge_reference, march_reference
 @pytest.mark.parametrize("shape", [(301,), (301, 7), (1,), (2,), (2, 5)], ids=["1-D", "2-D", "1", "2", "2x5"])
 @pytest.mark.parametrize("nodes", ["uniform", "uneven"])
 def test_cumulative_trapezoid_is_scipys(shape, nodes):
+    # the running trapezoid on every shape, its rows stacked; _cumtrapz on vectors only
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 2.5, shape[0])
     if nodes == "uneven":
         x = np.cumsum(rng.exponential(0.01, shape[0]))
     y = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
-    assert np.array_equal(opt._cumtrapz(y, x), cumulative_trapezoid(y, x, axis=0, initial=0.0))
+    want = cumulative_trapezoid(y, x, axis=0, initial=0.0)
+    running = np.array([run.copy() for run in opt._running_trapezoid(y, np.diff(x))])
+    assert running.tobytes() == want.tobytes()
+    if len(shape) == 1:
+        assert np.array_equal(opt._cumtrapz(y, x), want)
+    else:       # np.trapezoid sums a surface's rows in order (a vector's pairwise)
+        assert running[-1].tobytes() == np.trapezoid(y, x, axis=0).tobytes()
+        with pytest.raises(ValueError):
+            opt._cumtrapz(y, x)
 
 
 def _flat_hedge():
@@ -314,14 +323,20 @@ def test_monte_carlo_reports_give_each_mean_and_standard_error_as_plain_floats(f
 
 
 def test_compute_M_horizon_guard():
+    # open nodes need f constant by the horizon: with f never flattening no horizon helps
     x = np.linspace(-2.0, 2.0, 101)
     R = np.where(np.abs(x) < 1.0, np.inf, 0.0)
     bar = br.Barrier(x=x, R=R, horizon=1.0)
     unbounded = opt.custom_payoff(lambda t: np.asarray(t, dtype=float) ** 2 / 2,
                                   lambda t: np.asarray(t, dtype=float),
                                   f_bound=np.inf, cap_time=np.inf)
-    with pytest.raises(ob.SolverError, match="cap|flatten"):
-        opt.compute_M(ob.brownian(), bar, unbounded, x, nt=50)
+    for t_max in (None, 5.0, 500.0):
+        with pytest.raises(ob.SolverError, match="cap the payoff derivative") as err:
+            opt.compute_M(ob.brownian(), bar, unbounded, x, nt=50, t_max=t_max)
+        assert "horizon" not in str(err.value)
+    # f flattens at 0.3, past the given horizon: a longer one closes the region
+    with pytest.raises(ob.SolverError, match=r"t=0\.2: increase the horizon to the payoff's cap time 0\.3 "):
+        opt.compute_M(ob.brownian(), bar, opt.variance_call(0.3), x, nt=50, t_max=0.2)
 
 
 def test_compute_M_rejects_a_short_horizon():
@@ -449,16 +464,22 @@ def test_G_and_delta_are_built_on_first_read(dense_market, monkeypatch):
     assert "G" not in vars(hf) and "delta" not in vars(hf)
     rep = pr.lower_bound(dense_market, opt.variance_swap())
     assert "G" not in vars(rep.hedge) and "delta" not in vars(rep.hedge)
-    built = []
+    built, build = [], opt.HedgeFunctions.G.func
 
-    def counted(y, x):
-        built.append(y.shape)
-        return cumtrapz(y, x)
+    def counted(self):
+        G = build(self)
+        built.append(G.shape)
+        return G
 
-    cumtrapz = opt._cumtrapz
-    monkeypatch.setattr(opt, "_cumtrapz", counted)
-    delta = hf.delta
-    assert built == [] and "G" not in vars(hf)          # delta builds no G
+    monkeypatch.setattr(opt.HedgeFunctions.G, "func", counted)
+    tracemalloc.start()
+    try:
+        delta = hf.delta
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # delta builds no G, and holds no second surface while it forms its own
+    assert built == [] and "G" not in vars(hf) and peak < 2 * hf.M.nbytes
     G = hf.G
     assert built == [hf.M.shape] and hf.G is G and hf.delta is delta
     assert built == [hf.M.shape]

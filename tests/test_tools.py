@@ -203,6 +203,31 @@ def test_bench_record_records_the_layers_of_a_traced_run(tmp_path, monkeypatch):
     assert len([ln for ln in lines if ln.startswith("price-atomic")]) == len(layers)
 
 
+def test_bench_record_writes_one_file_per_root_at_one_commit(tmp_path, monkeypatch, capsys):
+    # one checkout given twice stands for two at one commit; the perfbench runs are stood in for
+    monkeypatch.setattr(sys, "path", list(sys.path))     # the tool puts tools/ first
+    tool = _load_tool("bench_record")
+    names, real = [m["name"] for m in tool.spec()["end_to_end"]], subprocess.run
+
+    def run(cmd, **kwargs):
+        if "perfbench/run.py" not in cmd:
+            return real(cmd, **kwargs)
+        line = {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {name: {"value": 1.0, "unit": "s"} for name in names}}
+        return subprocess.CompletedProcess(cmd, 0, "machine: nproc=2\n" + json.dumps(line), "")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    root = str(tool.ROOT)
+    assert tool.main(["bench_record.py", "--root", root, "--root", root, "--workload", "price-atomic",
+                      "--k", "1", "--out-dir", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("BENCH_*.json"), key=lambda p: len(p.name))
+    assert len(paths) == 2 and paths[1].name == paths[0].name.replace(".json", "-2.json")
+    for path in paths:
+        assert [r["seed"] for r in json.loads(path.read_text())["workloads"]["price-atomic"]["runs"]] == [1]
+    wrote = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wrote ")]
+    assert wrote == [f"wrote {p} ({root})" for p in paths]
+
+
 def test_bench_record_times_a_tier1_run(tmp_path, monkeypatch):
     # one small test file stands in for the suite; no workload runs
     monkeypatch.setattr(sys, "path", list(sys.path))     # the tool puts tools/ first

@@ -16,8 +16,10 @@ machine line of the runs, `git rev-parse HEAD` and whether tracked files
 differ from it (`dirty`, which adds `-dirty` to the file name), the code
 lines per module of its src/ (tools/code_lines.py), every run's line, and
 per metric its values in seed order, median and quartiles.  A --trace 1
-record is written as BENCH_<short sha>-trace.json.  The workloads and
-metrics are those of this checkout's BENCHMARK.json.
+record is written as BENCH_<short sha>-trace.json.  Checkouts whose
+records would take one name, two clean clones of one commit say, get
+-2, -3, ... before `.json`, in --root order, and `wrote` names the root.
+The workloads and metrics are those of this checkout's BENCHMARK.json.
 
 With --tier1, each checkout's record also holds one timed run of its
 tier-1 suite, `python -m pytest -q --continue-on-collection-errors -p
@@ -155,9 +157,13 @@ def record(roots: list, workloads: list, k: int, seconds: float, tier1_args: lis
     return recs
 
 
-def write(rec: dict, out_dir: Path) -> Path:
-    path = out_dir / (f"BENCH_{rec['sha'][:10]}{'-dirty' if rec['dirty'] else ''}"
-                      f"{'-trace' if rec.get('trace') else ''}.json")
+def write(rec: dict, out_dir: Path, taken=()) -> Path:
+    """Write rec as BENCH_<short sha>[-dirty][-trace].json, or with -2, -3, ... before .json while that is taken."""
+    stem = f"BENCH_{rec['sha'][:10]}{'-dirty' if rec['dirty'] else ''}{'-trace' if rec.get('trace') else ''}"
+    path, n = out_dir / f"{stem}.json", 1
+    while path in taken:
+        n += 1
+        path = out_dir / f"{stem}-{n}.json"
     path.write_text(json.dumps(rec, indent=1) + "\n")
     return path
 
@@ -225,8 +231,10 @@ def main(argv: list) -> int:
     if set(workloads) - set(known) or args.k < 1:
         ap.error(f"choose workloads from {known} and k >= 1")
     roots = [r.resolve() for r in (args.root or [ROOT])]
-    for rec in record(roots, workloads, args.k, args.seconds, args.tier1, args.trace):
-        print(f"wrote {write(rec, args.out_dir)}")
+    written = []
+    for root, rec in zip(roots, record(roots, workloads, args.k, args.seconds, args.tier1, args.trace)):
+        written.append(write(rec, args.out_dir, written))
+        print(f"wrote {written[-1]} ({root})")
     return 0
 
 
